@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -104,7 +105,11 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 				st = &sigState{}
 				states[o.Signal] = st
 			}
-			add("out/%s=%s", o.Signal, level)
+			// A repeated level adds no key: it was added when the
+			// signal first reached it.
+			if !st.seeded || level != st.level {
+				add("out/%s=%s", o.Signal, level)
+			}
 			if st.seeded {
 				if st.high {
 					st.highTime += s.Now - st.at
@@ -143,7 +148,7 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 // levelOf renders an output observation as a coverage level token.
 func levelOf(o stand.OutputState) string {
 	if o.CAN {
-		return fmt.Sprintf("%d", o.Value)
+		return strconv.FormatUint(o.Value, 10)
 	}
 	if o.High {
 		return "hi"

@@ -2,6 +2,12 @@ package explore
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -213,6 +219,46 @@ func TestExploreDeterminism(t *testing.T) {
 	}
 	if a == d {
 		t.Error("different seeds produced identical corpora")
+	}
+}
+
+// TestExploreFingerprintsPinned pins the corpora of seeds 1–7 of the
+// paper configuration to committed SHA-256 sums of their fingerprints
+// (testdata/fingerprints.json, the same sums the benchmark's goldens
+// hold), at parallelism 1 and 2. Exploration observes every stand run,
+// so this is what holds the observed fast-forward to the corpora that
+// tick-by-tick execution produced.
+func TestExploreFingerprintsPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fingerprints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	suite := loadSuite(t, paper.Workbook)
+	for seed := int64(1); seed <= 7; seed++ {
+		for _, par := range []int{1, 2} {
+			opts := interiorOpts()
+			opts.Seed, opts.Parallelism = seed, par
+			ex, err := New(suite, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ex.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := res.Corpus.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(fp))
+			if got, w := hex.EncodeToString(sum[:]), want[strconv.FormatInt(seed, 10)]; got != w {
+				t.Errorf("seed %d, parallelism %d: fingerprint sha256 %s, pinned %s", seed, par, got, w)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,9 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/comptest"
 	"repro/comptest/mutation"
@@ -127,6 +129,75 @@ func TestFastForwardEquivalence(t *testing.T) {
 				sc.Name, standName, dut, ground, fast)
 		}
 	})
+}
+
+// recordingObserver encodes every stand.Observer callback as one line
+// (kind, simulated time, step, outputs), so two runs' behavioural
+// traces compare byte for byte.
+type recordingObserver struct{ buf bytes.Buffer }
+
+func (r *recordingObserver) RunStarted(sc *script.Script, ubattVolts float64) {
+	fmt.Fprintf(&r.buf, "start %s %v\n", sc.Name, ubattVolts)
+}
+
+func (r *recordingObserver) OutputsSampled(now time.Duration, step int, outputs []stand.OutputState) {
+	fmt.Fprintf(&r.buf, "sample %d %d %+v\n", now, step, outputs)
+}
+
+func (r *recordingObserver) StepFinished(step *script.Step, now time.Duration, outputs []stand.OutputState) {
+	fmt.Fprintf(&r.buf, "step %d %d %+v\n", now, step.Nr, outputs)
+}
+
+func (r *recordingObserver) RunFinished(rep *report.Report) {
+	b, err := report.EncodeJSON(rep)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Fprintf(&r.buf, "finished %s\n", b)
+}
+
+// TestObservedFastForwardEquivalence pins the fast-forward under
+// observation: with an observer attached the stand still crosses
+// quiescent windows in O(1) and replays the trace samples it skipped,
+// so the observer's callback sequence — every sample's time, step and
+// output levels — and the report must come out byte-identical to the
+// tick-by-tick run.
+func TestObservedFastForwardEquivalence(t *testing.T) {
+	plans := compileBuiltin(t)
+	ctx := context.Background()
+	observe := func(t *testing.T, ff bool, standName, dut string, plan *comptest.Plan, sc *script.Script) []byte {
+		st := freshStand(t, standName, dut, plan, sc)
+		st.SetFastForward(ff)
+		rec := &recordingObserver{}
+		st.SetObserver(rec)
+		st.RunCompiled(ctx, plan.Compiled(sc), stand.RunOptions{})
+		return rec.buf.Bytes()
+	}
+	samples := 0
+	forEachPair(t, plans, func(t *testing.T, standName, dut string, plan *comptest.Plan, sc *script.Script) {
+		ground := observe(t, false, standName, dut, plan, sc)
+		fast := observe(t, true, standName, dut, plan, sc)
+		samples += bytes.Count(ground, []byte("\nsample "))
+		if !bytes.Equal(ground, fast) {
+			t.Errorf("%s on %s (%s): observed fast-forward differs from tick-by-tick\n%s",
+				sc.Name, standName, dut, firstDiff(ground, fast))
+		}
+	})
+	if samples == 0 {
+		t.Fatal("no trace samples recorded — the observer was not exercised")
+	}
+}
+
+// firstDiff renders the first differing line of two line-oriented
+// byte streams.
+func firstDiff(a, b []byte) string {
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return fmt.Sprintf("line %d\nticked: %s\nfastfw: %s", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("ticked has %d lines, fastfw %d", len(la), len(lb))
 }
 
 // TestCampaignStreamEquivalence runs the full builtin unit matrix as a

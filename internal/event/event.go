@@ -139,6 +139,12 @@ func (p *Periodic) arm() {
 // Period returns the series period.
 func (p *Periodic) Period() time.Duration { return p.period }
 
+// Next returns the grid time of the series' next occurrence. While the
+// series is suspended it stays at the first occurrence the suspension
+// held back, so after a jump the occurrences Resume will drop are
+// exactly the grid times Next, Next+Period, … up to Now.
+func (p *Periodic) Next() time.Duration { return p.next }
+
 // Stop cancels the series permanently.
 func (p *Periodic) Stop() {
 	p.stopped = true

@@ -139,6 +139,54 @@ func TestEveryStopFromCallback(t *testing.T) {
 	}
 }
 
+// TestPeriodicNextAcrossSuspend: the grid times Next reports after a
+// suspended jump, followed by the occurrences fired after Resume, are
+// exactly the fire times of an uninterrupted series — the contract the
+// stand relies on to replay trace samples it skipped.
+func TestPeriodicNextAcrossSuspend(t *testing.T) {
+	const period = 50 * time.Millisecond
+	const end = 2 * time.Second
+	var ref Scheduler
+	var want []time.Duration
+	ref.RunUntil(7 * time.Millisecond)
+	ref.Periodic(period, func() { want = append(want, ref.Now()) })
+	ref.RunUntil(end)
+
+	var s Scheduler
+	var got []time.Duration
+	s.RunUntil(7 * time.Millisecond)
+	p := s.Periodic(period, func() { got = append(got, s.Now()) })
+	if p.Next() != 7*time.Millisecond+period {
+		t.Fatalf("fresh Next = %v, want %v", p.Next(), 7*time.Millisecond+period)
+	}
+	// Jumps ending off the grid, exactly on it (557 ms), of zero length
+	// (577 ms, where the previous resume left the clock) and crossing no
+	// grid point (600 ms).
+	for _, jump := range []time.Duration{310 * time.Millisecond, 557 * time.Millisecond,
+		577 * time.Millisecond, 600 * time.Millisecond, 1337 * time.Millisecond} {
+		p.Suspend()
+		s.RunUntil(jump)
+		for g := p.Next(); g <= s.Now(); g += p.Period() {
+			got = append(got, g)
+		}
+		p.Resume()
+		if p.Next() <= s.Now() {
+			t.Fatalf("after Resume at %v: Next = %v, not in the future", s.Now(), p.Next())
+		}
+		s.RunUntil(s.Now() + 20*time.Millisecond)
+	}
+	s.RunUntil(end)
+
+	if len(got) != len(want) {
+		t.Fatalf("got %d occurrences, want %d\ngot:  %v\nwant: %v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("occurrence %d at %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()

@@ -112,17 +112,20 @@ const fastForwardMargin = 4 * ecu.TaskPeriod
 const ffWarmup = ReusePhase
 
 // advanceTo advances simulated time to target. When quiet is true (no
-// samplers armed), no trace observer is attached, no PWM waveform is
-// toggling and the DUT promises quiescence, the idle window is crossed
-// by suspending the periodic drivers — the task ticker and the CAN
-// retransmit groups — and jumping the (then empty) event queue in O(1),
+// timing samplers armed), no PWM waveform is toggling and the DUT
+// promises quiescence, the idle window is crossed by suspending the
+// periodic drivers — the task ticker, the CAN retransmit groups and the
+// trace sampler — and jumping the (then empty) event queue in O(1),
 // resuming phase-preserving: after a resume, every driver fires at
-// exactly the times an uninterrupted run would have produced. One-shot
+// exactly the times an uninterrupted run would have produced. The trace
+// samples that fell inside the window are delivered to the observer
+// before the resume, at their grid times (replayTrace), so an observer
+// sees the same callback sequence as in a tick-by-tick run. One-shot
 // events (in-flight CAN frame deliveries) are never skipped, and the
 // stand always runs normally for ffWarmup after the step's stimuli (and
 // after every promised wake it crosses) before jumping.
 func (s *Stand) advanceTo(target time.Duration, quiet bool) {
-	if !s.ff || !quiet || s.obs != nil || s.dut == nil {
+	if !s.ff || !quiet || s.dut == nil {
 		s.sched.RunUntil(target)
 		return
 	}
@@ -195,6 +198,7 @@ func (s *Stand) advanceTo(target time.Duration, quiet bool) {
 			continue
 		}
 		s.sched.RunUntil(jump)
+		s.replayTrace()
 		s.resumePeriodics()
 	}
 }
@@ -207,6 +211,9 @@ type periodicSuspender interface {
 }
 
 func (s *Stand) suspendPeriodics() {
+	if s.trace != nil {
+		s.trace.Suspend()
+	}
 	if s.ticker != nil {
 		s.ticker.Suspend()
 	}
@@ -216,7 +223,14 @@ func (s *Stand) suspendPeriodics() {
 	}
 }
 
+// resumePeriodics re-arms the drivers, the trace sampler first: in an
+// uninterrupted run the sampler was armed a whole TracePeriod before a
+// coincident task tick, so it fires first and samples the outputs
+// before that tick can change them. Re-arming it first keeps that order.
 func (s *Stand) resumePeriodics() {
+	if s.trace != nil {
+		s.trace.Resume()
+	}
 	if s.ticker != nil {
 		s.ticker.Resume()
 	}

@@ -80,6 +80,12 @@ type Stand struct {
 
 	// obs, when non-nil, receives the behavioural trace (see trace.go).
 	obs Observer
+	// trace is the executing step's trace sampler (nil when no observer
+	// is attached or between steps); its samples belong to step
+	// traceStep of script traceSc.
+	trace     *event.Periodic
+	traceSc   *script.Script
+	traceStep int
 
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]*heldStimulus
@@ -467,10 +473,10 @@ func (s *Stand) runStepPrepared(sc *script.Script, step *script.Step,
 		samplers = s.startSamplers(measures, plan)
 	}
 
-	stopTrace := s.startTrace(sc, step)
+	s.startTrace(sc, step)
 	dt := step.Dt + extraWait
 	s.advanceTo(s.sched.Now()+time.Duration(dt*float64(time.Second)), len(samplers) == 0)
-	stopTrace()
+	s.stopTrace()
 
 	for _, sam := range samplers {
 		sam.stop()

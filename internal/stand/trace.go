@@ -48,7 +48,11 @@ type Observer interface {
 	RunStarted(sc *script.Script, ubattVolts float64)
 	// OutputsSampled reports the DUT output levels at one sample point:
 	// after the init settle (step = -1) and every TracePeriod while a
-	// step's dt elapses (step = the step number).
+	// step's dt elapses (step = the step number). Samples inside a
+	// fast-forwarded quiescent window are delivered after the jump, at
+	// their grid times, and share one outputs slice: the same slice may
+	// be passed to several consecutive calls, so observers must treat it
+	// as read-only.
 	OutputsSampled(now time.Duration, step int, outputs []OutputState)
 	// StepFinished reports the settled output levels at the end of a
 	// step, after dt elapsed and before the step's measurements are
@@ -161,13 +165,43 @@ func (m multiObserver) RunFinished(rep *report.Report) {
 	}
 }
 
-// startTrace arms the periodic trace sampling of one step and returns
-// its stop function (a no-op when no observer is attached).
-func (s *Stand) startTrace(sc *script.Script, step *script.Step) func() {
+// startTrace arms the periodic trace sampling of one step (a no-op when
+// no observer is attached). The sampler is a suspendable series, so the
+// fast-forward parks it with the other periodic drivers and replays
+// what it skipped (replayTrace).
+func (s *Stand) startTrace(sc *script.Script, step *script.Step) {
 	if s.obs == nil {
-		return func() {}
+		return
 	}
-	return s.sched.Every(TracePeriod, func() {
-		s.obs.OutputsSampled(s.sched.Now(), step.Nr, s.observeOutputs(sc))
+	s.traceSc, s.traceStep = sc, step.Nr
+	s.trace = s.sched.Periodic(TracePeriod, func() {
+		s.obs.OutputsSampled(s.sched.Now(), s.traceStep, s.observeOutputs(s.traceSc))
 	})
+}
+
+// stopTrace disarms the step's trace sampler, if one is armed.
+func (s *Stand) stopTrace() {
+	if s.trace != nil {
+		s.trace.Stop()
+		s.trace, s.traceSc = nil, nil
+	}
+}
+
+// replayTrace delivers the samples a fast-forward jump held back: one
+// per TracePeriod grid time from the suspended sampler's next
+// occurrence up to and including Now, in order. The DUT promised
+// quiescence over the jumped window, so every one of them equals the
+// current outputs: they are observed once and the same slice goes to
+// every call.
+func (s *Stand) replayTrace() {
+	if s.trace == nil {
+		return
+	}
+	var outputs []OutputState
+	for t := s.trace.Next(); t <= s.sched.Now(); t += TracePeriod {
+		if outputs == nil {
+			outputs = s.observeOutputs(s.traceSc)
+		}
+		s.obs.OutputsSampled(t, s.traceStep, outputs)
+	}
 }
