@@ -138,6 +138,7 @@ func BenchmarkT3CatalogCheck(b *testing.B) {
 	}
 	reg := method.Builtin()
 	env := expr.MapEnv{"ubatt": 12}
+	eval := func(v string) (float64, error) { return resource.EvalNumber(v, env) }
 	attrSets := []struct {
 		m     string
 		attrs map[string]string
@@ -156,7 +157,7 @@ func BenchmarkT3CatalogCheck(b *testing.B) {
 			d, _ := reg.Lookup(as.m)
 			for _, r := range cat.Candidates(as.m) {
 				cap, _ := r.Supports(as.m)
-				_ = cap.CheckAttrs(d, as.attrs, env)
+				_ = cap.CheckAttrs(d, as.attrs, eval)
 			}
 		}
 	}
@@ -312,7 +313,9 @@ func BenchmarkAblationAllocators(b *testing.B) {
 	for _, strat := range []alloc.Strategy{alloc.Greedy, alloc.Backtracking} {
 		b.Run(strat.String(), func(b *testing.B) {
 			al := &alloc.Allocator{Catalog: cfg.Catalog, Matrix: cfg.Matrix,
-				Env: expr.MapEnv{"ubatt": 12}, Strategy: strat}
+				Eval: func(v string) (float64, error) {
+					return resource.EvalNumber(v, expr.MapEnv{"ubatt": 12})
+				}, Strategy: strat}
 			for i := 0; i < b.N; i++ {
 				_, _ = al.Allocate(reqs, nil)
 			}

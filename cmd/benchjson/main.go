@@ -12,6 +12,7 @@
 //	benchjson -o BENCH_PR4.json bench.txt
 //	benchjson -compare OLD.json NEW.json
 //	benchjson -compare OLD.json -assert "BenchmarkMutationMatrix>=5" NEW.json
+//	benchjson -compare OLD.json -assert "BenchmarkMutationMatrix:allocs>=2" NEW.json
 //
 // The compare mode is report-only by default: it prints per-benchmark
 // deltas and exits 0 on valid input, so a perf regression shows up in
@@ -19,7 +20,9 @@
 // a hard gate: every benchmark whose normalized name starts with NAME
 // must be at least FACTOR× faster (old ns/op ÷ new ns/op) than the old
 // document, and a spec matching no benchmark is itself an error — a
-// renamed benchmark must not silently disarm the gate.
+// renamed benchmark must not silently disarm the gate. NAME:allocs>=FACTOR
+// gates allocations the same way: old allocs/op ÷ new allocs/op must be
+// at least FACTOR.
 package main
 
 import (
@@ -61,7 +64,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	outFile := fs.String("o", "", "write the JSON document here instead of stdout")
 	compare := fs.String("compare", "", "compare OLD.json against the NEW.json positional argument")
 	assert := fs.String("assert", "",
-		"with -compare: comma-separated NAME>=FACTOR speedup gates, e.g. \"BenchmarkMutationMatrix>=5\"")
+		"with -compare: comma-separated NAME>=FACTOR speedup or NAME:allocs>=FACTOR allocation gates, e.g. \"BenchmarkMutationMatrix>=5\"")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -199,13 +202,25 @@ func loadDoc(path string) (*Doc, error) {
 }
 
 // speedupGate is one parsed -assert spec: every benchmark whose
-// normalized name starts with prefix must be at least factor× faster.
+// normalized name starts with prefix must be at least factor× faster,
+// or with allocs set, allocate factor× less.
 type speedupGate struct {
 	prefix string
 	factor float64
+	allocs bool
 }
 
-// parseAsserts parses the comma-separated NAME>=FACTOR list.
+// ratio is old ÷ new of the gated metric, and whether the old document
+// measured it.
+func (g speedupGate) ratio(om, nm *Metrics) (float64, bool) {
+	if g.allocs {
+		return om.AllocsPerOp / nm.AllocsPerOp, om.AllocsPerOp > 0
+	}
+	return om.NsPerOp / nm.NsPerOp, om.NsPerOp > 0
+}
+
+// parseAsserts parses the comma-separated NAME>=FACTOR and
+// NAME:allocs>=FACTOR list.
 func parseAsserts(spec string) ([]speedupGate, error) {
 	var gates []speedupGate
 	for _, part := range strings.Split(spec, ",") {
@@ -221,7 +236,8 @@ func parseAsserts(spec string) ([]speedupGate, error) {
 		if err != nil || factor <= 0 {
 			return nil, fmt.Errorf("assert %q: bad factor", part)
 		}
-		gates = append(gates, speedupGate{prefix: strings.TrimSpace(name), factor: factor})
+		name, allocs := strings.CutSuffix(strings.TrimSpace(name), ":allocs")
+		gates = append(gates, speedupGate{prefix: name, factor: factor, allocs: allocs})
 	}
 	if len(gates) == 0 {
 		return nil, fmt.Errorf("assert %q: no gates", spec)
@@ -280,18 +296,25 @@ func runCompare(oldPath, newPath, asserts string, out io.Writer) error {
 				continue
 			}
 			om, ok := oldDoc.Benchmarks[name]
-			if !ok || om.NsPerOp == 0 {
+			if !ok {
+				continue
+			}
+			speedup, measured := g.ratio(om, newDoc.Benchmarks[name])
+			if !measured {
 				continue
 			}
 			matched++
-			speedup := om.NsPerOp / newDoc.Benchmarks[name].NsPerOp
+			label := name
+			if g.allocs {
+				label += " allocs"
+			}
 			status := "ok"
 			if speedup < g.factor {
 				status = "FAIL"
 				failed = append(failed,
-					fmt.Sprintf("%s: %.2fx < %gx", name, speedup, g.factor))
+					fmt.Sprintf("%s: %.2fx < %gx", label, speedup, g.factor))
 			}
-			fmt.Fprintf(out, "assert %-49s %6.2fx >= %gx  %s\n", name, speedup, g.factor, status)
+			fmt.Fprintf(out, "assert %-49s %6.2fx >= %gx  %s\n", label, speedup, g.factor, status)
 		}
 		if matched == 0 {
 			failed = append(failed, fmt.Sprintf("%s: no benchmark matches", g.prefix))

@@ -172,16 +172,72 @@ func TestAssertGate(t *testing.T) {
 	}
 }
 
+// TestAssertAllocsGate covers the NAME:allocs>=FACTOR form: the factor
+// is old allocs/op ÷ new allocs/op, independent of ns/op.
+func TestAssertAllocsGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	old := write("old.json", `{"benchmarks":{
+		"BenchmarkMutationMatrix/parallel_1":{"ns_per_op":1000,"allocs_per_op":390000,"runs":3},
+		"BenchmarkCampaignMatrix/parallel_1":{"ns_per_op":500,"allocs_per_op":90000,"runs":3},
+		"BenchmarkScriptGen":{"ns_per_op":50,"runs":3}}}`)
+	new_ := write("new.json", `{"benchmarks":{
+		"BenchmarkMutationMatrix/parallel_1":{"ns_per_op":2000,"allocs_per_op":130000,"runs":3},
+		"BenchmarkCampaignMatrix/parallel_1":{"ns_per_op":100,"allocs_per_op":60000,"runs":3},
+		"BenchmarkScriptGen":{"ns_per_op":50,"runs":3}}}`)
+
+	var out strings.Builder
+	// 3x fewer allocations passes even though ns/op doubled.
+	if err := run([]string{"-compare", old, "-assert", "BenchmarkMutationMatrix:allocs>=2", new_}, nil, &out); err != nil {
+		t.Fatalf("passing allocs gate errored: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkMutationMatrix/parallel_1 allocs") ||
+		!strings.Contains(out.String(), "3.00x >= 2x  ok") {
+		t.Errorf("allocs gate output lacks per-benchmark line:\n%s", out.String())
+	}
+
+	// 1.5x fewer allocations fails a >=2 gate despite a 5x speedup.
+	out.Reset()
+	err := run([]string{"-compare", old, "-assert", "BenchmarkCampaignMatrix:allocs>=2", new_}, nil, &out)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkCampaignMatrix/parallel_1 allocs: 1.50x < 2x") {
+		t.Errorf("failing allocs gate did not error: %v", err)
+	}
+
+	// A benchmark the old document measured without -benchmem has no
+	// allocs/op to gate: it matches nothing.
+	out.Reset()
+	err = run([]string{"-compare", old, "-assert", "BenchmarkScriptGen:allocs>=1", new_}, nil, &out)
+	if err == nil || !strings.Contains(err.Error(), "no benchmark matches") {
+		t.Errorf("allocs gate without old allocs did not error: %v", err)
+	}
+
+	// Both forms mix in one list.
+	out.Reset()
+	if err := run([]string{"-compare", old,
+		"-assert", "BenchmarkCampaignMatrix>=5,BenchmarkMutationMatrix:allocs>=2", new_}, nil, &out); err != nil {
+		t.Fatalf("mixed gates errored: %v\n%s", err, out.String())
+	}
+}
+
 func TestParseAsserts(t *testing.T) {
-	gates, err := parseAsserts("BenchmarkA>=5,BenchmarkB >= 2.5")
+	gates, err := parseAsserts("BenchmarkA>=5,BenchmarkB >= 2.5, BenchmarkC:allocs>=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gates) != 2 || gates[0].prefix != "BenchmarkA" || gates[0].factor != 5 ||
-		gates[1].prefix != "BenchmarkB" || gates[1].factor != 2.5 {
+	if len(gates) != 3 || gates[0].prefix != "BenchmarkA" || gates[0].factor != 5 || gates[0].allocs ||
+		gates[1].prefix != "BenchmarkB" || gates[1].factor != 2.5 || gates[1].allocs ||
+		gates[2].prefix != "BenchmarkC" || gates[2].factor != 2 || !gates[2].allocs {
 		t.Errorf("parsed gates wrong: %+v", gates)
 	}
-	for _, bad := range []string{"", "BenchmarkA", "BenchmarkA>=x", "BenchmarkA>=0", "BenchmarkA>=-1"} {
+	for _, bad := range []string{"", "BenchmarkA", "BenchmarkA>=x", "BenchmarkA>=0", "BenchmarkA>=-1",
+		"BenchmarkA:allocs>=0"} {
 		if _, err := parseAsserts(bad); err == nil {
 			t.Errorf("parseAsserts(%q) accepted", bad)
 		}

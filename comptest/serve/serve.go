@@ -651,20 +651,6 @@ func (s *Server) runJob(job *Job) {
 	wait := started.Sub(job.submitted).Seconds()
 	s.queueWait.Observe(wait)
 	job.logger.Info("job started", "wait_s", wait)
-	defer func() {
-		// Completed-job telemetry: wall duration and unit throughput
-		// (result lines per second; sub-resolution durations clamp so
-		// the rate stays finite).
-		elapsed := s.now().Sub(started).Seconds()
-		s.jobSeconds.Observe(elapsed)
-		if lines := job.log.len(); lines > 0 {
-			if elapsed <= 0 {
-				elapsed = 1e-9
-			}
-			s.unitRate.Observe(float64(lines) / elapsed)
-		}
-		s.busy.Add(-1)
-	}()
 
 	ex := Execution{
 		ID:   job.id,
@@ -712,6 +698,19 @@ func (s *Server) runJob(job *Job) {
 		exec = s.ExecuteLocal
 	}
 	verdict, err := exec(job.ctx, ex)
+	// Completed-job telemetry lands before finish ends the stream: a
+	// client that has read the whole stream may scrape /metrics at once.
+	// It is the wall duration and the unit throughput (result lines per
+	// second; sub-resolution durations clamp so the rate stays finite).
+	elapsed := s.now().Sub(started).Seconds()
+	s.jobSeconds.Observe(elapsed)
+	if lines := job.log.len(); lines > 0 {
+		if elapsed <= 0 {
+			elapsed = 1e-9
+		}
+		s.unitRate.Observe(float64(lines) / elapsed)
+	}
+	s.busy.Add(-1)
 	switch {
 	case job.ctx.Err() != nil:
 		job.finish(StateCancelled, "", "cancelled")

@@ -29,10 +29,9 @@ package alloc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/method"
 	"repro/internal/resource"
 	"repro/internal/topology"
@@ -135,9 +134,12 @@ func (s Strategy) String() string {
 
 // Allocator binds a catalog and a connection matrix.
 type Allocator struct {
-	Catalog  *resource.Catalog
-	Matrix   *topology.Matrix
-	Env      expr.Env // stand variables for range-checking expressions
+	Catalog *resource.Catalog
+	Matrix  *topology.Matrix
+	// Eval turns an attribute value (number or limit expression over the
+	// stand variables) into a number for range checks; a stand passes its
+	// memoised evaluator.
+	Eval     func(string) (float64, error)
 	Strategy Strategy
 }
 
@@ -153,9 +155,10 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 		candidates []Assignment
 		failure    *NoResourceError
 	}
-	slots := make([]*slot, 0, len(reqs))
-	for _, req := range reqs {
-		s := &slot{req: req}
+	slots := make([]slot, len(reqs))
+	for i, req := range reqs {
+		s := &slots[i]
+		s.req = req
 		switch {
 		case req.Method == nil:
 			return nil, fmt.Errorf("alloc: request for signal %q lacks a method", req.Signal)
@@ -168,7 +171,6 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 			s.candidates = cands
 			s.failure = failure
 		}
-		slots = append(slots, s)
 	}
 
 	plan := &Plan{}
@@ -188,7 +190,7 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 		if i == len(slots) {
 			return nil
 		}
-		s := slots[i]
+		s := &slots[i]
 		if s.fixed != nil {
 			chosen = append(chosen, *s.fixed)
 			err := solve(i + 1)
@@ -203,11 +205,12 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 		var lastErr *NoResourceError
 		for _, cand := range s.candidates {
 			if !feasible(cand) {
-				if lastErr == nil {
-					lastErr = &NoResourceError{Signal: s.req.Signal, Method: s.req.Method.Name}
+				// A conflict extends the downstream failure being carried;
+				// before any, it is rendered only if every candidate
+				// conflicts (below), since a later one may still succeed.
+				if lastErr != nil {
+					lastErr.Reasons = append(lastErr.Reasons, conflictReason(cand))
 				}
-				lastErr.Reasons = append(lastErr.Reasons,
-					fmt.Sprintf("%s: conflicts with an earlier assignment in this step", cand.Resource.ID))
 				continue
 			}
 			chosen = append(chosen, cand)
@@ -224,11 +227,10 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 			}
 		}
 		if lastErr == nil {
-			lastErr = s.failure
-		}
-		if lastErr == nil {
-			lastErr = &NoResourceError{Signal: s.req.Signal, Method: s.req.Method.Name,
-				Reasons: []string{"no feasible candidate"}}
+			lastErr = &NoResourceError{Signal: s.req.Signal, Method: s.req.Method.Name}
+			for _, cand := range s.candidates {
+				lastErr.Reasons = append(lastErr.Reasons, conflictReason(cand))
+			}
 		}
 		return lastErr
 	}
@@ -254,66 +256,113 @@ func isDisconnect(req Request) bool {
 	return err == nil && math.IsInf(f, 1)
 }
 
+func conflictReason(cand Assignment) string {
+	return cand.Resource.ID + ": conflicts with an earlier assignment in this step"
+}
+
 // candidates enumerates every resource that could serve the request, in
 // catalog order with the preferred resource first; when none qualifies it
-// returns the diagnostic error instead.
+// returns the diagnostic error instead. Rejection reasons are rendered
+// only then, by a second pass over the same order: an allocation that
+// succeeds formats nothing.
 func (al *Allocator) candidates(req Request, prefer map[string]string) ([]Assignment, *NoResourceError) {
-	fail := &NoResourceError{Signal: req.Signal, Method: req.Method.Name}
-	var out []Assignment
 	resources := al.Catalog.Resources()
+	first := -1
 	if want, ok := prefer[strings.ToLower(req.Signal)]; ok {
-		sort.SliceStable(resources, func(i, j int) bool {
-			return strings.EqualFold(resources[i].ID, want) && !strings.EqualFold(resources[j].ID, want)
-		})
+		first = slices.IndexFunc(resources, func(r *resource.Resource) bool { return strings.EqualFold(r.ID, want) })
 	}
-	for _, res := range resources {
-		cap, ok := res.Supports(req.Method.Name)
-		if !ok {
-			fail.Reasons = append(fail.Reasons, fmt.Sprintf("%s: does not support %s", res.ID, req.Method.Name))
-			continue
-		}
-		if err := cap.CheckAttrs(req.Method, req.Attrs, al.Env); err != nil {
-			fail.Reasons = append(fail.Reasons, fmt.Sprintf("%s: %v", res.ID, err))
-			continue
-		}
-		if !res.Electrical() {
-			out = append(out, Assignment{Request: req, Resource: res})
-			continue
-		}
-		if len(req.Pins) == 0 {
-			fail.Reasons = append(fail.Reasons,
-				fmt.Sprintf("%s: electrical resource but the signal has no pins", res.ID))
-			continue
-		}
-		entries, reason := al.route(res, req.Pins)
-		if reason != "" {
-			fail.Reasons = append(fail.Reasons, fmt.Sprintf("%s: %s", res.ID, reason))
-			continue
-		}
-		out = append(out, Assignment{Request: req, Resource: res, Entries: entries})
+	if out := al.scan(req, resources, first, nil); len(out) > 0 {
+		return out, nil
 	}
-	if len(out) == 0 {
-		return nil, fail
+	fail := &NoResourceError{Signal: req.Signal, Method: req.Method.Name}
+	al.scan(req, resources, first, fail)
+	return nil, fail
+}
+
+// scan checks resources[first] (when first >= 0) and then the others in
+// order, returning the qualifying assignments. With fail non-nil it
+// records why each rejected resource does not qualify.
+func (al *Allocator) scan(req Request, resources []*resource.Resource, first int, fail *NoResourceError) []Assignment {
+	var out []Assignment
+	consider := func(res *resource.Resource) {
+		a, reason, ok := al.check(req, res, fail != nil)
+		switch {
+		case ok:
+			out = append(out, a)
+		case fail != nil:
+			fail.Reasons = append(fail.Reasons, res.ID+": "+reason)
+		}
 	}
-	return out, nil
+	if first >= 0 {
+		consider(resources[first])
+	}
+	for i, res := range resources {
+		if i != first {
+			consider(res)
+		}
+	}
+	return out
+}
+
+// check decides whether res can serve req. With explain set, a rejection
+// comes with its reason; without, nothing is formatted.
+func (al *Allocator) check(req Request, res *resource.Resource, explain bool) (Assignment, string, bool) {
+	cap, ok := res.Supports(req.Method.Name)
+	if !ok {
+		if explain {
+			return Assignment{}, "does not support " + req.Method.Name, false
+		}
+		return Assignment{}, "", false
+	}
+	if explain {
+		if err := cap.CheckAttrs(req.Method, req.Attrs, al.Eval); err != nil {
+			return Assignment{}, err.Error(), false
+		}
+	} else if !cap.Fits(req.Method, req.Attrs, al.Eval) {
+		return Assignment{}, "", false
+	}
+	if !res.Electrical() {
+		return Assignment{Request: req, Resource: res}, "", true
+	}
+	if len(req.Pins) == 0 {
+		return Assignment{}, "electrical resource but the signal has no pins", false
+	}
+	entries, reason, ok := al.route(res, req.Pins, explain)
+	if !ok {
+		return Assignment{}, reason, false
+	}
+	return Assignment{Request: req, Resource: res, Entries: entries}, "", true
 }
 
 // route finds one matrix entry per pin and checks terminal compatibility.
-func (al *Allocator) route(res *resource.Resource, pins []string) ([]topology.Entry, string) {
+// A failure's reason is rendered only with explain set.
+func (al *Allocator) route(res *resource.Resource, pins []string, explain bool) ([]topology.Entry, string, bool) {
 	if res.Terminals() >= 2 && len(pins) > 2 {
-		return nil, fmt.Sprintf("signal has %d pins but the instrument has 2 terminals", len(pins))
+		if !explain {
+			return nil, "", false
+		}
+		return nil, fmt.Sprintf("signal has %d pins but the instrument has 2 terminals", len(pins)), false
 	}
-	entries := make([]topology.Entry, 0, len(pins))
+	var entries []topology.Entry
 	for i, pin := range pins {
 		e, ok := al.Matrix.Route(res.ID, pin)
 		if !ok {
-			return nil, fmt.Sprintf("not connected to pin %s", pin)
+			if !explain {
+				return nil, "", false
+			}
+			return nil, "not connected to pin " + pin, false
 		}
 		if res.Terminals() >= 2 {
 			wantTerminal := i + 1
 			if got := terminalOf(res, e); got != wantTerminal {
-				return nil, fmt.Sprintf("pin %s reaches terminal %d, signal needs terminal %d", pin, got, wantTerminal)
+				if !explain {
+					return nil, "", false
+				}
+				return nil, fmt.Sprintf("pin %s reaches terminal %d, signal needs terminal %d", pin, got, wantTerminal), false
 			}
+		}
+		if entries == nil {
+			entries = make([]topology.Entry, 0, len(pins))
 		}
 		entries = append(entries, e)
 	}
@@ -322,11 +371,14 @@ func (al *Allocator) route(res *resource.Resource, pins []string) ([]topology.En
 	for i := range entries {
 		for j := i + 1; j < len(entries); j++ {
 			if topology.Conflicts(entries[i], entries[j]) {
-				return nil, fmt.Sprintf("pins %s and %s share multiplexer %s", pins[i], pins[j], entries[i].Elem.Group)
+				if !explain {
+					return nil, "", false
+				}
+				return nil, fmt.Sprintf("pins %s and %s share multiplexer %s", pins[i], pins[j], entries[i].Elem.Group), false
 			}
 		}
 	}
-	return entries, ""
+	return entries, "", true
 }
 
 // terminalOf maps a matrix entry to an instrument terminal (1-based): for

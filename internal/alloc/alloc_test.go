@@ -27,7 +27,12 @@ func paperAllocator(t *testing.T, strat Strategy) *Allocator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Allocator{Catalog: cat, Matrix: m, Env: expr.MapEnv{"ubatt": 12}, Strategy: strat}
+	return &Allocator{Catalog: cat, Matrix: m, Eval: evalIn(expr.MapEnv{"ubatt": 12}), Strategy: strat}
+}
+
+// evalIn is the uncached evaluator over env.
+func evalIn(env expr.Env) func(string) (float64, error) {
+	return func(v string) (float64, error) { return resource.EvalNumber(v, env) }
 }
 
 func desc(t *testing.T, name string) *method.Descriptor {
@@ -255,7 +260,7 @@ func TestCANAdapterShared(t *testing.T) {
 		}}); err != nil {
 		t.Fatal(err)
 	}
-	al := &Allocator{Catalog: cat, Matrix: topology.NewMatrix(), Env: expr.MapEnv{}, Strategy: Backtracking}
+	al := &Allocator{Catalog: cat, Matrix: topology.NewMatrix(), Eval: evalIn(expr.MapEnv{}), Strategy: Backtracking}
 	reqs := []Request{
 		{Signal: "IGN_ST", Method: desc(t, "put_can"), Attrs: map[string]string{"data": "0001B"}},
 		{Signal: "NIGHT", Method: desc(t, "put_can"), Attrs: map[string]string{"data": "1B"}},
@@ -290,7 +295,7 @@ func TestMuxExclusivity(t *testing.T) {
 	if err := m.Add("D2", "P", "Mx1.2"); err != nil {
 		t.Fatal(err)
 	}
-	al := &Allocator{Catalog: cat, Matrix: m, Env: expr.MapEnv{}, Strategy: Backtracking}
+	al := &Allocator{Catalog: cat, Matrix: m, Eval: evalIn(expr.MapEnv{}), Strategy: Backtracking}
 	// One signal on P works.
 	if _, err := al.Allocate([]Request{reqPutR(t, "S1", "P", "100")}, nil); err != nil {
 		t.Fatal(err)
@@ -352,5 +357,130 @@ func TestDisconnectReleasesDecade(t *testing.T) {
 	rl, _ := plan.BySignal("DS_RL")
 	if !rl.Disconnect() {
 		t.Error("INF stimulus claimed a resource")
+	}
+}
+
+// decadeStand builds a catalog of put_r decades (id → max ohms) in the
+// given order, wired by the (resource, pin, element) routes.
+func decadeStand(t *testing.T, decades []string, maxOhms []float64, routes [][3]string) (*resource.Catalog, *topology.Matrix) {
+	t.Helper()
+	cat := resource.NewCatalog()
+	for i, id := range decades {
+		if err := cat.Add(&resource.Resource{ID: id,
+			Caps: []resource.Capability{{Method: "put_r", Range: unit.NewRange(0, maxOhms[i], unit.Ohm)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := topology.NewMatrix()
+	for _, r := range routes {
+		if err := m.Add(r[0], r[1], r[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat, m
+}
+
+// TestNoResourceErrorText pins the exact diagnostic of failing
+// allocations: rejection reasons are rendered lazily, only once no
+// candidate qualifies, and must read as they always have.
+func TestNoResourceErrorText(t *testing.T) {
+	cases := []struct {
+		name   string
+		al     func(t *testing.T) *Allocator
+		reqs   func(t *testing.T) []Request
+		prefer map[string]string
+		want   string
+	}{{
+		// 5 MΩ fits no decade; the preferred Ress3's reason leads.
+		name:   "preferred resource rejected",
+		al:     func(t *testing.T) *Allocator { return paperAllocator(t, Backtracking) },
+		reqs:   func(t *testing.T) []Request { return []Request{reqPutR(t, "DS_FL", "DS_FL", "5000000")} },
+		prefer: map[string]string{"ds_fl": "Ress3"},
+		want: `alloc: no resource for put_r on signal "DS_FL": ` +
+			`Ress3: attribute r=5e+06 outside supported range [0, 200000] Ohm; ` +
+			`Ress1: does not support put_r; ` +
+			`Ress2: attribute r=5e+06 outside supported range [0, 1e+06] Ohm`,
+	}, {
+		name: "routing and terminal reasons",
+		al:   func(t *testing.T) *Allocator { return paperAllocator(t, Backtracking) },
+		reqs: func(t *testing.T) []Request {
+			return []Request{reqGetU(t, "INT_ILL", "INT_ILL_R", "INT_ILL_F")}
+		},
+		want: `alloc: no resource for get_u on signal "INT_ILL": ` +
+			`Ress1: pin INT_ILL_R reaches terminal 2, signal needs terminal 1; ` +
+			`Ress2: does not support get_u; Ress3: does not support get_u`,
+	}, {
+		// S2's first candidate D1 conflicts with S1; its second, D2,
+		// is feasible but leaves S3 nothing: the downstream failure is
+		// returned and the skipped conflict leaves no trace.
+		name: "backtracking failure after a conflicting candidate",
+		al:   threeSignalAllocator,
+		reqs: threeSignalReqs,
+		want: `alloc: no resource for put_r on signal "S3": ` +
+			`D2: conflicts with an earlier assignment in this step`,
+	}, {
+		// With D2 preferred for S2 the order flips: the downstream
+		// failure comes first and the later conflict extends it.
+		name:   "conflict after a backtracking failure",
+		al:     threeSignalAllocator,
+		reqs:   threeSignalReqs,
+		prefer: map[string]string{"s2": "D2"},
+		want: `alloc: no resource for put_r on signal "S3": ` +
+			`D2: conflicts with an earlier assignment in this step; ` +
+			`D1: conflicts with an earlier assignment in this step`,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := c.al(t).Allocate(c.reqs(t), c.prefer)
+			if err == nil {
+				t.Fatal("allocation succeeded")
+			}
+			if got := err.Error(); got != c.want {
+				t.Errorf("error text\n got: %s\nwant: %s", got, c.want)
+			}
+		})
+	}
+}
+
+// threeSignalAllocator wires D1 to pins P and Q, D2 to Q and R, so S1
+// on P, S2 on Q and S3 on R need three decades between them.
+func threeSignalAllocator(t *testing.T) *Allocator {
+	cat, m := decadeStand(t, []string{"D1", "D2"}, []float64{1e6, 1e6}, [][3]string{
+		{"D1", "P", "Sw1.1"}, {"D1", "Q", "Sw2.1"}, {"D2", "Q", "Sw3.1"}, {"D2", "R", "Sw4.1"},
+	})
+	return &Allocator{Catalog: cat, Matrix: m, Eval: evalIn(expr.MapEnv{}), Strategy: Backtracking}
+}
+
+func threeSignalReqs(t *testing.T) []Request {
+	return []Request{reqPutR(t, "S1", "P", "100"), reqPutR(t, "S2", "Q", "100"), reqPutR(t, "S3", "R", "100")}
+}
+
+// TestAllocateRendersNoReasonOnSuccess pins the lazy rejection rule: a
+// satisfiable request allocates exactly as much against a catalog whose
+// other resources are all rejected (unsupported method, out of range,
+// unroutable) as against a catalog holding only the winner.
+func TestAllocateRendersNoReasonOnSuccess(t *testing.T) {
+	eval := func(v string) (float64, error) { return unit.ParseNumber(v) }
+	allocs := func(decades []string, maxOhms []float64, routes [][3]string) float64 {
+		cat, m := decadeStand(t, decades, maxOhms, routes)
+		if len(decades) > 1 {
+			if err := cat.Add(&resource.Resource{ID: "DVM", Caps: []resource.Capability{
+				{Method: "get_u", Range: unit.NewRange(-60, 60, unit.Volt)}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		al := &Allocator{Catalog: cat, Matrix: m, Eval: eval, Strategy: Backtracking}
+		reqs := []Request{reqPutR(t, "S", "P", "5000")}
+		prefer := map[string]string{"s": "Small"}
+		if _, err := al.Allocate(reqs, prefer); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() { _, _ = al.Allocate(reqs, prefer) })
+	}
+	lone := allocs([]string{"Win"}, []float64{1e6}, [][3]string{{"Win", "P", "Sw1.1"}})
+	crowded := allocs([]string{"Small", "Far", "Win"}, []float64{100, 1e6, 1e6},
+		[][3]string{{"Small", "P", "Sw5.1"}, {"Far", "Q", "Sw2.1"}, {"Win", "P", "Sw1.1"}})
+	if crowded != lone {
+		t.Errorf("Allocate with rejected resources: %v allocs, want %v (as with the winner alone)", crowded, lone)
 	}
 }

@@ -45,6 +45,14 @@ type Network struct {
 	is     []*ISource
 	dirty  bool
 	lastOK *Solution
+
+	// Solve scratch, reused on every dirty solve so a solve allocates
+	// only its Solution: the augmented matrix [A|b] as one backing array,
+	// its row headers (re-pointed each solve, since gauss swaps them) and
+	// the enabled voltage sources.
+	cells  []float64
+	rows   [][]float64
+	active []*VSource
 }
 
 // NewNetwork returns a network containing only the ground node.
@@ -137,6 +145,7 @@ func (s *Switch) Name() string { return s.r.Name }
 // Resistor if an internal resistance is needed.
 type VSource struct {
 	net      *Network
+	idx      int // position in net.vs, indexing Solution.srcAmps
 	Name     string
 	Pos, Neg NodeID
 	volts    float64
@@ -145,7 +154,7 @@ type VSource struct {
 
 // AddVSource adds an enabled ideal voltage source.
 func (n *Network) AddVSource(name string, pos, neg NodeID, volts float64) *VSource {
-	v := &VSource{net: n, Name: name, Pos: pos, Neg: neg, volts: volts, enabled: true}
+	v := &VSource{net: n, idx: len(n.vs), Name: name, Pos: pos, Neg: neg, volts: volts, enabled: true}
 	n.vs = append(n.vs, v)
 	n.dirty = true
 	return v
@@ -207,11 +216,13 @@ func (i *ISource) SetEnabled(on bool) {
 	}
 }
 
-// Solution holds node voltages and source currents of one solve.
+// Solution holds node voltages and source currents of one solve. It is
+// immutable once returned: ECU ticks and trace samplers keep it across
+// later solves.
 type Solution struct {
 	net     *Network
 	v       []float64 // per node
-	srcAmps map[*VSource]float64
+	srcAmps []float64 // per voltage source, by position in net.vs
 }
 
 // Voltage returns the solved potential of node id against ground.
@@ -230,7 +241,10 @@ func (s *Solution) VoltageBetween(a, b NodeID) float64 {
 // SourceCurrent returns the current delivered by a voltage source
 // (positive out of its positive terminal), or 0 for a disabled source.
 func (s *Solution) SourceCurrent(v *VSource) float64 {
-	return s.srcAmps[v]
+	if v.net != s.net || v.idx >= len(s.srcAmps) {
+		return 0
+	}
+	return s.srcAmps[v.idx]
 }
 
 // ResistorCurrent returns the current through a resistor from A to B.
@@ -253,24 +267,23 @@ func (n *Network) Solve() (*Solution, error) {
 		return n.lastOK, nil
 	}
 	nn := len(n.nodes) - 1 // unknown node voltages (ground excluded)
-	var active []*VSource
+	active := n.active[:0]
 	for _, v := range n.vs {
 		if v.enabled {
 			active = append(active, v)
 		}
 	}
+	n.active = active
 	m := len(active)
 	dim := nn + m
+	// The Solution's node voltages and source currents share one buffer.
+	buf := make([]float64, len(n.nodes)+len(n.vs))
+	sol := &Solution{net: n, v: buf[:len(n.nodes):len(n.nodes)], srcAmps: buf[len(n.nodes):]}
 	if dim == 0 {
-		sol := &Solution{net: n, v: make([]float64, 1), srcAmps: map[*VSource]float64{}}
 		n.lastOK, n.dirty = sol, false
 		return sol, nil
 	}
-	// Matrix in row-major augmented form [A | b].
-	a := make([][]float64, dim)
-	for i := range a {
-		a[i] = make([]float64, dim+1)
-	}
+	a := n.matrix(dim)
 	idx := func(id NodeID) int { return int(id) - 1 } // row/col of node
 	// gmin leak on every non-ground node.
 	for i := 0; i < nn; i++ {
@@ -326,7 +339,6 @@ func (n *Network) Solve() (*Solution, error) {
 	if err := gauss(a); err != nil {
 		return nil, fmt.Errorf("analog: %v", err)
 	}
-	sol := &Solution{net: n, v: make([]float64, len(n.nodes)), srcAmps: map[*VSource]float64{}}
 	for i := 0; i < nn; i++ {
 		sol.v[i+1] = a[i][dim]
 	}
@@ -335,10 +347,29 @@ func (n *Network) Solve() (*Solution, error) {
 		// the positive terminal through the source to the negative
 		// terminal (i.e. into the + node from the source's perspective);
 		// current delivered to the circuit is its negative.
-		sol.srcAmps[src] = -a[nn+k][dim]
+		sol.srcAmps[src.idx] = -a[nn+k][dim]
 	}
 	n.lastOK, n.dirty = sol, false
 	return sol, nil
+}
+
+// matrix returns the zeroed dim×(dim+1) augmented matrix, carved out of
+// the network's scratch and grown only when the network has.
+func (n *Network) matrix(dim int) [][]float64 {
+	size := dim * (dim + 1)
+	if cap(n.cells) < size {
+		n.cells = make([]float64, size)
+	}
+	cells := n.cells[:size]
+	clear(cells)
+	if cap(n.rows) < dim {
+		n.rows = make([][]float64, dim)
+	}
+	rows := n.rows[:dim]
+	for i := range rows {
+		rows[i] = cells[i*(dim+1) : (i+1)*(dim+1) : (i+1)*(dim+1)]
+	}
+	return rows
 }
 
 // MustSolve is Solve that panics on error, for tests and examples.

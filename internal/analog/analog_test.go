@@ -130,6 +130,50 @@ func TestSourceCurrent(t *testing.T) {
 	if !approx(sol.SourceCurrent(v), 0.1) {
 		t.Errorf("source current = %v, want 0.1", sol.SourceCurrent(v))
 	}
+
+	// A disabled source delivers nothing, even one that did last solve.
+	b := n.Node("b")
+	spare := n.AddVSource("spare", b, Ground, 10)
+	n.AddResistor("rb", b, Ground, 100)
+	n.MustSolve()
+	spare.SetEnabled(false)
+	if got := n.MustSolve().SourceCurrent(spare); got != 0 {
+		t.Errorf("disabled source current = %v, want 0", got)
+	}
+	// So does a source of another network, even at the same position.
+	other := NewNetwork()
+	ob := other.Node("b")
+	foreign := other.AddVSource("v", ob, Ground, 5)
+	other.AddResistor("r", ob, Ground, 1)
+	if got := other.MustSolve().SourceCurrent(foreign); !approx(got, 5) {
+		t.Fatalf("foreign network's own current = %v, want 5", got)
+	}
+	if got := n.MustSolve().SourceCurrent(foreign); got != 0 {
+		t.Errorf("source of another network: current = %v, want 0", got)
+	}
+}
+
+// TestSolveAllocs pins the Solve scratch: a dirty solve allocates only
+// the Solution and its one buffer, and reusing the scratch leaves every
+// earlier Solution intact.
+func TestSolveAllocs(t *testing.T) {
+	n := NewNetwork()
+	top, mid := n.Node("top"), n.Node("mid")
+	v := n.AddVSource("bat", top, Ground, 12)
+	n.AddResistor("r1", top, mid, 1000)
+	r2 := n.AddResistor("r2", mid, Ground, 1000)
+	first := n.MustSolve()
+	ohms := 1000.0
+	if got := testing.AllocsPerRun(100, func() {
+		ohms++
+		r2.SetOhms(ohms)
+		n.MustSolve()
+	}); got != 2 {
+		t.Errorf("dirty Solve allocates %v times, want 2 (Solution + buffer)", got)
+	}
+	if !approx(first.Voltage(mid), 6) || !approx(first.SourceCurrent(v), 0.006) {
+		t.Errorf("earlier solution changed: mid = %v, I = %v", first.Voltage(mid), first.SourceCurrent(v))
+	}
 }
 
 func TestResistorCurrent(t *testing.T) {

@@ -8,6 +8,7 @@
 package resource
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -100,10 +101,24 @@ func (r *Resource) Supports(methodName string) (*Capability, bool) {
 
 // CheckAttrs verifies that a concrete method call fits the capability:
 // every numeric attribute tied to the method's range quantity must lie
-// inside the capability range. Attribute values may be expressions; they
-// are evaluated against env (e.g. ubatt). A put_r of INF is NOT checked
-// here — the allocator treats it as a disconnect that needs no resource.
-func (c *Capability) CheckAttrs(d *method.Descriptor, attrs map[string]string, env expr.Env) error {
+// inside the capability range. Attribute values may be expressions; eval
+// turns a value into a number (a stand passes its memoised evaluator over
+// its variables, e.g. ubatt). A put_r of INF is NOT checked here — the
+// allocator treats it as a disconnect that needs no resource.
+func (c *Capability) CheckAttrs(d *method.Descriptor, attrs map[string]string, eval func(string) (float64, error)) error {
+	return c.checkAttrs(d, attrs, eval, true)
+}
+
+// Fits reports whether CheckAttrs would accept the call, without
+// rendering the rejection reason.
+func (c *Capability) Fits(d *method.Descriptor, attrs map[string]string, eval func(string) (float64, error)) bool {
+	return c.checkAttrs(d, attrs, eval, false) == nil
+}
+
+// errMisfit is checkAttrs' unexplained rejection.
+var errMisfit = errors.New("resource: attribute outside the supported range")
+
+func (c *Capability) checkAttrs(d *method.Descriptor, attrs map[string]string, eval func(string) (float64, error), explain bool) error {
 	for _, a := range d.Attrs {
 		v, ok := attrs[a.Name]
 		if !ok || a.Kind != method.Numeric {
@@ -115,18 +130,23 @@ func (c *Capability) CheckAttrs(d *method.Descriptor, attrs map[string]string, e
 			a.Name != d.RangeAttr+"_min" && a.Name != d.RangeAttr+"_max" {
 			continue
 		}
-		f, err := evalNumeric(v, env)
-		if err != nil {
+		f, err := eval(v)
+		switch {
+		case err == nil && c.Range.Contains(f):
+			continue
+		case !explain:
+			return errMisfit
+		case err != nil:
 			return fmt.Errorf("attribute %s=%q: %v", a.Name, v, err)
 		}
-		if !c.Range.Contains(f) {
-			return fmt.Errorf("attribute %s=%v outside supported range %v", a.Name, f, c.Range)
-		}
+		return fmt.Errorf("attribute %s=%v outside supported range %v", a.Name, f, c.Range)
 	}
 	return nil
 }
 
-func evalNumeric(v string, env expr.Env) (float64, error) {
+// EvalNumber evaluates an attribute value against env: a plain number
+// parses directly, anything else compiles as a limit expression.
+func EvalNumber(v string, env expr.Env) (float64, error) {
 	if f, err := unit.ParseNumber(v); err == nil {
 		return f, nil
 	}
@@ -137,10 +157,12 @@ func evalNumeric(v string, env expr.Env) (float64, error) {
 	return e.Eval(env)
 }
 
-// Catalog is the ordered resource list of one test stand.
+// Catalog is the ordered resource list of one test stand. The order is
+// kept as a slice built by Add, never lazily, because concurrent stands
+// share one catalog.
 type Catalog struct {
-	byID  map[string]*Resource
-	order []string
+	byID map[string]*Resource
+	list []*Resource
 }
 
 // NewCatalog returns an empty catalog.
@@ -167,7 +189,7 @@ func (c *Catalog) Add(r *Resource) error {
 	}
 	r.ID = id
 	c.byID[key] = r
-	c.order = append(c.order, id)
+	c.list = append(c.list, r)
 	return nil
 }
 
@@ -177,24 +199,21 @@ func (c *Catalog) Lookup(id string) (*Resource, bool) {
 	return r, ok
 }
 
-// Resources returns the resources in catalog order.
-func (c *Catalog) Resources() []*Resource {
-	out := make([]*Resource, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.byID[strings.ToLower(id)])
+// Resources returns the resources in catalog order. The slice is the
+// catalog's own: callers must not modify it.
+func (c *Catalog) Resources() []*Resource { return c.list }
+
+// IDs returns the resource ids in catalog order.
+func (c *Catalog) IDs() []string {
+	out := make([]string, len(c.list))
+	for i, r := range c.list {
+		out[i] = r.ID
 	}
 	return out
 }
 
-// IDs returns the resource ids in catalog order.
-func (c *Catalog) IDs() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
 // Len returns the number of resources.
-func (c *Catalog) Len() int { return len(c.order) }
+func (c *Catalog) Len() int { return len(c.list) }
 
 // SupportedMethods returns the sorted set of methods any resource offers.
 func (c *Catalog) SupportedMethods() []string {

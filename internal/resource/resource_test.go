@@ -85,7 +85,7 @@ func TestTerminals(t *testing.T) {
 func TestCheckAttrsWithinRange(t *testing.T) {
 	cat := paperCatalog(t)
 	reg := method.Builtin()
-	env := expr.MapEnv{"ubatt": 12}
+	env := evalIn(expr.MapEnv{"ubatt": 12})
 
 	dvm, _ := cat.Lookup("Ress1")
 	capGetU, _ := dvm.Supports("get_u")
@@ -105,7 +105,7 @@ func TestCheckAttrsWithinRange(t *testing.T) {
 func TestCheckAttrsDecadeRange(t *testing.T) {
 	cat := paperCatalog(t)
 	reg := method.Builtin()
-	env := expr.MapEnv{}
+	env := evalIn(expr.MapEnv{})
 	d, _ := reg.Lookup("put_r")
 	dec3, _ := cat.Lookup("Ress3") // 0 … 200 kΩ
 	cap, _ := dec3.Supports("put_r")
@@ -121,6 +121,18 @@ func TestCheckAttrsDecadeRange(t *testing.T) {
 	if err := cap.CheckAttrs(d, map[string]string{"r": "bogus("}, env); err == nil {
 		t.Error("malformed attribute accepted")
 	}
+	// Fits is CheckAttrs without the reason.
+	for _, r := range []string{"5000", "500000", "-1", "bogus("} {
+		attrs := map[string]string{"r": r}
+		if fits, err := cap.Fits(d, attrs, env), cap.CheckAttrs(d, attrs, env); fits != (err == nil) {
+			t.Errorf("r=%s: Fits=%v, CheckAttrs=%v", r, fits, err)
+		}
+	}
+}
+
+// evalIn is the uncached evaluator over env.
+func evalIn(env expr.Env) func(string) (float64, error) {
+	return func(v string) (float64, error) { return EvalNumber(v, env) }
 }
 
 func TestCandidates(t *testing.T) {
@@ -259,7 +271,7 @@ func TestCheckAttrsIgnoresNonRangeAttrs(t *testing.T) {
 	d, _ := reg.Lookup("put_u")
 	cap := Capability{Method: "put_u", Range: unit.NewRange(0, 20, unit.Volt)}
 	attrs := map[string]string{"u": "12", "ri": "100000"}
-	if err := cap.CheckAttrs(d, attrs, expr.MapEnv{}); err != nil {
+	if err := cap.CheckAttrs(d, attrs, evalIn(expr.MapEnv{})); err != nil {
 		t.Errorf("ri range-checked against u range: %v", err)
 	}
 }
@@ -294,7 +306,7 @@ func TestErrorsMentionRange(t *testing.T) {
 	dec3, _ := cat.Lookup("Ress3")
 	cap, _ := dec3.Supports("put_r")
 	d, _ := reg.Lookup("put_r")
-	err := cap.CheckAttrs(d, map[string]string{"r": "500000"}, expr.MapEnv{})
+	err := cap.CheckAttrs(d, map[string]string{"r": "500000"}, evalIn(expr.MapEnv{}))
 	if err == nil || !strings.Contains(err.Error(), "range") {
 		t.Errorf("range error unhelpful: %v", err)
 	}

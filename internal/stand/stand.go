@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -262,7 +263,7 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 	}
 
 	s.alloc = &alloc.Allocator{Catalog: cfg.Catalog, Matrix: cfg.Matrix,
-		Env: s.env, Strategy: cfg.Strategy}
+		Eval: s.evalAttr, Strategy: cfg.Strategy}
 	return s, nil
 }
 
@@ -763,10 +764,23 @@ func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *s
 	return a.Resource.ID, nil
 }
 
-// appliedLine renders one report Applied line.
+// appliedLine renders one report Applied line,
+// "NAME method(k=v …) via RES", with a single allocation.
 func appliedLine(st *script.SignalStmt, via string) string {
-	return fmt.Sprintf("%s %s(%s) via %s",
-		st.Name, st.Call.Method, attrString(st.Call.Attrs), via)
+	n := len(st.Name) + len(st.Call.Method) + len(via) + len(" () via ")
+	for k, v := range st.Call.Attrs {
+		n += len(k) + len(v) + len("= ")
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(st.Name)
+	b.WriteByte(' ')
+	b.WriteString(st.Call.Method)
+	b.WriteByte('(')
+	writeAttrs(&b, st.Call.Attrs)
+	b.WriteString(") via ")
+	b.WriteString(via)
+	return b.String()
 }
 
 // declPins extracts the electrical pins of a declaration.
@@ -802,6 +816,7 @@ func parseClass(c string) (classKind, error) {
 // The result is memoised per attribute string: the stand environment is
 // fixed for the stand's lifetime, so limit expressions like (1.1*ubatt)
 // — which recur across steps, scripts and runs — parse and evaluate once.
+// It is also the allocator's range-check evaluator.
 func (s *Stand) evalAttr(v string) (float64, error) {
 	if f, ok := s.attrVals[v]; ok {
 		return f, nil
@@ -809,24 +824,13 @@ func (s *Stand) evalAttr(v string) (float64, error) {
 	if err, ok := s.attrErrs[v]; ok {
 		return 0, err
 	}
-	f, err := s.evalAttrUncached(v)
+	f, err := resource.EvalNumber(v, s.env)
 	if err != nil {
 		s.attrErrs[v] = err
 	} else {
 		s.attrVals[v] = f
 	}
 	return f, err
-}
-
-func (s *Stand) evalAttrUncached(v string) (float64, error) {
-	if f, err := unit.ParseNumber(v); err == nil {
-		return f, nil
-	}
-	e, err := expr.Compile(v)
-	if err != nil {
-		return 0, err
-	}
-	return e.Eval(s.env)
 }
 
 // expectation renders the expected value of a statement for reports,
@@ -865,15 +869,28 @@ func (s *Stand) expectationUncached(st *script.SignalStmt) string {
 	return attrString(st.Call.Attrs)
 }
 
+// attrString renders attributes as "k=v …", sorted by name.
 func attrString(attrs map[string]string) string {
-	names := make([]string, 0, len(attrs))
-	for n := range attrs {
-		names = append(names, n)
+	var b strings.Builder
+	writeAttrs(&b, attrs)
+	return b.String()
+}
+
+// writeAttrs writes attrs as "k=v …", sorted by name; the names sort in
+// a stack array when they fit.
+func writeAttrs(b *strings.Builder, attrs map[string]string) {
+	var buf [8]string
+	names := buf[:0]
+	for k := range attrs {
+		names = append(names, k)
 	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = n + "=" + attrs[n]
+	slices.Sort(names)
+	for i, k := range names {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(attrs[k])
 	}
-	return strings.Join(parts, " ")
 }

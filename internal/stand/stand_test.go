@@ -362,3 +362,34 @@ func TestFoldedScriptBreaksOnOtherStand(t *testing.T) {
 		t.Fatal("folded 12 V script passed on the 13.5 V stand — ablation invalid")
 	}
 }
+
+// TestAppliedLine pins the Applied line format and its one-allocation
+// rendering (sorted names in a stack array, one builder).
+func TestAppliedLine(t *testing.T) {
+	many := map[string]string{}
+	for _, k := range []string{"j", "i", "h", "g", "f", "e", "d", "c", "b", "a"} {
+		many[k] = strings.ToUpper(k)
+	}
+	cases := []struct {
+		attrs map[string]string
+		want  string
+	}{
+		{nil, "DS_FL put_r() via Ress2"},
+		{map[string]string{"r": "5000"}, "DS_FL put_r(r=5000) via Ress2"},
+		{map[string]string{"u_max": "(1.1*ubatt)", "u_min": "(0.7*ubatt)"},
+			"DS_FL put_r(u_max=(1.1*ubatt) u_min=(0.7*ubatt)) via Ress2"},
+		// More names than the stack array holds.
+		{many, "DS_FL put_r(a=A b=B c=C d=D e=E f=F g=G h=H i=I j=J) via Ress2"},
+	}
+	for _, c := range cases {
+		st := &script.SignalStmt{Name: "DS_FL", Call: script.MethodCall{Method: "put_r", Attrs: c.attrs}}
+		if got := appliedLine(st, "Ress2"); got != c.want {
+			t.Errorf("appliedLine = %q, want %q", got, c.want)
+		}
+	}
+	st := &script.SignalStmt{Name: "INT_ILL", Call: script.MethodCall{Method: "put_pwm",
+		Attrs: map[string]string{"f": "100", "duty": "50", "u": "(1*ubatt)"}}}
+	if got := testing.AllocsPerRun(100, func() { appliedLine(st, "Ress4") }); got != 1 {
+		t.Errorf("appliedLine allocates %v times, want 1", got)
+	}
+}
