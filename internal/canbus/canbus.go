@@ -294,12 +294,23 @@ type Bus struct {
 	sched *event.Scheduler
 	nodes []*Node
 	txCnt uint64
-	// epoch invalidates in-flight deliveries: each delivery event
-	// carries the epoch of its transmission and is dropped when Purge
-	// has been called in between. Frames are copied at transmit time,
-	// so clearing a TxGroup or resetting a DUT cannot retract a frame
-	// already on the wire — only Purge can.
+	// epoch invalidates in-flight deliveries: each delivery carries the
+	// epoch of its transmission and drops its frames when Purge has been
+	// called in between. Frames are copied at transmit time, so clearing
+	// a TxGroup or resetting a DUT cannot retract a frame already on the
+	// wire — only Purge can.
 	epoch uint64
+	free  []*delivery // fired deliveries, reused by the next transmission
+}
+
+// delivery is one scheduled bus event: frames copied at transmit time,
+// delivered in order after Latency. Fired records are reused.
+type delivery struct {
+	from   *Node
+	epoch  uint64
+	frames []Frame
+	ev     event.Event
+	fire   func() // deliver, bound once
 }
 
 // Purge drops every in-flight frame delivery: frames transmitted before
@@ -340,43 +351,43 @@ func (n *Node) Name() string { return n.name }
 
 // Transmit broadcasts a frame from this node.
 func (n *Node) Transmit(f Frame) {
-	n.bus.txCnt++
-	epoch := n.bus.epoch
-	n.bus.sched.After(Latency, func() {
-		if n.bus.epoch != epoch {
-			return
-		}
-		for _, other := range n.bus.nodes {
-			if other != n && other.rx != nil {
-				other.rx(f)
-			}
-		}
-	})
+	d := n.send(1)
+	d.frames = append(d.frames, f)
 }
 
-// transmitAll broadcasts a batch of frames as one bus event: delivery
-// order and timing are identical to transmitting them back to back, but
-// only a single event is scheduled — the periodic keep-alive path uses
-// this to stay cheap on the event queue. The frames are copied at
-// transmit time, exactly like Transmit's by-value parameter.
-func (n *Node) transmitAll(frames []Frame) {
-	if len(frames) == 0 {
-		return
+// send schedules a delivery of k frames from n, stamped with the current
+// Purge epoch; the caller appends the frames to the returned record.
+func (n *Node) send(k int) *delivery {
+	b := n.bus
+	var d *delivery
+	if i := len(b.free) - 1; i >= 0 {
+		d, b.free = b.free[i], b.free[:i]
+	} else {
+		d = &delivery{}
+		d.fire = d.deliver
 	}
-	n.bus.txCnt += uint64(len(frames))
-	epoch := n.bus.epoch
-	n.bus.sched.After(Latency, func() {
-		if n.bus.epoch != epoch {
-			return
+	d.from, d.epoch, d.frames = n, b.epoch, d.frames[:0]
+	b.txCnt += uint64(k)
+	b.sched.Reschedule(&d.ev, b.sched.Now()+Latency, d.fire)
+	return d
+}
+
+// deliver hands each frame to every other node exactly as back-to-back
+// transmissions would, then frees the record; an rx callback that
+// transmits meanwhile therefore gets a record of its own.
+func (d *delivery) deliver() {
+	b := d.from.bus
+	for i := range d.frames {
+		if b.epoch != d.epoch {
+			break
 		}
-		for i := range frames {
-			for _, other := range n.bus.nodes {
-				if other != n && other.rx != nil {
-					other.rx(frames[i])
-				}
+		for _, other := range b.nodes {
+			if other != d.from && other.rx != nil {
+				other.rx(d.frames[i])
 			}
 		}
-	})
+	}
+	b.free = append(b.free, d)
 }
 
 // ------------------------------------------------------------- tx groups --
@@ -388,43 +399,31 @@ func (n *Node) transmitAll(frames []Frame) {
 type TxGroup struct {
 	node   *Node
 	db     *DB
-	period time.Duration
 	frames map[uint32]*Frame
-	// sorted caches the id-ordered frame pointers; nil after a new id
-	// is added. snap is the reusable payload snapshot handed to the
-	// batched periodic transmission (safe to reuse because the period
-	// exceeds the bus latency, so the previous batch is delivered
-	// before the buffer is rewritten).
+	// sorted caches the id-ordered frame pointers; nil after a new id.
 	sorted   []*Frame
-	snap     []Frame
 	periodic *event.Periodic
 }
 
 // NewTxGroup creates a periodic transmitter on the node. A period of 0
 // disables periodic retransmission (frames go out only on change).
 func NewTxGroup(node *Node, db *DB, period time.Duration, sched *event.Scheduler) *TxGroup {
-	g := &TxGroup{node: node, db: db, period: period, frames: map[uint32]*Frame{}}
+	g := &TxGroup{node: node, db: db, frames: map[uint32]*Frame{}}
 	if period > 0 {
 		g.periodic = sched.Periodic(period, g.retransmit)
 	}
 	return g
 }
 
+// retransmit sends every frame in one delivery, on a single bus event.
 func (g *TxGroup) retransmit() {
 	frames := g.sortedFrames()
 	if len(frames) == 0 {
 		return
 	}
-	if g.period > Latency {
-		g.snap = g.snap[:0]
-		for _, f := range frames {
-			g.snap = append(g.snap, *f)
-		}
-		g.node.transmitAll(g.snap)
-		return
-	}
+	d := g.node.send(len(frames))
 	for _, f := range frames {
-		g.node.Transmit(*f)
+		d.frames = append(d.frames, *f)
 	}
 }
 

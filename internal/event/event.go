@@ -52,13 +52,29 @@ func (s *Scheduler) Pending() int { return len(s.q) }
 // At schedules fn at absolute simulated time t. Scheduling in the past
 // (t < Now) panics: it indicates a logic error in the simulation.
 func (s *Scheduler) At(t time.Duration, fn func()) *Event {
+	return s.push(&Event{}, t, fn)
+}
+
+// Reschedule is At on a caller-owned event: it queues e again for fn at
+// time t and returns it, without allocating. A zero-value Event is valid.
+// While e is still queued — pending, or cancelled and not yet drained —
+// it cannot be reused, and Reschedule falls back to At. Callers must
+// therefore keep the returned pointer (to Cancel it) rather than e.
+func (s *Scheduler) Reschedule(e *Event, t time.Duration, fn func()) *Event {
+	if i := e.index; i >= 0 && i < len(s.q) && s.q[i] == e {
+		return s.At(t, fn)
+	}
+	return s.push(e, t, fn)
+}
+
+func (s *Scheduler) push(e *Event, t time.Duration, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, s.now))
 	}
 	if fn == nil {
 		panic("event: scheduling nil callback")
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
+	*e = Event{at: t, seq: s.seq, fn: fn, index: -1}
 	s.seq++
 	heap.Push(&s.q, e)
 	return e
@@ -88,7 +104,6 @@ func (s *Scheduler) Periodic(period time.Duration, fn func()) *Periodic {
 		panic("event: non-positive period")
 	}
 	p := &Periodic{s: s, period: period, fn: fn}
-	p.ev.index = -1
 	p.run = func() {
 		if p.stopped || p.susp {
 			return
@@ -112,29 +127,16 @@ type Periodic struct {
 	fn      func()
 	run     func() // the rescheduling wrapper, allocated once
 	cur     *Event
-	ev      Event         // reusable event, re-pushed whenever it is off the heap
+	ev      Event         // caller-owned event for Reschedule
 	next    time.Duration // absolute time of the next occurrence
 	stopped bool
 	susp    bool
 }
 
-// arm schedules the next occurrence. The embedded event is reused
-// whenever it is not queued (index -1, i.e. it has fired or was never
-// used); after a Suspend it may still sit cancelled in the queue, in
-// which case a fresh event is allocated and the old one drains lazily.
-func (p *Periodic) arm() {
-	if p.ev.index == -1 {
-		if p.next < p.s.now {
-			panic(fmt.Sprintf("event: scheduling at %v before now %v", p.next, p.s.now))
-		}
-		p.ev = Event{at: p.next, seq: p.s.seq, fn: p.run, index: -1}
-		p.s.seq++
-		heap.Push(&p.s.q, &p.ev)
-		p.cur = &p.ev
-		return
-	}
-	p.cur = p.s.At(p.next, p.run)
-}
+// arm schedules the next occurrence on the reusable event. After a
+// Suspend it may still sit cancelled in the queue; Reschedule then
+// allocates a fresh one and the old one drains lazily.
+func (p *Periodic) arm() { p.cur = p.s.Reschedule(&p.ev, p.next, p.run) }
 
 // Period returns the series period.
 func (p *Periodic) Period() time.Duration { return p.period }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -247,5 +248,90 @@ func TestWhen(t *testing.T) {
 	e := s.At(7*time.Second, func() {})
 	if e.When() != 7*time.Second {
 		t.Errorf("When = %v", e.When())
+	}
+}
+
+// TestRescheduleReusesEventOffQueue: a caller-owned event — zero value
+// included, even while other events are queued — is queued again in
+// place once it has fired.
+func TestRescheduleReusesEventOffQueue(t *testing.T) {
+	var s Scheduler
+	s.At(time.Hour, func() {}) // a non-empty queue: index 0 is taken
+	var e Event
+	var fired []time.Duration
+	fn := func() { fired = append(fired, s.Now()) }
+	for i, at := range []time.Duration{time.Second, 2 * time.Second, 2 * time.Second} {
+		if got := s.Reschedule(&e, at, fn); got != &e {
+			t.Fatalf("reschedule %d: got a fresh event, want the caller's", i)
+		}
+		if !e.Scheduled() || e.When() != at {
+			t.Fatalf("reschedule %d: Scheduled=%v When=%v", i, e.Scheduled(), e.When())
+		}
+		s.RunUntil(at)
+	}
+	want := []time.Duration{time.Second, 2 * time.Second, 2 * time.Second}
+	if !slices.Equal(fired, want) {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestRescheduleFallsBackWhileQueued: an event that is still queued —
+// here cancelled but not yet drained — cannot be reused; Reschedule
+// returns a fresh event and the cancelled one never fires.
+func TestRescheduleFallsBackWhileQueued(t *testing.T) {
+	var s Scheduler
+	var e Event
+	var got []string
+	first := s.Reschedule(&e, time.Second, func() { got = append(got, "cancelled") })
+	first.Cancel()
+	second := s.Reschedule(&e, 2*time.Second, func() { got = append(got, "fresh") })
+	if second == &e {
+		t.Fatal("a queued event was reused")
+	}
+	s.RunUntil(3 * time.Second)
+	if !slices.Equal(got, []string{"fresh"}) {
+		t.Errorf("fired %v, want [fresh]", got)
+	}
+	// Drained, the caller's event is reusable again.
+	if s.Reschedule(&e, 4*time.Second, func() {}) != &e {
+		t.Error("drained event not reused")
+	}
+}
+
+// TestRescheduleKeepsOrder: a rescheduled event takes a new sequence
+// number, so it sorts by (time, scheduling order) among At events
+// exactly as a fresh At would.
+func TestRescheduleKeepsOrder(t *testing.T) {
+	var s Scheduler
+	var got []string
+	rec := func(name string) func() { return func() { got = append(got, name) } }
+	var e Event
+	s.At(time.Second, rec("a"))
+	s.Reschedule(&e, time.Second, rec("e1"))
+	s.At(time.Second, rec("b"))
+	s.At(500*time.Millisecond, rec("early"))
+	s.RunUntil(time.Second)
+	s.At(2*time.Second, rec("c"))
+	s.Reschedule(&e, 2*time.Second, rec("e2"))
+	s.At(2*time.Second, rec("d"))
+	s.RunUntil(2 * time.Second)
+	want := []string{"early", "a", "e1", "b", "c", "e2", "d"}
+	if !slices.Equal(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+}
+
+// TestPeriodicSteadyStateAllocs: once armed, a Periodic series fires and
+// re-arms on its own event without allocating.
+func TestPeriodicSteadyStateAllocs(t *testing.T) {
+	var s Scheduler
+	n := 0
+	s.Periodic(time.Millisecond, func() { n++ })
+	s.Advance(time.Millisecond)
+	if got := testing.AllocsPerRun(100, func() { s.Advance(time.Millisecond) }); got != 0 {
+		t.Errorf("fire + re-arm allocates %v times, want 0", got)
+	}
+	if n != 102 {
+		t.Errorf("fired %d times, want 102", n)
 	}
 }

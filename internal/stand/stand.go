@@ -89,7 +89,15 @@ type Stand struct {
 	traceStep int
 
 	// held maps lower signal name → persistent stimulus state.
-	held map[string]*heldStimulus
+	held map[string]heldStimulus
+
+	// Per-call scratch of applyStep's merge, cleared on entry; nothing
+	// derived from it outlives the call.
+	merged       map[string]*script.SignalStmt
+	order        []string
+	stimulusKeys map[string]bool
+	prefer       map[string]string
+	reqs         []alloc.Request
 
 	// Binding caches: attribute evaluation and expectation rendering are
 	// pure functions of the stand environment (ubatt never changes after
@@ -138,6 +146,16 @@ type pwmDrive struct {
 	onTime  time.Duration
 	stopped bool
 	next    *event.Event
+	// ev is the reusable phase event; on/off are phaseOn/phaseOff bound
+	// once, so a running waveform schedules without allocating.
+	ev      event.Event
+	on, off func()
+}
+
+func newPWMDrive(sched *event.Scheduler, src *analog.VSource) *pwmDrive {
+	p := &pwmDrive{sched: sched, src: src}
+	p.on, p.off = p.phaseOn, p.phaseOff
+	return p
 }
 
 // Start (re)programs the waveform: frequency in Hz, duty in percent.
@@ -160,7 +178,7 @@ func (p *pwmDrive) phaseOn() {
 		return
 	}
 	p.src.SetEnabled(p.onTime > 0)
-	p.next = p.sched.After(p.onTime, p.phaseOff)
+	p.next = p.sched.Reschedule(&p.ev, p.sched.Now()+p.onTime, p.off)
 }
 
 func (p *pwmDrive) phaseOff() {
@@ -168,7 +186,7 @@ func (p *pwmDrive) phaseOff() {
 		return
 	}
 	p.src.SetEnabled(false)
-	p.next = p.sched.After(p.period-p.onTime, p.phaseOn)
+	p.next = p.sched.Reschedule(&p.ev, p.sched.Now()+p.period-p.onTime, p.on)
 }
 
 // Stop ends the waveform and releases the pin.
@@ -198,20 +216,23 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		cfg.SettleTime = 100 * time.Millisecond
 	}
 	s := &Stand{
-		cfg:         cfg,
-		reg:         reg,
-		sched:       &event.Scheduler{},
-		net:         analog.NewNetwork(),
-		db:          canbus.NewDB(),
-		env:         expr.MapEnv{"ubatt": cfg.UbattVolts},
-		instruments: map[string]*instrument{},
-		switches:    map[string]*analog.Switch{},
-		held:        map[string]*heldStimulus{},
-		attrVals:    map[string]float64{},
-		attrErrs:    map[string]error{},
-		expect:      map[*script.SignalStmt]string{},
-		routes:      map[any]*routedStep{},
-		ff:          true,
+		cfg:          cfg,
+		reg:          reg,
+		sched:        &event.Scheduler{},
+		net:          analog.NewNetwork(),
+		db:           canbus.NewDB(),
+		env:          expr.MapEnv{"ubatt": cfg.UbattVolts},
+		instruments:  map[string]*instrument{},
+		switches:     map[string]*analog.Switch{},
+		held:         map[string]heldStimulus{},
+		merged:       map[string]*script.SignalStmt{},
+		stimulusKeys: map[string]bool{},
+		prefer:       map[string]string{},
+		attrVals:     map[string]float64{},
+		attrErrs:     map[string]error{},
+		expect:       map[*script.SignalStmt]string{},
+		routes:       map[any]*routedStep{},
+		ff:           true,
 	}
 	s.bus = canbus.NewBus(s.sched)
 	s.monitor = canbus.NewMonitor()
@@ -238,7 +259,7 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		case resource.PWMGenerator:
 			inst.source = s.net.AddVSource("inst."+res.ID, inst.nodes[0], analog.Ground, 0)
 			inst.source.SetEnabled(false)
-			inst.pwm = &pwmDrive{sched: s.sched, src: inst.source}
+			inst.pwm = newPWMDrive(s.sched, inst.source)
 		case resource.DVM, resource.Counter:
 			s.net.AddResistor("inst."+res.ID+".zin", inst.nodes[0], inst.nodes[1], DVMInputOhms)
 			inst.loGnd = s.net.AddSwitch("inst."+res.ID+".lognd", inst.nodes[1], analog.Ground)
@@ -416,7 +437,7 @@ func (s *Stand) resetRun() {
 			inst.pwm.Stop()
 		}
 	}
-	s.held = map[string]*heldStimulus{}
+	clear(s.held)
 	// Reset the DUT BEFORE silencing the bus: a model's Reset may
 	// announce state changes (a locked DUT resetting to unlocked
 	// transmits the new status), and those frames belong to the old
@@ -551,7 +572,7 @@ func (s *Stand) replayStep(rs *routedStep, res *report.StepResult) (*alloc.Plan,
 			res.Applied = append(res.Applied, ra.applied)
 		}
 		if ra.stimulus {
-			s.held[ra.key] = &heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(ra.a.Resource)}
+			s.held[ra.key] = heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(ra.a.Resource)}
 		}
 	}
 	return rs.plan, nil
@@ -574,8 +595,11 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 		}
 	}
 	// Merge: new stimuli override held ones per signal.
-	merged := map[string]*script.SignalStmt{}
-	order := []string{}
+	merged, stimulusKeys, prefer := s.merged, s.stimulusKeys, s.prefer
+	clear(merged)
+	clear(stimulusKeys)
+	clear(prefer)
+	order := s.order[:0]
 	for key, h := range s.held {
 		merged[key] = h.stmt
 		order = append(order, key)
@@ -588,7 +612,6 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 		}
 		merged[key] = st
 	}
-	stimulusKeys := map[string]bool{}
 	for _, key := range order {
 		stimulusKeys[key] = true
 	}
@@ -600,9 +623,9 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 		merged[key] = st
 		order = append(order, key)
 	}
+	s.order = order
 
-	var reqs []alloc.Request
-	prefer := map[string]string{}
+	reqs := s.reqs[:0]
 	for _, key := range order {
 		st := merged[key]
 		decl := sc.Decl(st.Name)
@@ -620,6 +643,7 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 			prefer[key] = h.res
 		}
 	}
+	s.reqs = reqs
 
 	s.Allocations++
 	plan, err := s.alloc.Allocate(reqs, prefer)
@@ -669,7 +693,7 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 			}
 		}
 		if ra.stimulus {
-			s.held[key] = &heldStimulus{stmt: st, decl: decl, res: resID(a.Resource)}
+			s.held[key] = heldStimulus{stmt: st, decl: decl, res: resID(a.Resource)}
 		}
 		rs.asg = append(rs.asg, ra)
 	}
