@@ -84,7 +84,7 @@ func BenchmarkT1TestExecution(b *testing.B) {
 	st := paperStand(b, ecu.NewInteriorLight())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := st.Run(sc)
+		rep := st.RunContext(context.Background(), sc)
 		if !rep.Passed() {
 			b.Fatal("paper test failed")
 		}
@@ -276,7 +276,7 @@ func BenchmarkC2TwoECUs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ilStand := paperStand(b, ecu.NewInteriorLight())
-		if !ilStand.Run(ilScript).Passed() {
+		if !ilStand.RunContext(context.Background(), ilScript).Passed() {
 			b.Fatal("interior light regression failed")
 		}
 		clStand, err := stand.New(clCfg, reg)
@@ -287,7 +287,7 @@ func BenchmarkC2TwoECUs(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, sc := range clScripts {
-			if !clStand.Run(sc).Passed() {
+			if !clStand.RunContext(context.Background(), sc).Passed() {
 				b.Fatalf("central locking %s failed", sc.Name)
 			}
 		}
@@ -478,7 +478,7 @@ func campaignMatrix(b *testing.B) []comptest.Unit {
 
 // BenchmarkCampaignMatrix runs the complete 4-stand × 4-DUT execution
 // matrix as one campaign at increasing worker-pool bounds. parallel_1 is
-// the sequential baseline (the old core.RunWorkbook execution model);
+// the sequential baseline (one unit after another on one worker);
 // the higher bounds demonstrate the near-linear speedup of independent
 // units on independent stands.
 func BenchmarkCampaignMatrix(b *testing.B) {

@@ -1,12 +1,11 @@
 // Command comptest is the component-test tool chain of the reproduction:
-// it turns test workbooks into test-stand-independent XML scripts, lints
+// it turns test workbooks into test-stand-independent XML scripts, vets
 // them, executes them on simulated stands with simulated ECUs, analyses
 // cross-stand reuse and regenerates the paper's tables.
 //
 // Usage:
 //
 //	comptest gen     -workbook FILE [-test NAME] [-out DIR]
-//	comptest lint    -workbook FILE [-format text|json]
 //	comptest vet     [-format text|json|sarif] [-severity S] [-baseline FILE] [-builtins] [WORKBOOK...]
 //	comptest run     -workbook FILE [-stand NAME] [-dut NAME] [-parallel N] [-format text|csv|xml|junit|ndjson] [-junit FILE]
 //	comptest mutate  [-workbook FILE] [-dut NAME] [-all] [-parallel N] [-format text|json]
@@ -21,7 +20,7 @@
 // Stands: paper_stand (Tables 3+4 + CAN adapter), full_lab, mini_bench,
 // hil_rack. DUTs: interior_light, central_locking, window_lifter,
 // exterior_light.
-// Without -workbook, gen/lint/run/reuse/mutate use the paper's built-in
+// Without -workbook, gen/run/reuse/mutate use the paper's built-in
 // interior-illumination workbook.
 package main
 
@@ -41,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -91,8 +89,6 @@ func run(args []string, out io.Writer) error {
 	switch args[0] {
 	case "gen":
 		return cmdGen(args[1:], out)
-	case "lint":
-		return cmdLint(args[1:], out)
 	case "vet":
 		return cmdVet(args[1:], out)
 	case "run":
@@ -131,8 +127,6 @@ func usage(out io.Writer) {
 
 subcommands:
   gen    -workbook FILE [-test NAME] [-out DIR]    generate XML test scripts
-  lint   -workbook FILE [-format text|json]        validate a workbook (superseded by vet;
-                                                   the text layout is kept for one release)
   vet    [-format text|json|sarif] [-severity S] [-baseline FILE] [-write-baseline FILE]
          [-killmatrix FILE] [-builtins] [WORKBOOK...]
                                                    static analysis over workbooks; exits
@@ -239,62 +233,6 @@ func cmdGen(args []string, out io.Writer) error {
 	return nil
 }
 
-// cmdLint validates one workbook and reports findings through the
-// analyzer engine. Deprecated in favour of cmdVet — the default text
-// layout is kept unchanged for one release; use `comptest vet` for
-// positions, SARIF and baseline ratcheting.
-func cmdLint(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
-	workbook := fs.String("workbook", "", "workbook file (default: built-in paper workbook)")
-	format := fs.String("format", "text", "output format: text|json")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	suite, name, err := loadWorkbook(*workbook, paper.Workbook)
-	if err != nil {
-		return err
-	}
-	// Loading already cross-validates; compiling generates every script
-	// and validates each against the method registry in one step.
-	plan, err := comptest.Compile(suite)
-	if err != nil {
-		return err
-	}
-	scripts := plan.Scripts
-	res, err := lint.Run(lintSuite(suite, "", ""), lint.Options{})
-	if err != nil {
-		return err
-	}
-	switch *format {
-	case "text":
-		fmt.Fprintf(out, "%s: OK — %d signals, %d statuses, %d tests, %d generated scripts\n",
-			name, suite.Signals.Len(), suite.Statuses.Len(), len(suite.Tests), len(scripts))
-		// The historical layout: findings indented, highest severity
-		// first (stable within a severity).
-		sorted := append([]lint.Finding(nil), res.Findings...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Severity > sorted[j].Severity })
-		for _, f := range sorted {
-			fmt.Fprintln(out, " ", f)
-		}
-	case "json":
-		rep := &lint.Report{Workbooks: []lint.WorkbookReport{{
-			File: name, Findings: res.Findings, Suppressed: len(res.Suppressed),
-		}}}
-		if rep.Workbooks[0].Findings == nil {
-			rep.Workbooks[0].Findings = []lint.Finding{}
-		}
-		if err := lint.WriteJSON(out, rep); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("lint: unknown format %q (want text or json)", *format)
-	}
-	if max, ok := res.MaxSeverity(); ok && max >= lint.Error {
-		return fmt.Errorf("lint: %d error finding(s) in %s", len(findingsAtLeast(res.Findings, lint.Error)), name)
-	}
-	return nil
-}
-
 // lintSuite assembles the static-analysis input for one loaded suite:
 // the cross-validated artefacts plus the raw workbook (suppression
 // directives), the saved kill matrix (weak-check) and the default
@@ -396,6 +334,11 @@ func cmdVet(args []string, out io.Writer) error {
 		}
 		if tgt.name != "" {
 			name = tgt.name
+		}
+		// Every generated script must compile against the method
+		// registry; the analyzers below only see the workbook sheets.
+		if _, err := comptest.Compile(suite); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		res, err := lint.Run(lintSuite(suite, tgt.path, *killmatrix), lint.Options{MinSeverity: minSev})
 		if err != nil {

@@ -94,13 +94,6 @@ func TestGenWorkbookFile(t *testing.T) {
 	}
 }
 
-func TestLint(t *testing.T) {
-	out, err := runCLI(t, "lint")
-	if err != nil || !strings.Contains(out, "OK") {
-		t.Errorf("lint: %v\n%s", err, out)
-	}
-}
-
 func TestRunDefault(t *testing.T) {
 	out, err := runCLI(t, "run")
 	if err != nil {

@@ -145,23 +145,6 @@ func TestVetBuiltinWorkbook(t *testing.T) {
 	}
 }
 
-// TestLintJSONFormat: the rerouted lint subcommand exposes the engine's
-// JSON report too (satellite of the vet migration; the text layout is
-// pinned by TestLint above for one more release).
-func TestLintJSONFormat(t *testing.T) {
-	out, err := runCLI(t, "lint", "-format", "json")
-	if err != nil {
-		t.Fatalf("lint -format json: %v\n%s", err, out)
-	}
-	var rep lint.Report
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("lint JSON does not parse: %v\n%s", err, out)
-	}
-	if len(rep.Workbooks) != 1 || len(rep.Workbooks[0].Findings) == 0 {
-		t.Errorf("lint JSON lacks the builtin findings: %s", out)
-	}
-}
-
 // TestVetKillMatrixSidecar: the <workbook>.kills.json sidecar is picked
 // up implicitly and enables weak-check; pointing -killmatrix elsewhere
 // overrides it.

@@ -175,7 +175,7 @@ type Group struct {
 //
 // Cancellation is honoured at three levels: undispatched units are
 // dropped (counted as Skipped, never emitted), running scripts stop at
-// the next step boundary (stand.RunContext), and Campaign returns
+// the next step boundary (stand.RunCompiled), and Campaign returns
 // ctx.Err() alongside the partial Summary.
 func (r *Runner) Campaign(ctx context.Context, units []Unit) (Summary, error) {
 	groups := make([]Group, len(units))
@@ -315,17 +315,7 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 			}
 		}
 	}
-	c := u.Compiled
-	if c == nil {
-		c = r.compiledFor(u.Script)
-	}
-	if c != nil {
-		res.Report = st.RunCompiled(ctx, c, stand.RunOptions{StopOnFail: u.StopOnFail})
-	} else {
-		// The script does not compile; the interpreted path re-validates
-		// and renders the canonical error report.
-		res.Report = st.RunContext(ctx, u.Script)
-	}
+	res.Report = r.runOn(ctx, st, u.Script, u.Compiled, stand.RunOptions{StopOnFail: u.StopOnFail})
 	r.releaseStand(key, st, faulted)
 	return res
 }

@@ -240,33 +240,6 @@ func TestRunPlanCancelled(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersPinned is the LAST in-repo caller of the
-// deprecated RunSuite/RunWorkbook wrappers — a pin that they stay
-// byte-compatible with the compiled path until their removal (see the
-// timeline in this package's doc.go). Delete this test with them.
-func TestDeprecatedWrappersPinned(t *testing.T) {
-	r, err := NewRunner(WithDUT("interior_light"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, err := r.RunWorkbook(context.Background(), paper.Workbook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 1 || !reps[0].Passed() {
-		t.Fatalf("RunWorkbook = %d reports", len(reps))
-	}
-	suite, err := LoadSuiteString(paper.Workbook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.RunSuite(ctx, suite); err != context.Canceled {
-		t.Errorf("RunSuite on cancelled ctx = %v, want context.Canceled", err)
-	}
-}
-
 // ------------------------------------------------------------ campaign --
 
 // builtinStands and builtinDUTs pin the 4×4 acceptance matrix: other

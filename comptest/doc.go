@@ -37,24 +37,6 @@
 // it completes. context.Context is honoured throughout; cancellation
 // takes effect at the next step boundary (see stand.RunContext).
 //
-// Migration note: the interpret-per-unit entry points RunSuite and
-// RunWorkbook are deprecated. They survive as thin wrappers — compile
-// the suite internally, then delegate to RunPlan — so existing callers
-// keep working unchanged, but new code should Compile once and pass
-// the Plan around:
-//
-//	suite, _ := comptest.LoadSuiteString(workbook)
-//	plan, err := comptest.Compile(suite)   // was: r.RunSuite(ctx, suite)
-//	reps, err := r.RunPlan(ctx, plan)
-//
-// Removal timeline: every in-repo caller — CLI, examples, the
-// serve/dist engines and the package tests — now runs on Plans; the
-// one remaining wrapper caller is the pin test
-// (TestDeprecatedWrappersPinned) that holds the wrappers to the
-// compiled path's behaviour until they go. RunWorkbook will be removed
-// in the next release, RunSuite in the release after next; the pin
-// test is deleted with them.
-//
 // Stands and DUT models are looked up in process-wide registries
 // (RegisterStand, RegisterDUT) keyed by name — the four built-in stand
 // profiles (paper_stand, full_lab, mini_bench, hil_rack) and the four

@@ -9,9 +9,8 @@ import (
 )
 
 // compiledFor returns the compiled form of sc, compiling and caching it
-// on first use. It returns nil when the script does not compile; the
-// caller then falls back to the interpreted path, whose validation
-// produces the canonical error report.
+// on first use. It returns nil when the script does not compile; runOn
+// then renders the stand's rejection report.
 func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 	r.compileMu.RLock()
 	c, ok := r.compiled[sc]

@@ -143,90 +143,46 @@ func (r *Runner) RunScript(ctx context.Context, sc *script.Script) (*report.Repo
 	if err != nil {
 		return nil, err
 	}
-	return r.runOn(ctx, st, sc, nil), nil
+	return r.runOn(ctx, st, sc, nil, stand.RunOptions{}), nil
 }
 
-// runOn executes one script on a stand, compiled when it compiles and
-// interpreted otherwise (the interpreted path re-validates and renders
-// the canonical error report). c may pre-supply the compiled form.
-func (r *Runner) runOn(ctx context.Context, st *stand.Stand, sc *script.Script, c *script.Compiled) *report.Report {
+// runOn executes one script on a stand: compiled (c, or the Runner's
+// cached compilation when c is nil) when the script compiles, and
+// otherwise the stand's rejection report carrying the validation error.
+func (r *Runner) runOn(ctx context.Context, st *stand.Stand, sc *script.Script, c *script.Compiled, opts stand.RunOptions) *report.Report {
 	if c == nil {
 		c = r.compiledFor(sc)
 	}
-	if c != nil {
-		return st.RunCompiled(ctx, c, stand.RunOptions{})
+	if c == nil {
+		return st.RunContext(ctx, sc)
 	}
-	return st.RunContext(ctx, sc)
-}
-
-// RunSuite generates every script of the suite and executes them in
-// order on ONE stand instance (the sequential pipeline of the paper).
-// Each report is streamed to the Runner's sinks as it completes and the
-// full slice is returned. On cancellation the already-produced reports
-// are returned alongside ctx.Err().
-//
-// Deprecated: RunSuite re-generates and re-validates the suite on every
-// call. Compile once and hold on to the Plan — RunSuite is now a thin
-// wrapper over Compile + RunPlan (falling back to the interpreted path
-// only when the suite does not compile) and will be removed in the
-// release after next.
-func (r *Runner) RunSuite(ctx context.Context, suite *Suite) ([]*report.Report, error) {
-	plan, err := Compile(suite)
-	if err != nil {
-		// A suite that generates but does not compile still runs — the
-		// interpreted path reports the validation failure per script.
-		scripts, gerr := suite.GenerateScripts()
-		if gerr != nil {
-			return nil, gerr
-		}
-		return r.runPipeline(ctx, scripts, nil)
-	}
-	return r.RunPlan(ctx, plan)
+	return st.RunCompiled(ctx, c, opts)
 }
 
 // RunPlan executes a compiled plan's scripts in order on ONE stand
-// instance — the compiled equivalent of RunSuite.
+// instance (the sequential pipeline of the paper). Each report is
+// streamed to the Runner's sinks as it completes and the full slice is
+// returned. On cancellation the already-produced reports are returned
+// alongside ctx.Err().
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, error) {
-	return r.runPipeline(ctx, plan.Scripts, plan)
-}
-
-func (r *Runner) runPipeline(ctx context.Context, scripts []*script.Script, plan *Plan) ([]*report.Report, error) {
-	if len(scripts) == 0 {
+	if len(plan.Scripts) == 0 {
 		return nil, nil
 	}
-	st, err := r.newStand("", "", nil, scripts[0])
+	st, err := r.newStand("", "", nil, plan.Scripts[0])
 	if err != nil {
 		return nil, err
 	}
 	var reps []*report.Report
-	for i, sc := range scripts {
+	for i, sc := range plan.Scripts {
 		if err := ctx.Err(); err != nil {
 			return reps, err
 		}
-		var c *script.Compiled
-		if plan != nil {
-			c = plan.Compiled(sc)
-		}
-		rep := r.runOn(ctx, st, sc, c)
+		c := plan.Compiled(sc)
+		rep := r.runOn(ctx, st, sc, c, stand.RunOptions{})
 		reps = append(reps, rep)
 		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep})
 	}
 	return reps, ctx.Err()
-}
-
-// RunWorkbook is the complete paper pipeline for one workbook: load,
-// validate, generate, execute every test on the default stand, report.
-//
-// Deprecated: RunWorkbook re-interprets the workbook on every call. Use
-// LoadSuiteString + Compile + RunPlan, which validates and classifies
-// the scripts once and reuses the artifact across runs. RunWorkbook
-// will be removed in the next release.
-func (r *Runner) RunWorkbook(ctx context.Context, workbook string) ([]*report.Report, error) {
-	suite, err := LoadSuiteString(workbook)
-	if err != nil {
-		return nil, err
-	}
-	return r.RunSuite(ctx, suite)
 }
 
 // emit streams one result to every sink, serialised.

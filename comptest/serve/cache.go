@@ -24,8 +24,8 @@ type Artifact struct {
 	// Plan is the compiled execution plan (comptest.Compile): the
 	// validated, classified form every job built from this workbook
 	// executes, compiled once per content hash. nil when the workbook
-	// generates scripts that do not compile — such jobs run interpreted
-	// and report the validation failure per script.
+	// generates scripts that do not compile — such jobs report the
+	// validation failure per script.
 	Plan *comptest.Plan
 	// Source is the exact workbook text the artifact was built from —
 	// what a distributing executor ships to remote workers, whose own
@@ -133,9 +133,9 @@ func (c *Cache) Load(workbook []byte) (*Artifact, error) {
 			art.Plan, art.Scripts = plan, plan.Scripts
 			e.art = art
 		} else if scripts, gerr := suite.GenerateScripts(); gerr == nil {
-			// The workbook generates but does not compile: a plan-less
-			// artifact runs interpreted and the per-script reports carry
-			// the validation failure.
+			// The workbook generates but does not compile: the
+			// per-script reports of a plan-less artifact carry the
+			// validation failure.
 			art.Scripts = scripts
 			e.art = art
 		} else {

@@ -29,7 +29,7 @@
 //     them, so sharing is safe by construction.
 //
 //   - Per-job context cancellation riding the existing
-//     stand.RunContext plumbing: DELETE cancels the job's context,
+//     stand.RunCompiled plumbing: DELETE cancels the job's context,
 //     undispatched units are skipped, and a script that is mid-run
 //     stops at the next step boundary with every remaining check
 //     reported as SKIP — the same semantics as an operator abort on

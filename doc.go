@@ -8,9 +8,9 @@
 // for a quickstart). Execution is compile-once: comptest.Compile turns
 // a loaded Suite into an immutable Plan (validated scripts lowered to
 // executable programs), and runners, campaigns, the CLI, the serve
-// cache and the distributed engine all execute Plans; the old
-// interpret-per-unit entry points (RunSuite, RunWorkbook) survive as
-// deprecated wrappers. The mutation-testing subsystem lives in
+// cache and the distributed engine all execute Plans, and a stand has
+// exactly one step loop (stand.RunCompiled). The mutation-testing
+// subsystem lives in
 // comptest/mutation (mutant enumeration, kill-matrix campaigns with
 // early-kill short-circuits ordered by historical kill probability,
 // test-strength reports) and coverage-guided scenario exploration in

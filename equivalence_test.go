@@ -13,13 +13,18 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/comptest"
 	"repro/comptest/mutation"
+	"repro/internal/ecu"
 	"repro/internal/lint"
+	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -93,22 +98,101 @@ func forEachPair(t *testing.T, plans map[string]*comptest.Plan,
 	}
 }
 
-// TestPlanInterpretedEquivalence pins the tentpole contract: executing
-// a plan's compiled script (Stand.RunCompiled) produces a report
-// byte-identical to interpreting the same script from scratch
-// (Stand.RunContext) on an identically built stand.
-func TestPlanInterpretedEquivalence(t *testing.T) {
+// TestBuiltinMatrixGolden pins every report of the builtin matrix to
+// the SHA-256 recorded in testdata/builtin_matrix.sha256 (one line per
+// report: digest, DUT, stand, script). The digests were taken from the
+// interpreted step loop that RunContext ran before it became a front
+// door for RunCompiled, so they hold the compiled path to that loop's
+// bytes.
+func TestBuiltinMatrixGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/builtin_matrix.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	plans := compileBuiltin(t)
 	ctx := context.Background()
+	n := 0
 	forEachPair(t, plans, func(t *testing.T, standName, dut string, plan *comptest.Plan, sc *script.Script) {
-		interpreted := encode(t, freshStand(t, standName, dut, plan, sc).RunContext(ctx, sc))
-		compiled := encode(t, freshStand(t, standName, dut, plan, sc).
-			RunCompiled(ctx, plan.Compiled(sc), stand.RunOptions{}))
-		if !bytes.Equal(interpreted, compiled) {
-			t.Errorf("%s on %s (%s): compiled report differs from interpreted\ninterpreted: %s\ncompiled:    %s",
-				sc.Name, standName, dut, interpreted, compiled)
+		b := encode(t, freshStand(t, standName, dut, plan, sc).RunContext(ctx, sc))
+		got := fmt.Sprintf("%x %s %s %s", sha256.Sum256(b), dut, standName, sc.Name)
+		if n >= len(want) {
+			t.Errorf("%s on %s (%s): no golden line\nreport: %s", sc.Name, standName, dut, b)
+		} else if got != want[n] {
+			t.Errorf("report differs from golden\nwant: %s\ngot:  %s\nreport: %s", want[n], got, b)
 		}
+		n++
 	})
+	if n != len(want) {
+		t.Errorf("matrix has %d reports, golden has %d lines", n, len(want))
+	}
+}
+
+// TestRejectedScriptBytes pins the report of a script that does not
+// compile: every entry point renders the validation error as FatalErr
+// with an empty (not null) step list and no verdicts.
+func TestRejectedScriptBytes(t *testing.T) {
+	const want = `{"script":"InteriorIllumination","stand":"paper_stand","dut":"interior_light",` +
+		`"fatal":"script \"InteriorIllumination\": unsupported version \"99\"","passed":false,"steps":[]}`
+	suite, err := comptest.LoadSuiteString(paper.Workbook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := suite.GenerateScript("InteriorIllumination")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Version = "99"
+	check := func(via string, rep *report.Report) {
+		t.Helper()
+		if got := strings.TrimSpace(string(encode(t, rep))); got != want {
+			t.Errorf("%s:\ngot:  %s\nwant: %s", via, got, want)
+		}
+	}
+	ctx := context.Background()
+
+	cfg, err := comptest.BuildStand("paper_stand", suite.Registry, stand.HarnessFromScript(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stand.New(cfg, suite.Registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingObserver{}
+	st.SetObserver(rec)
+	check("stand.RunContext", st.RunContext(ctx, sc))
+	if rec.buf.Len() != 0 {
+		t.Errorf("rejected run reached the observer:\n%s", rec.buf.Bytes())
+	}
+
+	r, err := comptest.NewRunner(comptest.WithDUT("interior_light"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.RunScript(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Runner.RunScript", rep)
+
+	var got []*report.Report
+	r, err = comptest.NewRunner(comptest.WithSink(comptest.SinkFunc(func(res comptest.Result) {
+		got = append(got, res.Report)
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Campaign(ctx, []comptest.Unit{{Script: sc, Stand: "paper_stand", DUT: "interior_light"}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("Campaign emitted %d results, want 1", len(got))
+	}
+	check("Runner.Campaign", got[0])
 }
 
 // TestFastForwardEquivalence pins the quiescence fast-forward against

@@ -23,7 +23,6 @@ var CtxPath = &goanalysis.Analyzer{
 // outside the contract, keyed "pkg.Func" or "pkg.Recv.Func" (package
 // base name, pointer receivers stripped).
 var ctxPathAllow = map[string]string{
-	"stand.Stand.Run":           "legacy synchronous wrapper; RunContext is the cancellable form",
 	"event.Scheduler.RunUntil":  "pure virtual-time pump, completes without blocking",
 	"explore.Trace.RunStarted":  "observer callback invoked per run, not a run itself",
 	"explore.Trace.RunFinished": "observer callback invoked per run, not a run itself",

@@ -12,7 +12,7 @@ import (
 // fixtures cover the positive and negative space of each analyzer:
 // global math/rand vs. injected sources, time.Now and map-range
 // printing under //lint:deterministic, run-path functions with and
-// without contexts (plus the stand.Stand.Run allowlist entry), and
+// without contexts (plus the event.Scheduler.RunUntil allowlist entry), and
 // guarded fields accessed with and without their mutex.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	goanalysis.CheckExpectations(t, "testdata/module", Analyzers(), "./...")

@@ -1,9 +1,8 @@
-// Compiled execution: running a script.Compiled skips per-run validation
-// and statement classification, and — independent of compilation — the
-// stand fast-forwards simulated time across windows in which nothing can
-// happen. Both paths share the same execution core (runStepPrepared and
-// everything below it), so their reports are byte-identical by
-// construction; TestFastForwardEquivalence pins the fast-forward against
+// Compiled execution: the one step loop. Running a script.Compiled skips
+// per-run validation and statement classification (RunContext compiles
+// and delegates here), and — independent of compilation — the stand
+// fast-forwards simulated time across windows in which nothing can
+// happen; TestFastForwardEquivalence pins the fast-forward against
 // tick-by-tick ground truth.
 
 package stand
@@ -33,8 +32,7 @@ type RunOptions struct {
 var errEarlyStop = errors.New("not executed: an earlier step already failed")
 
 // RunCompiled executes a compiled script, checking ctx between steps
-// exactly like RunContext. The report is byte-identical to what
-// RunContext produces for the same script on the same stand.
+// (see RunContext for the cancellation semantics).
 func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOptions) *report.Report {
 	sc := c.Script
 	rep := &report.Report{Script: sc.Name, Stand: s.cfg.Name,
@@ -72,7 +70,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 			s.skipRemaining(rep, sc.Steps[i:], err)
 			return rep
 		}
-		res := s.runStepPrepared(sc, cs.Step, cs.Stimuli, cs.Measures, cs.ExtraWait)
+		res := s.runStep(sc, cs.Step, cs.Stimuli, cs.Measures, cs.ExtraWait)
 		rep.Steps = append(rep.Steps, res)
 		if opts.StopOnFail && stepDeviates(&res) {
 			s.skipRemaining(rep, sc.Steps[i+1:], errEarlyStop)

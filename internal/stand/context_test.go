@@ -82,18 +82,6 @@ func TestRunContextCancelsBetweenSteps(t *testing.T) {
 	}
 }
 
-func TestRunContextBackgroundMatchesRun(t *testing.T) {
-	sc := paperScript(t)
-	viaRun := paperStand(t).Run(sc)
-	viaCtx := paperStand(t).RunContext(context.Background(), sc)
-	if !viaRun.Passed() || !viaCtx.Passed() {
-		t.Fatalf("Run passed=%v RunContext passed=%v, want both true", viaRun.Passed(), viaCtx.Passed())
-	}
-	if len(viaRun.Steps) != len(viaCtx.Steps) {
-		t.Fatalf("step counts differ: %d vs %d", len(viaRun.Steps), len(viaCtx.Steps))
-	}
-}
-
 func TestRunContextDeadline(t *testing.T) {
 	// A context whose deadline already passed behaves like pre-cancel.
 	sc := paperScript(t)

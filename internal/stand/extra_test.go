@@ -1,6 +1,7 @@
 package stand
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func TestPutUStimulus(t *testing.T) {
 	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
 		t.Fatal(err)
 	}
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("put_u script failed:\n%s", report.TextString(rep))
 	}
@@ -88,7 +89,7 @@ func TestGetIUnsupported(t *testing.T) {
 	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
 		t.Fatal(err)
 	}
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	found := false
 	for _, step := range rep.Steps {
 		for _, c := range step.Checks {
@@ -129,7 +130,7 @@ func TestWaitExtendsStep(t *testing.T) {
 			}
 		}
 	}
-	rep := s.Run(sc)
+	rep := s.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("wait-modified script failed:\n%s", report.TextString(rep))
 	}
@@ -137,7 +138,7 @@ func TestWaitExtendsStep(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	s := paperStand(t)
-	_ = s.Run(paperScript(t))
+	_ = s.RunContext(context.Background(), paperScript(t))
 	if s.Allocations == 0 {
 		t.Error("Allocations counter not incremented")
 	}
@@ -174,7 +175,7 @@ func TestPutPWMMeasuredWithGetF(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := MustNew(cfg, reg)
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("PWM loop failed:\n%s", report.TextString(rep))
 	}
@@ -189,7 +190,7 @@ func TestPutPWMWrongFrequencyFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := MustNew(cfg, reg)
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if rep.Passed() {
 		t.Fatal("wrong PWM frequency passed the get_f check")
 	}
@@ -204,7 +205,7 @@ func TestPutPWMDutyExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := MustNew(cfg, reg)
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("0%% duty loop failed:\n%s", report.TextString(rep))
 	}
@@ -220,7 +221,7 @@ func TestPutPWMBadParams(t *testing.T) {
 	// The capability range starts at 0 Hz, so allocation accepts it; the
 	// instrument itself refuses, aborting the step with ERROR verdicts.
 	st := MustNew(cfg, reg)
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if rep.Passed() {
 		t.Fatal("0 Hz PWM passed")
 	}
@@ -240,7 +241,7 @@ func TestPaperTestPassesWithGreedyAllocator(t *testing.T) {
 	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
 		t.Fatal(err)
 	}
-	if rep := st.Run(paperScript(t)); !rep.Passed() {
+	if rep := st.RunContext(context.Background(), paperScript(t)); !rep.Passed() {
 		t.Fatalf("greedy stand failed:\n%s", report.TextString(rep))
 	}
 }
@@ -257,7 +258,7 @@ func TestCustomSettleTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Scheduler().Now()
-	if rep := st.Run(paperScript(t)); !rep.Passed() {
+	if rep := st.RunContext(context.Background(), paperScript(t)); !rep.Passed() {
 		t.Fatal("run with long settle failed")
 	}
 	elapsed := st.Scheduler().Now() - before
@@ -293,7 +294,7 @@ func TestMotorolaSignalEndToEnd(t *testing.T) {
 	st := MustNew(cfg, reg)
 	mon := canbus.NewMonitor()
 	st.Bus().Attach("listener", mon.Rx)
-	rep := st.Run(sc)
+	rep := st.RunContext(context.Background(), sc)
 	if rep.FatalErr != "" {
 		t.Fatalf("run aborted: %s", rep.FatalErr)
 	}

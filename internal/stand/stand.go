@@ -341,11 +341,6 @@ func (s *Stand) CanRun(sc *script.Script) error {
 	return nil
 }
 
-// Run executes the script and returns the verdict report.
-func (s *Stand) Run(sc *script.Script) *report.Report {
-	return s.RunContext(context.Background(), sc)
-}
-
 // RunContext executes the script, checking ctx between steps. On
 // cancellation the executed steps keep their verdicts, every remaining
 // statement is reported as a SKIP check, and FatalErr records the
@@ -353,49 +348,21 @@ func (s *Stand) Run(sc *script.Script) *report.Report {
 // far the run got. Simulated time inside a step is never interrupted:
 // a step is the atomic unit of execution, exactly as on real hardware
 // where an operator abort takes effect at the next step boundary.
+//
+// The script is compiled and handed to RunCompiled; a script that does
+// not compile is rejected with its validation error as FatalErr, no
+// steps and no observer callbacks.
 func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Report {
-	rep := &report.Report{Script: sc.Name, Stand: s.cfg.Name,
-		Steps: make([]report.StepResult, 0, len(sc.Steps))}
-	if s.dut != nil {
-		rep.DUT = s.dut.Name()
-	}
-	if err := script.Validate(sc, s.reg); err != nil {
-		rep.FatalErr = err.Error()
+	c, err := script.Compile(sc, s.reg)
+	if err != nil {
+		rep := &report.Report{Script: sc.Name, Stand: s.cfg.Name,
+			Steps: []report.StepResult{}, FatalErr: err.Error()}
+		if s.dut != nil {
+			rep.DUT = s.dut.Name()
+		}
 		return rep
 	}
-	if err := ctx.Err(); err != nil {
-		rep.FatalErr = err.Error()
-		s.skipRemaining(rep, sc.Steps, err)
-		return rep
-	}
-	s.resetRun()
-	if s.obs != nil {
-		s.obs.RunStarted(sc, s.cfg.UbattVolts)
-		defer func() { s.obs.RunFinished(rep) }()
-	}
-
-	// Init block: apply all initial stimuli at once, then settle.
-	if len(sc.Init) > 0 {
-		if _, err := s.applyStep(sc, sc.Init, nil, nil, sc); err != nil {
-			rep.FatalErr = fmt.Sprintf("init: %v", err)
-			return rep
-		}
-	}
-	s.advanceTo(s.sched.Now()+s.cfg.SettleTime, true)
-	if s.obs != nil {
-		s.obs.OutputsSampled(s.sched.Now(), -1, s.observeOutputs(sc))
-	}
-
-	for i, step := range sc.Steps {
-		if err := ctx.Err(); err != nil {
-			rep.FatalErr = err.Error()
-			s.skipRemaining(rep, sc.Steps[i:], err)
-			return rep
-		}
-		res := s.runStep(sc, step)
-		rep.Steps = append(rep.Steps, res)
-	}
-	return rep
+	return s.RunCompiled(ctx, c, RunOptions{})
 }
 
 // skipRemaining records the unexecuted steps of an aborted run as SKIP
@@ -455,34 +422,9 @@ func (s *Stand) resetRun() {
 	s.bus.Purge()
 }
 
-// runStep executes one step: apply stimuli, advance dt, measure.
-func (s *Stand) runStep(sc *script.Script, step *script.Step) report.StepResult {
-	var stimuli, measures []*script.SignalStmt
-	extraWait := 0.0
-	for _, st := range step.Signals {
-		d, _ := s.reg.Lookup(st.Call.Method)
-		switch d.Kind {
-		case method.Stimulus:
-			stimuli = append(stimuli, st)
-		case method.Measure:
-			measures = append(measures, st)
-		case method.Control:
-			if t, ok := st.Call.Attr("t"); ok {
-				if f, err := unit.ParseNumber(t); err == nil {
-					extraWait += f
-				}
-			}
-		}
-	}
-	return s.runStepPrepared(sc, step, stimuli, measures, extraWait)
-}
-
-// runStepPrepared is runStep with the statement classification already
-// done — the shared execution core of the interpreted path (which
-// classifies on the fly) and the compiled path (which classified once at
-// script.Compile time). Keeping one core is what makes the two paths
-// byte-identical by construction.
-func (s *Stand) runStepPrepared(sc *script.Script, step *script.Step,
+// runStep executes one classified step: apply stimuli, advance dt plus
+// the control statements' extra wait, measure.
+func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	stimuli, measures []*script.SignalStmt, extraWait float64) report.StepResult {
 	res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark,
 		Checks: make([]report.Check, 0, len(step.Signals))}

@@ -1,6 +1,7 @@
 package stand
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestPaperTestPassesOnPaperStand(t *testing.T) {
 	if err := s.CanRun(sc); err != nil {
 		t.Fatalf("CanRun: %v", err)
 	}
-	rep := s.Run(sc)
+	rep := s.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("paper test failed:\n%s", report.TextString(rep))
 	}
@@ -107,7 +108,7 @@ func TestMutantsAreDetected(t *testing.T) {
 		if err := dut.InjectFault(fault); err != nil {
 			t.Fatalf("%s: %v", fault, err)
 		}
-		rep := s.Run(sc)
+		rep := s.RunContext(context.Background(), sc)
 		gotDetected := !rep.Passed()
 		if gotDetected != want {
 			t.Errorf("fault %q: detected=%v, want %v\n%s", fault, gotDetected, want,
@@ -120,7 +121,7 @@ func TestStimuliPersistAcrossSteps(t *testing.T) {
 	// Step 7 (280 s) assigns only the measurement; NIGHT and the open
 	// door must persist from earlier steps for Ho to hold.
 	s := paperStand(t)
-	rep := s.Run(paperScript(t))
+	rep := s.RunContext(context.Background(), paperScript(t))
 	step7 := rep.Steps[7]
 	if step7.Checks[0].Verdict != report.Pass {
 		t.Errorf("step 7 = %+v (persistence broken?)", step7.Checks[0])
@@ -132,8 +133,8 @@ func TestRunIsRepeatable(t *testing.T) {
 	// verdicts (reset works).
 	s := paperStand(t)
 	sc := paperScript(t)
-	rep1 := s.Run(sc)
-	rep2 := s.Run(sc)
+	rep1 := s.RunContext(context.Background(), sc)
+	rep2 := s.RunContext(context.Background(), sc)
 	if !rep1.Passed() || !rep2.Passed() {
 		t.Fatalf("repeat run failed:\n%s\n%s", report.TextString(rep1), report.TextString(rep2))
 	}
@@ -141,7 +142,7 @@ func TestRunIsRepeatable(t *testing.T) {
 
 func TestReportContents(t *testing.T) {
 	s := paperStand(t)
-	rep := s.Run(paperScript(t))
+	rep := s.RunContext(context.Background(), paperScript(t))
 	if rep.Script != "InteriorIllumination" || rep.Stand != "paper_stand" || rep.DUT != "interior_light" {
 		t.Errorf("report meta = %q %q %q", rep.Script, rep.Stand, rep.DUT)
 	}
@@ -165,7 +166,7 @@ func TestReportContents(t *testing.T) {
 
 func TestMeasuredVoltagesPlausible(t *testing.T) {
 	s := paperStand(t)
-	rep := s.Run(paperScript(t))
+	rep := s.RunContext(context.Background(), paperScript(t))
 	// Step 0 (lamp off): measured near 0 V. Step 4 (lamp on): near 12 V.
 	m0 := rep.Steps[0].Checks[0].Measured
 	m4 := rep.Steps[4].Checks[0].Measured
@@ -224,7 +225,7 @@ func TestAllocationErrorProducesErrorVerdicts(t *testing.T) {
 			Attrs: map[string]string{"u_min": "0", "u_max": "(0.3*ubatt)"}},
 	}}}
 	sc.Steps = append(sc.Steps, bad, good)
-	rep := s.Run(sc)
+	rep := s.RunContext(context.Background(), sc)
 	if rep.Passed() {
 		t.Fatal("impossible step passed")
 	}
@@ -265,7 +266,7 @@ func TestRunOnProfiles(t *testing.T) {
 		if err := s.CanRun(sc); err != nil {
 			t.Fatalf("%s cannot run the paper script: %v", cfg.Name, err)
 		}
-		rep := s.Run(sc)
+		rep := s.RunContext(context.Background(), sc)
 		if !rep.Passed() {
 			t.Errorf("%s: paper test failed:\n%s", cfg.Name, report.TextString(rep))
 		}
@@ -285,7 +286,7 @@ func TestHILRackUbattDiffers(t *testing.T) {
 	if err := s.AttachDUT(ecu.NewInteriorLight()); err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Run(sc)
+	rep := s.RunContext(context.Background(), sc)
 	if !rep.Passed() {
 		t.Fatalf("13.5 V stand failed:\n%s", report.TextString(rep))
 	}
@@ -326,7 +327,7 @@ func TestFatalOnInvalidScript(t *testing.T) {
 	s := paperStand(t)
 	sc := paperScript(t)
 	sc.Version = "99"
-	rep := s.Run(sc)
+	rep := s.RunContext(context.Background(), sc)
 	if rep.FatalErr == "" || rep.Passed() {
 		t.Errorf("invalid script ran: %+v", rep)
 	}
@@ -353,7 +354,7 @@ func TestFoldedScriptBreaksOnOtherStand(t *testing.T) {
 		if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
 			t.Fatal(err)
 		}
-		return st.Run(s).Passed()
+		return st.RunContext(context.Background(), s).Passed()
 	}
 	if !run(sc) {
 		t.Fatal("symbolic script failed on the 13.5 V stand")
