@@ -11,8 +11,8 @@ import (
 // TestFixtureRoundTrip freezes the v1 wire format: every fixture under
 // testdata/ must decode into its Go type and re-encode to the exact
 // same bytes. A diff here means the JSON an old worker or dashboard
-// was built against changed — which, within protocol revision 1, is a
-// bug (add fields with omitempty; never rename, retype or reorder).
+// was built against changed — which, within v1, is a bug (add fields
+// with omitempty; never rename, retype or reorder).
 func TestFixtureRoundTrip(t *testing.T) {
 	cases := []struct {
 		fixture string

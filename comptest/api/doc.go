@@ -13,10 +13,11 @@
 // a worker written against an old build, a dashboard decoding the
 // stream — import only this package and the standard library.
 //
-// Compatibility contract: within protocol revision 1 (see
-// internal/version.Protocol) fields are only ever ADDED, always with
-// `omitempty`, never renamed or retyped. TestFixtureRoundTrip pins the
-// exact JSON of every type against checked-in fixtures; a change that
-// breaks an old decoder fails that test and must bump the protocol
-// revision instead.
+// Compatibility contract: within v1 fields are only ever ADDED, always
+// with `omitempty`, never renamed or retyped. TestFixtureRoundTrip pins
+// the exact JSON of every type against checked-in fixtures; a change
+// that breaks an old decoder fails that test and must bump the protocol
+// revision (internal/version.Protocol) instead. The revision also moves
+// when the wire stays but its meaning changes: revision 2 kept every v1
+// type and changed how the coordinator merges worker streams.
 package api

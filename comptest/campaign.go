@@ -99,10 +99,12 @@ func (c *Collector) Results() []Result {
 
 // Ordered wraps a sink so it receives results in strict Seq order
 // (0, 1, 2, …) regardless of completion order, buffering early
-// arrivals. Use one Ordered wrapper per campaign: Seq restarts at 0
-// for every Campaign call.
+// arrivals. Units a campaign never emits (a Group's Stop, cancellation)
+// are reported to the wrapper by the Runner, so the sink sees exactly
+// the executed units, in Seq order. Use one Ordered wrapper per
+// campaign: Seq restarts at 0 for every Campaign call.
 func Ordered(s Sink) Sink {
-	return &orderedSink{inner: s, pending: map[int]Result{}}
+	return &orderedSink{inner: s, pending: map[int]Result{}, skipped: map[int]int{}}
 }
 
 type orderedSink struct {
@@ -110,20 +112,39 @@ type orderedSink struct {
 	inner   Sink
 	next    int
 	pending map[int]Result
+	skipped map[int]int // first Seq of a never-emitted run → one past its last
 }
 
 func (o *orderedSink) Emit(r Result) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.pending[r.Seq] = r
+	o.release()
+}
+
+// skip records that Seqs [from, to) will never be emitted, so release
+// passes over them instead of waiting forever.
+func (o *orderedSink) skip(from, to int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.skipped[from] = to
+	o.release()
+}
+
+func (o *orderedSink) release() {
 	for {
-		res, ok := o.pending[o.next]
+		if res, ok := o.pending[o.next]; ok {
+			delete(o.pending, o.next)
+			o.next++
+			o.inner.Emit(res)
+			continue
+		}
+		to, ok := o.skipped[o.next]
 		if !ok {
 			return
 		}
-		delete(o.pending, o.next)
-		o.next++
-		o.inner.Emit(res)
+		delete(o.skipped, o.next)
+		o.next = to
 	}
 }
 
@@ -224,10 +245,12 @@ func (r *Runner) CampaignGroups(ctx context.Context, groups []Group) (Summary, e
 		mu.Unlock()
 		r.emit(res)
 	}
-	skip := func(n int) {
+	// skip accounts Seqs [from, to) as never emitted.
+	skip := func(from, to int) {
 		mu.Lock()
-		sum.Skipped += n
+		sum.Skipped += to - from
 		mu.Unlock()
+		r.skip(from, to)
 	}
 
 	for w := 0; w < workers; w++ {
@@ -235,16 +258,16 @@ func (r *Runner) CampaignGroups(ctx context.Context, groups []Group) (Summary, e
 		go func() {
 			defer wg.Done()
 			for gi := range idx {
-				g := groups[gi]
+				g, end := groups[gi], base[gi]+len(groups[gi].Units)
 				for k := 0; k < len(g.Units); k++ {
 					if k > 0 && ctx.Err() != nil {
-						skip(len(g.Units) - k)
+						skip(base[gi]+k, end)
 						break
 					}
 					res := r.runUnit(ctx, base[gi]+k, g.Units[k])
 					account(res)
 					if g.Stop != nil && g.Stop(res) {
-						skip(len(g.Units) - k - 1)
+						skip(base[gi]+k+1, end)
 						break
 					}
 				}
@@ -270,8 +293,8 @@ dispatch:
 	close(idx)
 	wg.Wait()
 
-	for _, g := range groups[dispatched:] {
-		sum.Skipped += len(g.Units)
+	if dispatched < len(groups) {
+		skip(base[dispatched], sum.Units)
 	}
 	return sum, ctx.Err()
 }

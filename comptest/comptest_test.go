@@ -2,6 +2,7 @@ package comptest
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -365,6 +366,50 @@ func TestCampaignSinkOrderingUnderParallelism(t *testing.T) {
 		if seq != i {
 			t.Fatalf("ordered sink emitted seq %d at position %d", seq, i)
 		}
+	}
+}
+
+// TestCampaignGroupsStopOrdered: an Ordered sink over a campaign whose
+// groups short-circuit must see exactly the units that ran, in Seq
+// order — a stopped group's skipped Seqs must not hold back the units
+// after them.
+func TestCampaignGroupsStopOrdered(t *testing.T) {
+	units := matrixUnits(t)
+	var (
+		groups []Group
+		want   []int
+	)
+	stopFirst := func(Result) bool { return true }
+	for base, gi := 0, 0; base < len(units); base, gi = base+3, gi+1 {
+		end := min(base+3, len(units))
+		g := Group{Units: units[base:end]}
+		if gi%2 == 0 {
+			g.Stop = stopFirst // runs only its first unit
+			want = append(want, base)
+		} else {
+			for seq := base; seq < end; seq++ {
+				want = append(want, seq)
+			}
+		}
+		groups = append(groups, g)
+	}
+	var seqs []int
+	sink := Ordered(SinkFunc(func(res Result) {
+		seqs = append(seqs, res.Seq) // serialised by the runner: no lock needed
+	}))
+	r, err := NewRunner(WithParallelism(4), WithSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := r.CampaignGroups(context.Background(), groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Skipped != len(units)-len(want) {
+		t.Errorf("summary %s, want %d skipped", sum, len(units)-len(want))
+	}
+	if !slices.Equal(seqs, want) {
+		t.Errorf("ordered sink saw %d results %v,\nwant the %d executed units %v", len(seqs), seqs, len(want), want)
 	}
 }
 

@@ -34,7 +34,7 @@ type Options struct {
 	// StateDir, when set, makes the coordinator durable: every
 	// coordination event appends to <StateDir>/journal.ndjson, and on
 	// startup the journal is replayed — accepted jobs reappear,
-	// in-flight campaigns resume from their flushed stream offset, and
+	// in-flight jobs resume from their flushed stream offset, and
 	// shards whose workers retained them across the outage are
 	// re-adopted (re-attached, not re-run). If the directory or journal
 	// is unusable the error is logged and the coordinator runs
@@ -117,16 +117,15 @@ func (o Options) withDefaults() Options {
 
 // Coordinator is the distributed front of the campaign service: the
 // same job API as comptest/serve (it embeds a serve.Server), but jobs
-// execute by sharding their unit matrix over registered remote
-// workers. Campaign jobs are split into bounded chunks of scripts;
-// each chunk travels as an ordinary serve job (same wire format,
-// workbook shipped inline so the worker's content-addressed cache
-// parses it once per node) and the streamed per-unit NDJSON reports
-// merge back — exactly-once, in global unit order — into the job's
-// result log, byte-identical to a single-node run. Mutate and explore
-// jobs dispatch whole to one worker. With no live workers, everything
-// falls back to local execution: a coordinator alone behaves exactly
-// like a plain serve.Server.
+// execute as shards over registered remote workers. Campaign jobs are
+// split into bounded chunks of scripts; any other job is one
+// open-ended shard. Each shard travels as an ordinary serve job (same
+// wire format, workbook shipped inline so the worker's
+// content-addressed cache parses it once per node) and its streamed
+// NDJSON lines merge back — exactly-once, in global line order — into
+// the job's result log, byte-identical to a single-node run. With no
+// live workers, everything falls back to local execution: a
+// coordinator alone behaves exactly like a plain serve.Server.
 type Coordinator struct {
 	opts      Options
 	reg       *Registry
@@ -379,17 +378,11 @@ func permanentf(format string, args ...any) error {
 // (503). The worker is healthy — try another, don't mark it lost.
 var errBusy = errors.New("dist: worker queue full")
 
-// execute is the serve.Executor of the coordinator.
-func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, error) {
-	if ex.Spec.Kind == serve.KindCampaign {
-		return c.executeCampaign(ctx, ex)
-	}
-	return c.executeWhole(ctx, ex)
-}
-
-// shardSpec is one bounded chunk of a campaign's unit matrix. Units
-// are chunked contiguously, so shard-local line i is global unit
-// base+i — the sequence tag the merger dedups and orders on.
+// shardSpec is one piece of a job. A campaign shard is a bounded chunk
+// of the unit matrix, chunked contiguously, so shard-local line i is
+// global unit base+i — the sequence tag the merger dedups and orders
+// on. The open-ended shard of any other job kind has no names, and its
+// line i is global line i.
 type shardSpec struct {
 	base  int
 	names []string
@@ -490,39 +483,43 @@ func (p *progress) recoveredComplete(workerID string) {
 	p.push()
 }
 
-// tally accumulates per-unit verdicts as lines merge; only accepted
-// (non-duplicate) lines count, so requeued shards cannot double-book.
+// tally accumulates per-unit verdicts as campaign lines merge; only
+// accepted (non-duplicate) lines count, so requeued shards cannot
+// double-book.
 type tally struct {
 	mu                      sync.Mutex
 	passed, failed, errored int
 }
 
-// executeCampaign shards the campaign's script list and fans the
-// shards over the worker fleet.
-func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (string, error) {
-	scripts, err := ex.Art.Select(ex.Spec.Scripts)
+// dispatchJob is one execution's merge state, shared by all its
+// shards. The job kind decides only how a line merges (merge), how a
+// shard finishes (streamShard) and how the local fallback runs
+// (runShardLocal).
+type dispatchJob struct {
+	ex     serve.Execution
+	merger *report.Merger
+	tl     *tally
+	tm     *report.TraceMerger // nil unless the job is traced
+	prog   *progress
+	// verdict is the open-ended shard's verdict, written by the one
+	// goroutine that completes it and read after execute's Wait.
+	verdict string
+}
+
+func (j *dispatchJob) campaign() bool { return j.ex.Spec.Kind == serve.KindCampaign }
+
+// execute is the serve.Executor of the coordinator. Every job kind runs
+// as shards merged exactly-once, in global line order, into the job's
+// result log: a campaign's script list is chunked into bounded shards,
+// and any other job is one open-ended shard at base 0 whose stream —
+// identical at every parallelism — merges line by line. Either way a
+// requeued, re-adopted or locally re-run stream dedups on line position.
+func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, error) {
+	rec := c.takeRecovered(ex.ID)
+	shards, err := c.planShards(ex, rec)
 	if err != nil {
 		return "", err
 	}
-	names := make([]string, len(scripts))
-	for i, sc := range scripts {
-		names[i] = sc.Name
-	}
-	// A recovered job re-chunks with the shard size pinned in its plan
-	// record — auto-tuning may have picked a different size since, and
-	// shard boundaries must not move under the journaled dispatch state.
-	rec := c.takeRecovered(ex.ID)
-	size := c.opts.ShardUnits
-	switch {
-	case rec != nil && rec.shardUnits > 0:
-		size = rec.shardUnits
-	case c.opts.ShardTargetSeconds > 0:
-		mean, samples := c.srv.UnitCost()
-		size = autoShardSize(c.opts.ShardTargetSeconds, mean, samples, size)
-	}
-	c.journal.append(journalRec{T: "plan", Job: ex.ID, ShardUnits: size})
-	shards := chunkShards(names, size)
-	prog := newProgress(len(shards), ex.OnShards)
 	// The resumed merger's floor is the journaled stream offset: those
 	// lines are already in the (preloaded) result log, so re-deliveries
 	// of them — from re-adopted streams or re-run shards — drop as
@@ -531,20 +528,23 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 	if rec != nil {
 		floor = len(rec.lines)
 	}
-	merger := report.ResumeMerger(ex.Log, floor)
-	defer c.trackMerger(merger)()
-	tl := &tally{}
-	if rec != nil {
-		seedTally(tl, rec.lines)
+	j := &dispatchJob{
+		ex:     ex,
+		merger: report.ResumeMerger(ex.Log, floor),
+		tl:     &tally{},
+		prog:   newProgress(len(shards), ex.OnShards),
+	}
+	defer c.trackMerger(j.merger)()
+	if rec != nil && j.campaign() {
+		seedTally(j.tl, rec.lines)
 	}
 	// Traced campaigns reassemble the global span tree the same way the
 	// result log reassembles report lines: each shard's spans arrive as a
 	// complete subtree, are re-based onto the global unit sequence and
 	// released in order, so the merged NDJSON is byte-identical to a
 	// single-node `run -trace` of the same campaign.
-	var tm *report.TraceMerger
 	if ex.Trace != nil {
-		tm = report.NewTraceMerger(report.NewSpanWriter(ex.Trace))
+		j.tm = report.NewTraceMerger(report.NewSpanWriter(ex.Trace))
 	}
 
 	// A fatal shard error (permanent dispatch failure, local fallback
@@ -557,16 +557,19 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
+		units    int
 	)
 	for _, sh := range shards {
+		units += len(sh.names)
 		var adopt *dispatchRec
 		if rec != nil {
-			if tm == nil && sh.base+len(sh.names) <= floor {
+			if j.campaign() && j.tm == nil && sh.base+len(sh.names) <= floor {
 				// Every unit of this shard is below the flushed floor: the
 				// journal holds its full output, nothing re-runs. (Traced
 				// jobs skip this skip — spans are not journaled, so every
-				// shard re-attaches to rebuild the span tree.)
-				prog.recoveredComplete(rec.dispatches[sh.base].worker)
+				// shard re-attaches to rebuild the span tree. An open-ended
+				// shard never knows it is complete.)
+				j.prog.recoveredComplete(rec.dispatches[sh.base].worker)
 				continue
 			}
 			if d, ok := rec.dispatches[sh.base]; ok {
@@ -576,7 +579,7 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 		wg.Add(1)
 		go func(sh shardSpec, adopt *dispatchRec) {
 			defer wg.Done()
-			if err := c.runShard(dctx, ex, sh, adopt, merger, tl, prog, tm); err != nil && dctx.Err() == nil {
+			if err := c.runShard(dctx, j, sh, adopt); err != nil && dctx.Err() == nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -587,24 +590,31 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 		}(sh, adopt)
 	}
 	wg.Wait()
-	if tm != nil {
+	if j.tm != nil {
 		// Unconditional, mirroring the single-node runner: even a failed
 		// campaign closes its trace with whatever units completed.
-		tm.Flush()
+		j.tm.Flush()
 	}
 
-	tl.mu.Lock()
-	st := serve.CampaignStatus{Units: len(names), Passed: tl.passed,
-		Failed: tl.failed, Errored: tl.errored}
-	tl.mu.Unlock()
-	// Skipped = units with no accounted outcome. The tally counts every
-	// accepted line — including ones still buffered behind a gap the
-	// failed job will never fill — so deriving Skipped from the tally
-	// (not from merger.Written()) keeps the four buckets summing to
-	// Units even on partial failures.
-	st.Skipped = st.Units - st.Passed - st.Failed - st.Errored
-	if ex.OnCampaign != nil {
-		ex.OnCampaign(st)
+	verdict := j.verdict
+	if j.campaign() {
+		j.tl.mu.Lock()
+		st := serve.CampaignStatus{Units: units, Passed: j.tl.passed,
+			Failed: j.tl.failed, Errored: j.tl.errored}
+		j.tl.mu.Unlock()
+		// Skipped = units with no accounted outcome. The tally counts every
+		// accepted line — including ones still buffered behind a gap the
+		// failed job will never fill — so deriving Skipped from the tally
+		// (not from merger.Written()) keeps the four buckets summing to
+		// Units even on partial failures.
+		st.Skipped = st.Units - st.Passed - st.Failed - st.Errored
+		if ex.OnCampaign != nil {
+			ex.OnCampaign(st)
+		}
+		verdict = "red"
+		if st.Passed == st.Units {
+			verdict = "green"
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -612,13 +622,39 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 	if firstErr != nil {
 		return "", firstErr
 	}
-	if err := merger.Err(); err != nil {
+	if err := j.merger.Err(); err != nil {
 		return "", err
 	}
-	if st.Passed == st.Units {
-		return "green", nil
+	return verdict, nil
+}
+
+// planShards chunks a campaign's script list into bounded shards; any
+// other job kind is one open-ended shard at base 0 with no unit list.
+func (c *Coordinator) planShards(ex serve.Execution, rec *recoveredJob) ([]shardSpec, error) {
+	if ex.Spec.Kind != serve.KindCampaign {
+		return []shardSpec{{}}, nil
 	}
-	return "red", nil
+	scripts, err := ex.Art.Select(ex.Spec.Scripts)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(scripts))
+	for i, sc := range scripts {
+		names[i] = sc.Name
+	}
+	// A recovered job re-chunks with the shard size pinned in its plan
+	// record — auto-tuning may have picked a different size since, and
+	// shard boundaries must not move under the journaled dispatch state.
+	size := c.opts.ShardUnits
+	switch {
+	case rec != nil && rec.shardUnits > 0:
+		size = rec.shardUnits
+	case c.opts.ShardTargetSeconds > 0:
+		mean, samples := c.srv.UnitCost()
+		size = autoShardSize(c.opts.ShardTargetSeconds, mean, samples, size)
+	}
+	c.journal.append(journalRec{T: "plan", Job: ex.ID, ShardUnits: size})
+	return chunkShards(names, size), nil
 }
 
 // runShard drives one shard to completion: re-adopt it from a worker
@@ -629,14 +665,14 @@ func (c *Coordinator) executeCampaign(ctx context.Context, ex serve.Execution) (
 // of the shard. When no worker is live (or remote attempts are
 // exhausted, or a saturated fleet kept the shard waiting past the
 // steal deadline) the coordinator executes the shard itself.
-func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shardSpec, adopt *dispatchRec,
-	merger *report.Merger, tl *tally, prog *progress, tm *report.TraceMerger) error {
-	n := need{kind: serve.KindCampaign, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
+func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec, adopt *dispatchRec) error {
+	ex := j.ex
+	n := need{kind: ex.Spec.Kind, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
 	lg := execLogger(ex)
 	if adopt != nil {
-		aerr := c.adoptShard(ctx, *adopt, ex, sh, merger, tl, tm)
+		aerr := c.adoptShard(ctx, *adopt, j, sh)
 		if aerr == nil {
-			prog.readopted(adopt.worker)
+			j.prog.readopted(adopt.worker)
 			c.mShardsReadopted.Inc()
 			c.mShardsCompleted.Inc()
 			lg.Info("shard re-adopted", "shard", sh.base, "worker", adopt.worker, "units", len(sh.names))
@@ -651,10 +687,10 @@ func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shard
 		}
 		// The retained job is gone (worker restarted during the outage,
 		// retention evicted it, …): erase the stale address and fall
-		// through to a normal dispatch. Units it already delivered sit
+		// through to a normal dispatch. Lines it already delivered sit
 		// below the merger floor and stay exactly-once.
 		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		prog.requeued()
+		j.prog.requeued()
 		c.mRequeues.Inc()
 		lg.Warn("shard re-adoption failed; redispatching",
 			"shard", sh.base, "worker", adopt.worker, "error", aerr.Error())
@@ -665,35 +701,35 @@ func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shard
 			return err
 		}
 		if attempt >= c.opts.MaxAttempts {
-			prog.local()
+			j.prog.local()
 			c.mShardsLocal.Inc()
 			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
+			return c.runShardLocal(ctx, j, sh)
 		}
 		ls, stole, err := c.reg.acquire(ctx, n, exclude, c.stealDeadline())
 		if stole {
-			prog.stolen()
+			j.prog.stolen()
 			c.mShardsStolen.Inc()
 			lg.Info("shard stolen by local executor", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
+			return c.runShardLocal(ctx, j, sh)
 		}
 		if errors.Is(err, ErrNoWorkers) {
-			prog.local()
+			j.prog.local()
 			c.mShardsLocal.Inc()
 			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, ex, sh, merger, tl, tm)
+			return c.runShardLocal(ctx, j, sh)
 		}
 		if err != nil {
 			return err
 		}
 		lg.Info("shard dispatched", "shard", sh.base, "worker", ls.id, "units", len(sh.names))
 		t0 := c.clock()
-		derr := c.dispatchShard(ctx, ls, ex, sh, merger, tl, tm)
+		derr := c.dispatchShard(ctx, ls, j, sh)
 		c.reg.release(ls.id)
 		if derr == nil {
 			secs := c.clock().Sub(t0).Seconds()
 			c.mShardRoundtrip.Observe(secs)
-			prog.completed(ls.id)
+			j.prog.completed(ls.id)
 			c.mShardsCompleted.Inc()
 			lg.Info("shard merged", "shard", sh.base, "worker", ls.id, "seconds", secs)
 			return nil
@@ -723,7 +759,7 @@ func (c *Coordinator) runShard(ctx context.Context, ex serve.Execution, sh shard
 		c.reg.MarkLost(ls.id)
 		exclude[ls.id] = true
 		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		prog.requeued()
+		j.prog.requeued()
 		c.mRequeues.Inc()
 		lg.Warn("shard requeued", "shard", sh.base, "worker", ls.id, "error", derr.Error())
 	}
@@ -773,12 +809,13 @@ func execLogger(ex serve.Execution) *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// forward classifies one NDJSON line from a shard stream, rewrites
-// error-line sequence numbers (report.ErrorLine — a unit that produced
-// no report) to the global numbering, tallies the verdict and merges
-// the line. Duplicate sequences (requeue re-delivery) are dropped by
-// the merger and not tallied.
-func forward(seq int, line []byte, merger *report.Merger, tl *tally) error {
+// merge adds one stream line (without its newline) as global line seq.
+// Any job but a campaign merges the line verbatim. A campaign line is
+// classified: error-line sequence numbers (report.ErrorLine — a unit
+// that produced no report) are rewritten to the global numbering and
+// the verdict is tallied. Duplicate sequences (requeue re-delivery)
+// are dropped by the merger and not tallied.
+func (j *dispatchJob) merge(seq int, line []byte) error {
 	// line may alias a read buffer — never append to it in place.
 	nl := func(l []byte) []byte {
 		out := make([]byte, len(l)+1)
@@ -786,9 +823,14 @@ func forward(seq int, line []byte, merger *report.Merger, tl *tally) error {
 		out[len(l)] = '\n'
 		return out
 	}
+	if !j.campaign() {
+		_, err := j.merger.Add(seq, nl(line))
+		return err
+	}
+	tl := j.tl
 	rep, derr := report.DecodeJSON(line)
 	if derr == nil {
-		accepted, err := merger.Add(seq, nl(line))
+		accepted, err := j.merger.Add(seq, nl(line))
 		if err != nil {
 			return err
 		}
@@ -812,7 +854,7 @@ func forward(seq int, line []byte, merger *report.Merger, tl *tally) error {
 	if err != nil {
 		return err
 	}
-	accepted, err := merger.Add(seq, nl(out))
+	accepted, err := j.merger.Add(seq, nl(out))
 	if err != nil {
 		return err
 	}
@@ -852,25 +894,24 @@ func readLines(r io.Reader, fn func(line []byte) error) error {
 // content-addressed cache parses it once per node no matter how many
 // shards follow), stream its NDJSON, and merge each line under the
 // shard's global sequence numbers.
-func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, j *dispatchJob, sh shardSpec) error {
 	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 	defer cancel()
 
-	spec := ex.Spec
+	// The spec travels unchanged but for the unit list (nil for an
+	// open-ended shard, whose kind takes no script selector) and the
+	// workbook. The trace flag travels with a campaign shard: each
+	// worker records its units' spans on a shard-local simulated
+	// timeline, and the TraceMerger re-bases them onto the job's global
+	// sequence once the shard completes.
+	spec := j.ex.Spec
 	spec.Scripts = sh.names
-	spec.Workbook = string(ex.Art.Source)
+	spec.Workbook = string(j.ex.Art.Source)
 	spec.WorkbookName = ""
 	// The shard runs under the WORKER's admission: the tenant already
 	// passed the coordinator's front-door quota, and older workers
 	// reject specs with fields they don't know.
 	spec.Tenant = ""
-	// The trace flag travels with the shard: each worker records its
-	// units' spans on a shard-local simulated timeline, and the
-	// TraceMerger re-bases them onto the job's global sequence once the
-	// shard completes. Untraced jobs keep the flag off so workers skip
-	// the tracing observer's solver-sample cost.
-	spec.Trace = ex.Spec.Trace
 	jobID, err := c.submit(sctx, ls.url, spec)
 	if err != nil {
 		return err
@@ -878,7 +919,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Exec
 	// Journaled after the submit succeeded: the remote job now exists
 	// and outlives this coordinator (workers retain terminal jobs), so
 	// a restarted coordinator can re-adopt it at this address.
-	c.journal.append(journalRec{T: "dispatch", Job: ex.ID, Shard: sh.base,
+	c.journal.append(journalRec{T: "dispatch", Job: j.ex.ID, Shard: sh.base,
 		Worker: ls.id, URL: ls.url, Remote: jobID})
 	complete := false
 	defer func() {
@@ -890,7 +931,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Exec
 			c.cancelRemote(ls.url, jobID)
 		}
 	}()
-	if err := c.streamShard(sctx, ls, jobID, ex, sh, merger, tl, tm); err != nil {
+	if err := c.streamShard(sctx, ls, jobID, j, sh); err != nil {
 		return err
 	}
 	complete = true
@@ -899,9 +940,10 @@ func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, ex serve.Exec
 
 // streamShard attaches to a worker-side shard job's stream — fresh
 // dispatch and crash re-adoption share this path — and merges each
-// line under the shard's global sequence numbers.
-func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+// line under the shard's global sequence numbers. A campaign shard is
+// complete when it delivered one line per unit; an open-ended shard
+// when its remote job is done, whose verdict and status it relays.
+func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, j *dispatchJob, sh shardSpec) error {
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet,
 		ls.url+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
@@ -917,45 +959,63 @@ func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, 
 	}
 	idx := 0
 	if err := readLines(resp.Body, func(line []byte) error {
-		if idx >= len(sh.names) {
+		if j.campaign() && idx >= len(sh.names) {
 			return permanentf("dist: worker %s streamed more lines than the shard has units (%d)", ls.id, len(sh.names))
 		}
-		if err := forward(sh.base+idx, line, merger, tl); err != nil {
+		if err := j.merge(sh.base+idx, line); err != nil {
 			return err
 		}
 		idx++
 		return nil
 	}); err != nil {
 		var pe *permanentError
-		if errors.As(err, &pe) || merger.Err() != nil {
+		if errors.As(err, &pe) || j.merger.Err() != nil {
 			return err
 		}
-		return fmt.Errorf("dist: shard stream from %s broke after %d/%d units: %w",
-			ls.id, idx, len(sh.names), err)
+		return fmt.Errorf("dist: shard stream from %s broke after %d lines: %w", ls.id, idx, err)
 	}
-	if idx < len(sh.names) {
-		// The stream ended cleanly but short: the remote job terminated
-		// without covering the shard. If the worker reports the job
-		// FAILED, a retry elsewhere fails identically — surface it.
-		if msg, failed := c.remoteFailure(ls.url, jobID); failed {
-			return permanentf("dist: worker %s failed the shard: %s", ls.id, msg)
+	if j.campaign() && idx == len(sh.names) {
+		// A cleanly-EOF'd full-length stream means the remote job reached
+		// a terminal state, and the worker closes its trace log right
+		// after the result log — so the span NDJSON fetched now is
+		// complete. A short or broken stream never reaches this fetch;
+		// the requeued shard delivers its spans instead, and the
+		// TraceMerger's per-unit dedup absorbs any overlap exactly-once,
+		// like result lines.
+		if j.tm == nil {
+			return nil
 		}
-		return fmt.Errorf("dist: worker %s delivered %d/%d units", ls.id, idx, len(sh.names))
-	}
-	// A cleanly-EOF'd full-length stream means the remote job reached a
-	// terminal state, and the worker closes its trace log right after
-	// the result log — so the span NDJSON fetched now is complete. A
-	// short or broken stream never reaches this fetch; the requeued
-	// shard delivers its spans instead, and the TraceMerger's per-unit
-	// dedup absorbs any overlap exactly-once, like result lines.
-	if tm != nil {
 		spans, err := c.fetchTrace(sctx, ls, jobID)
 		if err != nil {
 			return err
 		}
-		if err := tm.Add(sh.base, spans); err != nil {
+		if err := j.tm.Add(sh.base, spans); err != nil {
 			return permanentf("dist: merge trace of shard %d from %s: %v", sh.base, ls.id, err)
 		}
+		return nil
+	}
+	// The stream ended cleanly: a short campaign shard or an open-ended
+	// one. The remote status tells a finished job from a failed one
+	// (which fails identically anywhere — surface it) and from a lost
+	// or cancelled one (requeue it).
+	st, err := c.remoteStatus(ls.url, jobID)
+	switch {
+	case err != nil:
+		return fmt.Errorf("dist: status of the shard on %s after %d lines: %w", ls.id, idx, err)
+	case st.State == serve.StateFailed:
+		return permanentf("dist: worker %s failed the shard: %s", ls.id, st.Error)
+	case st.State != serve.StateDone || j.campaign():
+		return fmt.Errorf("dist: worker %s delivered %d lines and ended the shard %s", ls.id, idx, st.State)
+	}
+	j.verdict = st.Verdict
+	if st.Mutation != nil && j.ex.OnMutation != nil {
+		j.ex.OnMutation(*st.Mutation)
+	}
+	if st.Exploration != nil && j.ex.OnExploration != nil {
+		j.ex.OnExploration(*st.Exploration)
+	}
+	if st.Vet != nil && j.ex.OnVet != nil {
+		j.ex.OnVet(*st.Vet)
 	}
 	return nil
 }
@@ -1051,33 +1111,23 @@ func (c *Coordinator) remoteStatus(baseURL, jobID string) (serve.JobStatus, erro
 	return st, nil
 }
 
-// remoteFailure reports whether the worker marked the job failed.
-func (c *Coordinator) remoteFailure(baseURL, jobID string) (string, bool) {
-	st, err := c.remoteStatus(baseURL, jobID)
-	if err != nil || st.State != serve.StateFailed {
-		return "", false
-	}
-	return st.Error, true
-}
-
-// lineForwarder adapts the local fallback's NDJSON sink to the merge
-// path: each Write is one newline-terminated line for shard-local unit
-// `idx`, forwarded under its global sequence number so local and
-// remote shards interleave correctly.
+// lineForwarder adapts the local fallback's NDJSON output to the merge
+// path: each Write is one newline-terminated line for shard-local line
+// `idx`, merged under its global sequence number so local and remote
+// shards interleave correctly, and lines an earlier worker already
+// delivered drop as duplicates.
 type lineForwarder struct {
-	base   int
-	idx    int
-	merger *report.Merger
-	tl     *tally
-	err    error
+	base int
+	idx  int
+	j    *dispatchJob
+	err  error
 }
 
 func (f *lineForwarder) Write(p []byte) (int, error) {
 	if f.err != nil {
 		return 0, f.err
 	}
-	line := bytes.TrimSuffix(p, []byte("\n"))
-	if err := forward(f.base+f.idx, line, f.merger, f.tl); err != nil {
+	if err := f.j.merge(f.base+f.idx, bytes.TrimSuffix(p, []byte("\n"))); err != nil {
 		f.err = err
 		return 0, err
 	}
@@ -1088,8 +1138,21 @@ func (f *lineForwarder) Write(p []byte) (int, error) {
 // runShardLocal executes a shard in-process — the fallback that keeps
 // a coordinator with no (surviving) workers behaving exactly like a
 // single-node server.
-func (c *Coordinator) runShardLocal(ctx context.Context, ex serve.Execution, sh shardSpec,
-	merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+func (c *Coordinator) runShardLocal(ctx context.Context, j *dispatchJob, sh shardSpec) error {
+	ex := j.ex
+	fw := &lineForwarder{base: sh.base, j: j}
+	if !j.campaign() {
+		// The open-ended shard is the whole job: the server's own engine
+		// streams the same lines a worker would, through the forwarder.
+		lex := ex
+		lex.Log = fw
+		verdict, err := c.srv.ExecuteLocal(ctx, lex)
+		if err != nil {
+			return err
+		}
+		j.verdict = verdict
+		return fw.err
+	}
 	factory, err := comptest.FaultedFactory(ex.Spec.DUT, ex.Spec.Faults...)
 	if err != nil {
 		return err
@@ -1106,7 +1169,7 @@ func (c *Coordinator) runShardLocal(ctx context.Context, ex serve.Execution, sh 
 		tracer *comptest.Tracer
 		col    *report.SpanCollector
 	)
-	if tm != nil {
+	if j.tm != nil {
 		col = &report.SpanCollector{}
 		tracer = comptest.NewTracer(col)
 	}
@@ -1119,7 +1182,6 @@ func (c *Coordinator) runShardLocal(ctx context.Context, ex serve.Execution, sh 
 			units[i].Observer = stand.MultiObserver(units[i].Observer, tracer.Observer(i))
 		}
 	}
-	fw := &lineForwarder{base: sh.base, merger: merger, tl: tl}
 	opts := []comptest.Option{
 		comptest.WithStand(ex.Spec.Stand),
 		comptest.WithParallelism(ex.Spec.Parallelism),
@@ -1140,182 +1202,9 @@ func (c *Coordinator) runShardLocal(ctx context.Context, ex serve.Execution, sh 
 	}
 	if tracer != nil {
 		tracer.Flush()
-		if err := tm.Add(sh.base, col.Spans()); err != nil {
+		if err := j.tm.Add(sh.base, col.Spans()); err != nil {
 			return permanentf("dist: merge trace of local shard %d: %v", sh.base, err)
 		}
 	}
 	return nil
-}
-
-// executeWhole dispatches a mutate or explore job in one piece to a
-// single worker and relays its stream verbatim. These engines stream
-// reports without per-unit sequence numbers, so a worker lost AFTER
-// lines were already relayed cannot be requeued exactly-once — the
-// job fails loudly instead of duplicating reports; a worker lost
-// BEFORE any line was relayed retries cleanly on a survivor.
-func (c *Coordinator) executeWhole(ctx context.Context, ex serve.Execution) (string, error) {
-	n := need{kind: ex.Spec.Kind, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
-	exclude := map[string]bool{}
-	prog := newProgress(1, ex.OnShards)
-	if rec := c.takeRecovered(ex.ID); rec != nil {
-		ad, held := rec.dispatches[wholeShard]
-		if held {
-			verdict, aerr := c.adoptWhole(ctx, ad, ex, len(rec.lines))
-			if aerr == nil {
-				prog.readopted(ad.worker)
-				c.mShardsReadopted.Inc()
-				c.mShardsCompleted.Inc()
-				execLogger(ex).Info("job re-adopted", "worker", ad.worker, "skipped", len(rec.lines))
-				return verdict, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return "", err
-			}
-			if len(rec.lines) > 0 {
-				// Reports already relayed and the retained job unreachable:
-				// with no sequence numbers to dedup on, a re-run would
-				// duplicate them. Fail loudly, like a mid-stream worker loss.
-				return "", fmt.Errorf("dist: cannot resume a %s job whose reports were already relayed "+
-					"(resubmit it): %w", ex.Spec.Kind, aerr)
-			}
-			c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: wholeShard})
-			prog.requeued()
-			c.mRequeues.Inc()
-			execLogger(ex).Warn("job re-adoption failed; redispatching", "worker", ad.worker, "error", aerr.Error())
-		} else if len(rec.lines) > 0 {
-			return "", fmt.Errorf("dist: cannot resume a %s job: %d reports were already relayed "+
-				"and no worker retains the job; resubmit it", ex.Spec.Kind, len(rec.lines))
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		ls, _, err := c.reg.acquire(ctx, n, exclude, 0)
-		if errors.Is(err, ErrNoWorkers) {
-			prog.local()
-			c.mShardsLocal.Inc()
-			return c.srv.ExecuteLocal(ctx, ex)
-		}
-		if err != nil {
-			return "", err
-		}
-		relayed := 0
-		verdict, derr := c.dispatchWhole(ctx, ls, ex, &relayed)
-		c.reg.release(ls.id)
-		if derr == nil {
-			prog.completed(ls.id)
-			c.mShardsCompleted.Inc()
-			return verdict, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		var pe *permanentError
-		if errors.As(derr, &pe) {
-			return "", derr
-		}
-		if relayed > 0 {
-			return "", fmt.Errorf("dist: worker %s lost after relaying %d reports of a %s job; "+
-				"resubmit the job (its stream has no unit sequence to dedup on)", ls.id, relayed, ex.Spec.Kind)
-		}
-		lastErr = derr
-		if errors.Is(derr, errBusy) {
-			select {
-			case <-ctx.Done():
-				return "", ctx.Err()
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
-		}
-		c.reg.MarkLost(ls.id)
-		exclude[ls.id] = true
-		prog.requeued()
-		c.mRequeues.Inc()
-	}
-	return "", fmt.Errorf("dist: %s job failed on %d workers: %w", ex.Spec.Kind, c.opts.MaxAttempts, lastErr)
-}
-
-func (c *Coordinator) dispatchWhole(ctx context.Context, ls lease, ex serve.Execution, relayed *int) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
-	defer cancel()
-	spec := ex.Spec
-	spec.Workbook = string(ex.Art.Source)
-	spec.WorkbookName = ""
-	spec.Tenant = "" // quota applies at the coordinator's front door only
-	spec.Trace = false // mutate/explore jobs reject the flag anyway
-	jobID, err := c.submit(sctx, ls.url, spec)
-	if err != nil {
-		return "", err
-	}
-	c.journal.append(journalRec{T: "dispatch", Job: ex.ID, Shard: wholeShard,
-		Worker: ls.id, URL: ls.url, Remote: jobID})
-	complete := false
-	defer func() {
-		if !complete {
-			c.cancelRemote(ls.url, jobID)
-		}
-	}()
-	verdict, err := c.streamWhole(sctx, ls, jobID, ex, 0, relayed)
-	if err != nil {
-		return "", err
-	}
-	complete = true
-	return verdict, nil
-}
-
-// streamWhole attaches to a worker-side mutate/explore job — fresh
-// dispatch and crash re-adoption share this path — skipping the first
-// skip lines (already relayed by a previous coordinator incarnation)
-// and relaying the rest verbatim, then reads the terminal status.
-func (c *Coordinator) streamWhole(sctx context.Context, ls lease, jobID string,
-	ex serve.Execution, skip int, relayed *int) (string, error) {
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, ls.url+"/v1/jobs/"+jobID+"/stream", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("dist: stream from %s: %w", ls.id, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("dist: stream from %s: status %d", ls.id, resp.StatusCode)
-	}
-	skipped := 0
-	if err := readLines(resp.Body, func(line []byte) error {
-		if skipped < skip {
-			skipped++
-			return nil
-		}
-		if _, err := ex.Log.Write(append(append([]byte(nil), line...), '\n')); err != nil {
-			return err
-		}
-		*relayed++
-		return nil
-	}); err != nil {
-		return "", fmt.Errorf("dist: stream from %s broke after %d reports: %w", ls.id, skipped+*relayed, err)
-	}
-	if skipped < skip {
-		return "", fmt.Errorf("dist: retained job on %s replayed only %d of %d already-relayed reports", ls.id, skipped, skip)
-	}
-	st, err := c.remoteStatus(ls.url, jobID)
-	if err != nil {
-		return "", fmt.Errorf("dist: terminal status from %s: %w", ls.id, err)
-	}
-	switch st.State {
-	case serve.StateDone:
-	case serve.StateFailed:
-		return "", permanentf("dist: worker %s failed the job: %s", ls.id, st.Error)
-	default:
-		return "", fmt.Errorf("dist: remote job ended %s", st.State)
-	}
-	if st.Mutation != nil && ex.OnMutation != nil {
-		ex.OnMutation(*st.Mutation)
-	}
-	if st.Exploration != nil && ex.OnExploration != nil {
-		ex.OnExploration(*st.Exploration)
-	}
-	return st.Verdict, nil
 }

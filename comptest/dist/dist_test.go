@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -194,6 +195,40 @@ func TestHandshakeRejectsProtocolMismatch(t *testing.T) {
 	}
 	if n := len(h.workers(t)); n != 0 {
 		t.Errorf("rejected worker appears in the registry (%d workers)", n)
+	}
+}
+
+// TestRestoreDropsOtherProtocolWorkers: a worker journaled by a build
+// of another protocol revision is not restored. Its heartbeat gets 404,
+// and the re-registration that 404 prompts gets the handshake's 409.
+func TestRestoreDropsOtherProtocolWorkers(t *testing.T) {
+	stateDir := t.TempDir()
+	journal := fmt.Sprintf(`{"t":"worker","info":{"id":"w-0001","url":"http://old","protocol":%d,"capacity":1}}`+"\n"+
+		`{"t":"worker","info":{"id":"w-0002","url":"http://new","protocol":%d,"capacity":1}}`+"\n",
+		version.Protocol-1, version.Protocol)
+	if err := os.WriteFile(journalPath(stateDir), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, Options{StateDir: stateDir})
+	ws := h.workers(t)
+	if len(ws) != 1 || ws[0].ID != "w-0002" {
+		t.Fatalf("restored workers %+v, want only w-0002", ws)
+	}
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(h.url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/workers/w-0001/heartbeat", nil); code != http.StatusNotFound {
+		t.Errorf("old-protocol worker heartbeat: status %d, want 404", code)
+	}
+	reg, _ := json.Marshal(RegisterRequest{URL: "http://old", Version: "old", Protocol: version.Protocol - 1})
+	if code := post("/v1/workers", reg); code != http.StatusConflict {
+		t.Errorf("old-protocol re-registration: status %d, want 409", code)
 	}
 }
 
@@ -527,27 +562,61 @@ func TestLocalFallbackWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestMutateJobDispatchesWhole: a mutate job runs remotely in one
-// piece, its stream relays verbatim, and the worker's kill-matrix
-// summary lands in the coordinator job status.
-func TestMutateJobDispatchesWhole(t *testing.T) {
-	h := newHarness(t, Options{})
-	h.startWorker(t, WorkerOptions{Name: "solo"})
-	st := h.submit(t, `{"kind":"mutate","dut":"interior_light","parallelism":2}`)
-	raw := h.streamRaw(t, st.ID)
-	final := h.status(t, st.ID)
-	if final.State != serve.StateDone || final.Verdict != "green" {
-		t.Fatalf("final = %s/%s (%s)", final.State, final.Verdict, final.Error)
-	}
-	m := final.Mutation
-	if m == nil || m.Mutants == 0 || m.Killed == 0 || m.Errored != 0 {
-		t.Fatalf("mutation summary not relayed: %+v", m)
-	}
-	if lines := bytes.Count(raw, []byte("\n")); lines <= m.Mutants {
-		t.Errorf("relayed %d lines, want > %d (baseline + mutants)", lines, m.Mutants)
-	}
-	if sh := final.Shards; sh == nil || sh.Completed != 1 || sh.Local != 0 {
-		t.Errorf("shard summary: %+v", final.Shards)
+// TestOpenShardRequeuesExactlyOnce: a mutate, explore or vet job is
+// one open-ended shard. Offered first to a worker that delivers one
+// line and dies, it requeues — onto a real worker, or for vet (which
+// real workers do not take) onto the local executor — whose complete
+// re-delivery dedups by line position: the job ends byte-identical to
+// a single-node run, with the engine's summary relayed.
+func TestOpenShardRequeuesExactlyOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec string
+		local      int // shards the coordinator must run itself
+		summary    func(serve.JobStatus) bool
+	}{
+		{"mutate", `{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":4}`, 0,
+			func(st serve.JobStatus) bool { return st.Mutation != nil && st.Mutation.Killed > 0 }},
+		{"explore", `{"kind":"explore","budget":6,"seed":1,"parallelism":4}`, 0,
+			func(st serve.JobStatus) bool { return st.Exploration != nil && st.Exploration.Candidates == 6 }},
+		{"vet", `{"kind":"vet"}`, 1,
+			func(st serve.JobStatus) bool { return st.Vet != nil && st.Vet.Findings > 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := singleNodeRaw(t, tc.spec)
+			first, _, ok := bytes.Cut(want, []byte("\n"))
+			if !ok || bytes.Count(want, []byte("\n")) < 2 {
+				t.Fatalf("baseline too short to lose a worker mid-stream: %q", want)
+			}
+			h := newHarness(t, Options{})
+			flaky := &flakyWorker{firstLine: append(first, '\n')}
+			stub := httptest.NewServer(flaky.handler())
+			defer stub.Close()
+			registerStub(t, h.url, stub.URL, 1) // registered first: offered the job first
+			h.startWorker(t, WorkerOptions{Name: "reliable"})
+
+			st := h.submit(t, tc.spec)
+			got := h.streamRaw(t, st.ID)
+			final := h.status(t, st.ID)
+			if final.State != serve.StateDone {
+				t.Fatalf("final = %s/%s (%s)", final.State, final.Verdict, final.Error)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stream after requeue differs from single-node run (%d vs %d bytes)", len(got), len(want))
+			}
+			if !tc.summary(final) {
+				t.Errorf("engine summary not relayed: %+v", final)
+			}
+			sh := final.Shards
+			if sh == nil || sh.Total != 1 || sh.Completed != 1 || sh.Requeued < 1 || sh.Local != tc.local {
+				t.Errorf("shard summary: %+v, want 1 shard completed after >= 1 requeue, %d local", sh, tc.local)
+			}
+			flaky.mu.Lock()
+			jobs := flaky.jobs
+			flaky.mu.Unlock()
+			if jobs != 1 {
+				t.Errorf("flaky worker got %d jobs, want 1", jobs)
+			}
+		})
 	}
 }
 

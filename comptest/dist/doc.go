@@ -47,9 +47,12 @@
 // coordinator job cancels every in-flight shard dispatch and sends a
 // best-effort DELETE for the remote jobs.
 //
-// Mutate and explore jobs dispatch whole to a single worker (their
-// streams carry no unit sequence to dedup on) and are retried only if
-// nothing was relayed yet.
+// Mutate, explore and vet jobs take the same path as one open-ended
+// shard at base 0 with no unit list. Their streams are deterministic
+// (unit order at every parallelism), so line i is sequence i and the
+// same merger dedup makes their requeue, local fallback and crash
+// recovery exactly-once. The shard is complete when the remote job is
+// done; its verdict and engine status are relayed to the job.
 //
 // The coordinator's GET /metrics answers for the whole fleet: it
 // scrapes every live worker's registry (each scrape bounded by

@@ -44,8 +44,8 @@ type journalRec struct {
 	// t=plan: the campaign's pinned shard chunking.
 	ShardUnits int `json:"shard_units,omitempty"`
 
-	// t=dispatch / t=requeue. Shard is the shard's base unit sequence;
-	// wholeShard (-1) marks a mutate/explore job dispatched in one piece.
+	// t=dispatch / t=requeue. Shard is the shard's base line sequence
+	// (0 for the one open-ended shard of a non-campaign job).
 	Shard  int    `json:"shard"`
 	Worker string `json:"worker,omitempty"`
 	URL    string `json:"url,omitempty"`
@@ -61,8 +61,6 @@ type journalRec struct {
 	// t=worker / t=worker_gone: fleet membership.
 	Info *WorkerInfo `json:"info,omitempty"`
 }
-
-const wholeShard = -1
 
 // journal is the append side. A nil *journal is valid and drops every
 // append — call sites stay unconditional whether or not -state-dir is

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"fmt"
 
 	"repro/comptest/serve"
 	"repro/internal/report"
@@ -14,8 +13,9 @@ import (
 // preloaded, and when the executor picks one up it finds this state
 // waiting (takeRecovered) and resumes instead of restarting:
 //
-//   - shards whose units are all below the flushed floor are complete
-//     by construction (every line reached the stream) and are skipped;
+//   - campaign shards whose units are all below the flushed floor are
+//     complete by construction (every line reached the stream) and are
+//     skipped;
 //   - shards with a surviving dispatch address are RE-ADOPTED — the
 //     worker kept the shard job (and kept executing it through the
 //     outage), so the coordinator re-attaches to its stream rather
@@ -110,9 +110,8 @@ func seedTally(tl *tally, lines [][]byte) {
 // under the shard's global sequence numbers, exactly like a fresh
 // dispatch. Any failure falls back to the normal dispatch path; the
 // remote job is then best-effort cancelled so the worker stops
-// computing units the requeue will re-deliver.
-func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, ex serve.Execution,
-	sh shardSpec, merger *report.Merger, tl *tally, tm *report.TraceMerger) error {
+// computing lines the requeue will re-deliver.
+func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, j *dispatchJob, sh shardSpec) error {
 	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
 	defer cancel()
 	ls := lease{id: ad.worker, url: ad.url}
@@ -122,39 +121,9 @@ func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, ex serve.E
 			c.cancelRemote(ad.url, ad.remote)
 		}
 	}()
-	if err := c.streamShard(sctx, ls, ad.remote, ex, sh, merger, tl, tm); err != nil {
+	if err := c.streamShard(sctx, ls, ad.remote, j, sh); err != nil {
 		return err
 	}
 	complete = true
 	return nil
-}
-
-// adoptWhole re-attaches to a retained mutate/explore job. The first
-// skip relayed lines were already journaled and are dropped; the rest
-// relay as usual. Whole jobs have no sequence numbers to dedup on, so
-// re-adoption is the ONLY way such a job survives a coordinator crash
-// once lines were relayed — a failed re-attach surfaces as a job
-// error telling the operator to resubmit.
-func (c *Coordinator) adoptWhole(ctx context.Context, ad dispatchRec, ex serve.Execution, skip int) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
-	defer cancel()
-	ls := lease{id: ad.worker, url: ad.url}
-	relayed := 0
-	complete := false
-	defer func() {
-		if !complete {
-			c.cancelRemote(ad.url, ad.remote)
-		}
-	}()
-	verdict, err := c.streamWhole(sctx, ls, ad.remote, ex, skip, &relayed)
-	if err != nil {
-		if relayed > 0 {
-			return "", fmt.Errorf("dist: lost worker %s after re-adopting %d reports of a %s job; "+
-				"resubmit the job (its stream has no unit sequence to dedup on): %v",
-				ad.worker, skip+relayed, ex.Spec.Kind, err)
-		}
-		return "", err
-	}
-	complete = true
-	return verdict, nil
 }

@@ -280,6 +280,72 @@ func TestRecoveryReadoptsRetainedShard(t *testing.T) {
 	}
 }
 
+// TestRecoveryResumesOpenShard: a mutate job — one open-ended shard —
+// crashed with three lines journaled while its dispatch address points
+// at a worker that no longer exists. The restarted coordinator fails
+// the re-adoption, requeues the shard (here onto its own executor, the
+// fleet being empty), and the full re-delivery dedups below the
+// journaled floor: the stream is byte-identical to a single-node run.
+func TestRecoveryResumesOpenShard(t *testing.T) {
+	const spec = `{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":4}`
+	want := singleNodeRaw(t, spec)
+	stateDir := t.TempDir()
+
+	// Epoch 0 journals the accepted job and its lines; its records are
+	// then cut back to the state a crash three lines in would leave.
+	a := newHarness(t, Options{StateDir: stateDir})
+	st := a.submit(t, spec)
+	if got := a.streamRaw(t, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("uninterrupted coordinator run differs from single-node run")
+	}
+	a.ts.Close()
+	a.c.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	raw, err := os.ReadFile(journalPath(stateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashed bytes.Buffer
+	lines := 0
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		var rec journalRec
+		if json.Unmarshal(line, &rec) != nil {
+			continue
+		}
+		switch {
+		case rec.T == "job":
+			crashed.Write(line)
+			fmt.Fprintf(&crashed, `{"t":"dispatch","job":%q,"shard":0,"worker":"w-0001","url":%q,"remote":"job-000001"}`+"\n",
+				st.ID, gone.URL)
+		case rec.T == "line" && lines < 3:
+			crashed.Write(line)
+			lines++
+		}
+	}
+	if lines != 3 {
+		t.Fatalf("journal held %d line records, want 3", lines)
+	}
+	if err := os.WriteFile(journalPath(stateDir), crashed.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b := newHarness(t, Options{StateDir: stateDir})
+	if got := streamURL(t, b.url, st.ID); !bytes.Equal(got, want) {
+		t.Errorf("resumed stream differs from single-node run (%d vs %d bytes)", len(got), len(want))
+	}
+	final := b.status(t, st.ID)
+	if final.State != serve.StateDone || !final.Recovered {
+		t.Fatalf("final = %s/%s recovered=%v (%s)", final.State, final.Verdict, final.Recovered, final.Error)
+	}
+	if m := final.Mutation; m == nil || m.Killed == 0 {
+		t.Errorf("mutation summary after recovery: %+v", m)
+	}
+	if sh := final.Shards; sh == nil || sh.Total != 1 || sh.Requeued != 1 || sh.Local != 1 {
+		t.Errorf("shard summary: %+v, want the stale adoption requeued onto the local executor", sh)
+	}
+}
+
 // TestJournalTruncatedTail: a record torn mid-append by the crash is
 // discarded when — and only when — it is the journal's final line.
 // The same bytes mid-file are corruption and must fail loudly, with

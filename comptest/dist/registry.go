@@ -313,13 +313,16 @@ func (r *Registry) acquire(ctx context.Context, n need, exclude map[string]bool,
 // coordinator restart. Restored workers keep their IDs (the journal's
 // dispatch records address them) but start out of lease — their next
 // heartbeat, due within a third of the lease TTL, revives them without
-// a round of 404-driven re-registration. The ID sequence advances past
-// every restored worker so new registrations cannot collide.
+// a round of 404-driven re-registration. A worker journaled under
+// another protocol revision is dropped: its heartbeat gets 404, and
+// its re-registration the handshake's protocol conflict. The ID
+// sequence advances past every restored worker so new registrations
+// cannot collide.
 func (r *Registry) restore(infos []WorkerInfo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range infos {
-		if w.ID == "" || w.URL == "" {
+		if w.ID == "" || w.URL == "" || w.Protocol != version.Protocol {
 			continue
 		}
 		if _, dup := r.recs[w.ID]; dup {

@@ -85,8 +85,10 @@ type Options struct {
 	// entry (default 48, negative disables shrinking).
 	ShrinkBudget int
 	// Sink, when non-nil, additionally receives every stand execution's
-	// result as it completes — candidate walks, pinned verification,
-	// oracle scoring and shrink probes alike. The campaign service
+	// result — candidate walks, pinned verification, oracle scoring and
+	// shrink probes alike. Each batch of executions reaches it in unit
+	// order (the engine wraps it in comptest.Ordered per batch), so the
+	// stream is identical at every parallelism. The campaign service
 	// streams live NDJSON through this.
 	Sink comptest.Sink
 }
@@ -307,7 +309,7 @@ func (e *Explorer) campaign(ctx context.Context, units []comptest.Unit) ([]*repo
 		comptest.WithSink(collector),
 	}
 	if e.opts.Sink != nil {
-		ropts = append(ropts, comptest.WithSink(e.opts.Sink))
+		ropts = append(ropts, comptest.WithSink(comptest.Ordered(e.opts.Sink)))
 	}
 	runner, err := comptest.NewRunner(ropts...)
 	if err != nil {

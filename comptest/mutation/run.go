@@ -40,9 +40,12 @@ type Matrix struct {
 type Options struct {
 	// Parallelism bounds the campaign worker pool (default 1).
 	Parallelism int
-	// Sink, when non-nil, additionally receives every unit result as it
-	// completes — baseline runs and mutant runs alike, in completion
-	// order. The campaign service streams live NDJSON through this.
+	// Sink, when non-nil, additionally receives every unit result —
+	// baseline runs and mutant runs alike — in completion order. Wrap it
+	// in comptest.Ordered to receive the executed units in Seq order
+	// instead: the executed set is fixed by each mutant's own results,
+	// so that stream is identical at every parallelism. The campaign
+	// service streams live NDJSON this way.
 	Sink comptest.Sink
 	// KillStats, when non-nil, orders each mutant's scripts by their
 	// demonstrated kill count from a previous run (lint.ReadKillMatrixFile

@@ -196,3 +196,18 @@ func (r *Runner) emit(res Result) {
 		s.Emit(res)
 	}
 }
+
+// skip tells every Ordered sink that Seqs [from, to) will never be
+// emitted. Empty ranges are no-ops.
+func (r *Runner) skip(from, to int) {
+	if from >= to {
+		return
+	}
+	r.emitMu.Lock()
+	defer r.emitMu.Unlock()
+	for _, s := range r.sinks {
+		if o, ok := s.(*orderedSink); ok {
+			o.skip(from, to)
+		}
+	}
+}

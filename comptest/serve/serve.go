@@ -828,7 +828,8 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 }
 
 // runMutate executes the kill matrix of the job's suite, streaming
-// baseline and mutant reports as they complete.
+// baseline and mutant reports in unit order — the same bytes at every
+// parallelism, so a distributed requeue can dedup them by position.
 func (s *Server) runMutate(ctx context.Context, ex Execution) (string, error) {
 	plan, err := mutation.Enumerate(ex.Spec.DUT, ex.Spec.Stand, ex.Art.Suite)
 	if err != nil {
@@ -836,7 +837,7 @@ func (s *Server) runMutate(ctx context.Context, ex Execution) (string, error) {
 	}
 	mat, err := mutation.Run(ctx, plan, mutation.Options{
 		Parallelism: ex.Spec.Parallelism,
-		Sink:        comptest.NDJSON(ex.Log),
+		Sink:        comptest.Ordered(comptest.NDJSON(ex.Log)),
 	})
 	if err != nil {
 		return "", err

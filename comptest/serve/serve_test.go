@@ -282,6 +282,45 @@ func TestExploreJob(t *testing.T) {
 	}
 }
 
+// TestJobStreamsStableAcrossParallelism: mutate and explore jobs
+// stream in unit order, so the raw NDJSON is byte-identical at every
+// parallelism — the property that lets a distributed coordinator dedup
+// a requeued job's stream by line position.
+func TestJobStreamsStableAcrossParallelism(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 3})
+	raw := func(spec string) []byte {
+		st := ts.submit(t, spec)
+		resp, err := http.Get(ts.url + "/v1/jobs/" + st.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := ts.status(t, st.ID); final.State != StateDone {
+			t.Fatalf("%s: final = %s (%s)", spec, final.State, final.Error)
+		}
+		return body
+	}
+	for _, spec := range []string{
+		`{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":%d}`,
+		`{"kind":"explore","budget":6,"seed":1,"parallelism":%d}`,
+	} {
+		want := raw(fmt.Sprintf(spec, 1))
+		if len(want) == 0 {
+			t.Fatalf("%s streamed nothing", spec)
+		}
+		for _, par := range []int{4, 8} {
+			if got := raw(fmt.Sprintf(spec, par)); !bytes.Equal(got, want) {
+				t.Errorf("%s: stream at parallelism %d differs from parallelism 1 (%d vs %d bytes)",
+					fmt.Sprintf(spec, par), par, len(got), len(want))
+			}
+		}
+	}
+}
+
 // cancelObserver fires f once, at the end of the first executed step.
 type cancelObserver struct {
 	once sync.Once

@@ -163,4 +163,3 @@ func EvalSLO(snap Snapshot, objs []Objective) SLOReport {
 	}
 	return rep
 }
-

@@ -101,8 +101,8 @@ func TestEvalSLOFleetFold(t *testing.T) {
 		mk(0.5, 20).WithLabel("worker", "w-0002"), // one outlier past every bound
 	)
 	rep := EvalSLO(fleet, []Objective{
-		{Metric: "unit_seconds", Quantile: 0.5, Max: 1},     // p50 well inside
-		{Metric: "unit_seconds", Quantile: 0.99, Max: 1},    // p99 hits the outlier
+		{Metric: "unit_seconds", Quantile: 0.5, Max: 1},  // p50 well inside
+		{Metric: "unit_seconds", Quantile: 0.99, Max: 1}, // p99 hits the outlier
 		{Metric: "never_observed_seconds", Quantile: 0.95, Max: 1},
 	})
 	if len(rep.Results) != 3 {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -105,30 +104,6 @@ func (m *Merger) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.pending)
-}
-
-// Missing lists the sequence gaps below the highest accepted sequence
-// — the units a cancelled or failed distributed job never delivered.
-func (m *Merger) Missing() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.pending) == 0 {
-		return nil
-	}
-	top := m.next
-	for seq := range m.pending {
-		if seq > top {
-			top = seq
-		}
-	}
-	var gaps []int
-	for seq := m.next; seq <= top; seq++ {
-		if _, ok := m.pending[seq]; !ok {
-			gaps = append(gaps, seq)
-		}
-	}
-	sort.Ints(gaps)
-	return gaps
 }
 
 // Err returns the latched write error, or nil.

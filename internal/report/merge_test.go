@@ -59,28 +59,6 @@ func TestMergerDropsDuplicateDeliveries(t *testing.T) {
 	}
 }
 
-// TestMergerMissingReportsGaps: a cancelled job leaves holes; Missing
-// names exactly the undelivered sequences below the high-water mark.
-func TestMergerMissingReportsGaps(t *testing.T) {
-	m := NewMerger(&bytes.Buffer{})
-	m.Add(0, line(0))
-	m.Add(3, line(3))
-	m.Add(5, line(5))
-	got := m.Missing()
-	want := []int{1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("missing = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("missing = %v, want %v", got, want)
-		}
-	}
-	if m.Written() != 1 || m.Pending() != 2 {
-		t.Errorf("written=%d pending=%d", m.Written(), m.Pending())
-	}
-}
-
 type failAfter struct {
 	n int
 }

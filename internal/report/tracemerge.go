@@ -33,12 +33,12 @@ import (
 type TraceMerger struct {
 	mu      sync.Mutex
 	sink    TraceSink
-	next    int              // next global unit seq to release
-	pending map[int][]Span   // buffered unit subtrees, unit-relative times
-	seen    map[int]bool     // global seqs accepted (released or buffered)
-	base    int64            // accumulated global timeline offset, ns
-	fail    bool             // any released unit not "pass"
-	count   int              // units released
+	next    int            // next global unit seq to release
+	pending map[int][]Span // buffered unit subtrees, unit-relative times
+	seen    map[int]bool   // global seqs accepted (released or buffered)
+	base    int64          // accumulated global timeline offset, ns
+	fail    bool           // any released unit not "pass"
+	count   int            // units released
 	written int
 	dupes   int
 }

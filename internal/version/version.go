@@ -15,8 +15,11 @@ import (
 // Protocol is the coordinator↔worker wire-protocol revision. A worker
 // whose Protocol differs from the coordinator's is rejected at
 // registration — shard specs and merge semantics are only defined
-// within one revision.
-const Protocol = 1
+// within one revision. Revision 2: every job kind streams in unit
+// order and merges by line position, so mutate, explore and vet jobs
+// requeue like campaign shards; a revision-1 worker streams mutate and
+// explore lines in completion order.
+const Protocol = 2
 
 // Module returns the module version stamped into the binary by the Go
 // toolchain, or "(devel)" for test and development builds.
