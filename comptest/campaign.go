@@ -104,49 +104,22 @@ func (c *Collector) Results() []Result {
 // the executed units, in Seq order. Use one Ordered wrapper per
 // campaign: Seq restarts at 0 for every Campaign call.
 func Ordered(s Sink) Sink {
-	return &orderedSink{inner: s, pending: map[int]Result{}, skipped: map[int]int{}}
+	return &orderedSink{report.NewSequencer(0, func(r Result) error {
+		s.Emit(r)
+		return nil
+	})}
 }
 
 type orderedSink struct {
-	mu      sync.Mutex
-	inner   Sink
-	next    int
-	pending map[int]Result
-	skipped map[int]int // first Seq of a never-emitted run → one past its last
+	seq *report.Sequencer[Result]
 }
 
-func (o *orderedSink) Emit(r Result) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.pending[r.Seq] = r
-	o.release()
-}
+// Emit and skip ignore the Sequencer's errors: its release never fails.
+func (o *orderedSink) Emit(r Result) { o.seq.Add(r.Seq, r) }
 
 // skip records that Seqs [from, to) will never be emitted, so release
 // passes over them instead of waiting forever.
-func (o *orderedSink) skip(from, to int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.skipped[from] = to
-	o.release()
-}
-
-func (o *orderedSink) release() {
-	for {
-		if res, ok := o.pending[o.next]; ok {
-			delete(o.pending, o.next)
-			o.next++
-			o.inner.Emit(res)
-			continue
-		}
-		to, ok := o.skipped[o.next]
-		if !ok {
-			return
-		}
-		delete(o.skipped, o.next)
-		o.next = to
-	}
-}
+func (o *orderedSink) skip(from, to int) { o.seq.Skip(from, to) }
 
 // Summary tallies a campaign. When the campaign is cancelled mid-run,
 // units that were never dispatched are counted in Skipped.

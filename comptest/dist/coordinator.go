@@ -152,7 +152,7 @@ type Coordinator struct {
 	mShardRoundtrip  *obs.Histogram
 	mScrapeSeconds   *obs.Histogram
 	mergerMu         sync.Mutex
-	mergers          map[*report.Merger]struct{}
+	mergers          map[*report.Sequencer[[]byte]]struct{}
 
 	// Durable state (nil / empty without Options.StateDir): the journal
 	// this coordinator appends to, and the replayed per-job state the
@@ -177,7 +177,7 @@ func New(opts Options) *Coordinator {
 		reg:       newRegistry(opts.LeaseTTL, opts.now),
 		client:    opts.Client,
 		stop:      make(chan struct{}),
-		mergers:   map[*report.Merger]struct{}{},
+		mergers:   map[*report.Sequencer[[]byte]]struct{}{},
 		recovered: map[string]*recoveredJob{},
 		logger:    opts.Logger,
 		clock:     opts.now,
@@ -380,7 +380,7 @@ var errBusy = errors.New("dist: worker queue full")
 
 // shardSpec is one piece of a job. A campaign shard is a bounded chunk
 // of the unit matrix, chunked contiguously, so shard-local line i is
-// global unit base+i — the sequence tag the merger dedups and orders
+// global unit base+i — the sequence tag the line merge dedups and orders
 // on. The open-ended shard of any other job kind has no names, and its
 // line i is global line i.
 type shardSpec struct {
@@ -496,11 +496,11 @@ type tally struct {
 // shard finishes (streamShard) and how the local fallback runs
 // (runShardLocal).
 type dispatchJob struct {
-	ex     serve.Execution
-	merger *report.Merger
-	tl     *tally
-	tm     *report.TraceMerger // nil unless the job is traced
-	prog   *progress
+	ex    serve.Execution
+	lines *report.Sequencer[[]byte] // result lines, released to ex.Log
+	tl    *tally
+	tm    *report.TraceMerger // nil unless the job is traced
+	prog  *progress
 	// verdict is the open-ended shard's verdict, written by the one
 	// goroutine that completes it and read after execute's Wait.
 	verdict string
@@ -520,21 +520,25 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 	if err != nil {
 		return "", err
 	}
-	// The resumed merger's floor is the journaled stream offset: those
-	// lines are already in the (preloaded) result log, so re-deliveries
-	// of them — from re-adopted streams or re-run shards — drop as
+	// The line merge's floor is the journaled stream offset: those lines
+	// are already in the (preloaded) result log, so re-deliveries of
+	// them — from re-adopted streams or re-run shards — drop as
 	// duplicates and the first line this process writes is line floor.
+	// Each line is written with exactly one Write call.
 	floor := 0
 	if rec != nil {
 		floor = len(rec.lines)
 	}
 	j := &dispatchJob{
-		ex:     ex,
-		merger: report.ResumeMerger(ex.Log, floor),
-		tl:     &tally{},
-		prog:   newProgress(len(shards), ex.OnShards),
+		ex: ex,
+		lines: report.NewSequencer(floor, func(l []byte) error {
+			_, err := ex.Log.Write(l)
+			return err
+		}),
+		tl:   &tally{},
+		prog: newProgress(len(shards), ex.OnShards),
 	}
-	defer c.trackMerger(j.merger)()
+	defer c.trackMerger(j.lines)()
 	if rec != nil && j.campaign() {
 		seedTally(j.tl, rec.lines)
 	}
@@ -605,7 +609,7 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 		// Skipped = units with no accounted outcome. The tally counts every
 		// accepted line — including ones still buffered behind a gap the
 		// failed job will never fill — so deriving Skipped from the tally
-		// (not from merger.Written()) keeps the four buckets summing to
+		// (not from the released lines) keeps the four buckets summing to
 		// Units even on partial failures.
 		st.Skipped = st.Units - st.Passed - st.Failed - st.Errored
 		if ex.OnCampaign != nil {
@@ -622,7 +626,7 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 	if firstErr != nil {
 		return "", firstErr
 	}
-	if err := j.merger.Err(); err != nil {
+	if err := j.lines.Err(); err != nil {
 		return "", err
 	}
 	return verdict, nil
@@ -660,7 +664,7 @@ func (c *Coordinator) planShards(ex serve.Execution, rec *recoveredJob) ([]shard
 // runShard drives one shard to completion: re-adopt it from a worker
 // that retained it across a coordinator restart (when recovery left a
 // dispatch address), else acquire a worker, dispatch, and on worker
-// loss requeue on a survivor — the merger's sequence dedup makes the
+// loss requeue on a survivor — the line merge's sequence dedup makes the
 // retry exactly-once even when the dead worker already delivered part
 // of the shard. When no worker is live (or remote attempts are
 // exhausted, or a saturated fleet kept the shard waiting past the
@@ -688,7 +692,7 @@ func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec
 		// The retained job is gone (worker restarted during the outage,
 		// retention evicted it, …): erase the stale address and fall
 		// through to a normal dispatch. Lines it already delivered sit
-		// below the merger floor and stay exactly-once.
+		// below the line merge's floor and stay exactly-once.
 		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
 		j.prog.requeued()
 		c.mRequeues.Inc()
@@ -814,9 +818,10 @@ func execLogger(ex serve.Execution) *slog.Logger {
 // classified: error-line sequence numbers (report.ErrorLine — a unit
 // that produced no report) are rewritten to the global numbering and
 // the verdict is tallied. Duplicate sequences (requeue re-delivery)
-// are dropped by the merger and not tallied.
+// are dropped by the line Sequencer and not tallied.
 func (j *dispatchJob) merge(seq int, line []byte) error {
-	// line may alias a read buffer — never append to it in place.
+	// line may alias a read buffer, and a buffered line lives until its
+	// turn: nl copies it, never appends in place.
 	nl := func(l []byte) []byte {
 		out := make([]byte, len(l)+1)
 		copy(out, l)
@@ -824,13 +829,13 @@ func (j *dispatchJob) merge(seq int, line []byte) error {
 		return out
 	}
 	if !j.campaign() {
-		_, err := j.merger.Add(seq, nl(line))
+		_, err := j.lines.Add(seq, nl(line))
 		return err
 	}
 	tl := j.tl
 	rep, derr := report.DecodeJSON(line)
 	if derr == nil {
-		accepted, err := j.merger.Add(seq, nl(line))
+		accepted, err := j.lines.Add(seq, nl(line))
 		if err != nil {
 			return err
 		}
@@ -854,7 +859,7 @@ func (j *dispatchJob) merge(seq int, line []byte) error {
 	if err != nil {
 		return err
 	}
-	accepted, err := j.merger.Add(seq, nl(out))
+	accepted, err := j.lines.Add(seq, nl(out))
 	if err != nil {
 		return err
 	}
@@ -969,7 +974,7 @@ func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, 
 		return nil
 	}); err != nil {
 		var pe *permanentError
-		if errors.As(err, &pe) || j.merger.Err() != nil {
+		if errors.As(err, &pe) || j.lines.Err() != nil {
 			return err
 		}
 		return fmt.Errorf("dist: shard stream from %s broke after %d lines: %w", ls.id, idx, err)

@@ -34,9 +34,9 @@
 //
 // The coordinator chunks a campaign's script list into shards of at
 // most Options.ShardUnits units. Chunks are contiguous, so line i of
-// a shard stream is global unit base+i; a report.Merger orders lines
-// by that global sequence, buffers early arrivals and drops
-// re-deliveries. That dedup is what makes failure handling simple: a
+// a shard stream is global unit base+i; a report.Sequencer orders
+// lines by that global sequence, buffers early arrivals and drops
+// re-deliveries (a sequence already released or pending). That dedup is what makes failure handling simple: a
 // worker that dies mid-shard is marked lost and the WHOLE shard is
 // requeued on a survivor — units the dead worker already delivered
 // are dropped as duplicates, units it never reached merge from the
@@ -50,7 +50,7 @@
 // Mutate, explore and vet jobs take the same path as one open-ended
 // shard at base 0 with no unit list. Their streams are deterministic
 // (unit order at every parallelism), so line i is sequence i and the
-// same merger dedup makes their requeue, local fallback and crash
+// same positional dedup makes their requeue, local fallback and crash
 // recovery exactly-once. The shard is complete when the remote job is
 // done; its verdict and engine status are relayed to the job.
 //
@@ -72,7 +72,7 @@
 // report.TraceMerger re-bases the shard-local unit indices and time
 // offsets onto the global sequence — the merged span log is
 // byte-identical to a single-node run, with requeue duplicates dropped
-// exactly-once like result lines.
+// exactly-once by the same Sequencer dedup as result lines.
 //
 // Lifecycle transitions (worker registration and loss, shard
 // dispatch/merge/requeue) are logged as structured slog events with

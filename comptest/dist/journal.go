@@ -19,7 +19,7 @@ import (
 // text), its campaign plan (the shard size pinned at execute time, so
 // auto-tuned chunking replays identically), shard dispatches and
 // requeues (which worker holds which shard under which remote job ID —
-// the re-adoption addresses), every result line the merger flushed
+// the re-adoption addresses), every result line the line merge released
 // contiguously (so the recovered stream offset is simply the record
 // count), worker registrations, and terminal job statuses.
 //
@@ -51,7 +51,7 @@ type journalRec struct {
 	URL    string `json:"url,omitempty"`
 	Remote string `json:"remote,omitempty"`
 
-	// t=line: one result line the merger flushed to the job's stream
+	// t=line: one result line the line merge released to the job's stream
 	// (without the trailing newline; it is NDJSON-in-NDJSON otherwise).
 	Line string `json:"line,omitempty"`
 

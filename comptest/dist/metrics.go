@@ -86,9 +86,9 @@ func (c *Coordinator) MetricsHandler() http.Handler {
 	return http.HandlerFunc(c.handleMetrics)
 }
 
-// trackMerger adds a running campaign's merger to the pending-lines
-// gauge; the returned func removes it when the campaign ends.
-func (c *Coordinator) trackMerger(m *report.Merger) func() {
+// trackMerger adds a running job's line Sequencer to the pending-lines
+// gauge; the returned func removes it when the job ends.
+func (c *Coordinator) trackMerger(m *report.Sequencer[[]byte]) func() {
 	c.mergerMu.Lock()
 	c.mergers[m] = struct{}{}
 	c.mergerMu.Unlock()
@@ -100,7 +100,7 @@ func (c *Coordinator) trackMerger(m *report.Merger) func() {
 }
 
 // pendingMergeLines sums the out-of-order buffers of every running
-// campaign's merger — the live measure of how much re-ordering the
+// job's line Sequencer — the live measure of how much re-ordering the
 // requeue/dedup machinery is doing right now (satellite telemetry for
 // ShardStatus.Requeued bug-proofing: buffered lines must drain to zero
 // by the time the merge completes).

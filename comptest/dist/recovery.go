@@ -21,7 +21,7 @@ import (
 //     outage), so the coordinator re-attaches to its stream rather
 //     than re-running the units;
 //   - everything else goes through the normal dispatch/requeue path,
-//     and the resumed merger's floor plus sequence dedup keep the
+//     and the resumed line merge's floor plus sequence dedup keep the
 //     merged stream exactly-once no matter how re-delivery overlaps.
 
 // adoptReplayed installs the replayed journal state: fleet membership
@@ -86,7 +86,7 @@ func (c *Coordinator) takeRecovered(id string) *recoveredJob {
 // seedTally re-counts the recovered stream prefix into a fresh tally,
 // so CampaignStatus keeps summing to Units across the restart. Only
 // flushed (journaled) lines seed; re-delivered duplicates of them are
-// dropped by the resumed merger and never tallied twice.
+// dropped by the resumed line merge and never tallied twice.
 func seedTally(tl *tally, lines [][]byte) {
 	for _, line := range lines {
 		trimmed := line[:len(line)-1]

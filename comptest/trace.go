@@ -17,8 +17,8 @@ import (
 //   - [Tracer.Observer] builds the per-unit stand.Observer that records
 //     simulated-clock step boundaries while the unit executes;
 //   - the Tracer itself is a [Sink]: Emit tells it a unit's result is
-//     final, at which point the unit's spans are released in strict Seq
-//     order.
+//     final, at which point the unit's span subtree is built and handed
+//     to a [report.TraceMerger], which releases it in strict Seq order.
 //
 // All span times are simulated-clock offsets placed on an
 // as-if-sequential timeline: unit i starts where unit i-1 ended, no
@@ -29,21 +29,15 @@ import (
 // and the closing campaign span.
 type Tracer struct {
 	mu    sync.Mutex
-	sink  report.TraceSink
 	units map[int]*unitTrace
-	done  map[int]Result
-	next  int   // next seq to release
-	base  int64 // accumulated as-if-sequential timeline offset, ns
-	fail  bool  // any released unit failed or errored
-	count int   // units released
+	tm    *report.TraceMerger
 }
 
 // NewTracer returns a Tracer emitting to sink.
 func NewTracer(sink report.TraceSink) *Tracer {
 	return &Tracer{
-		sink:  sink,
 		units: make(map[int]*unitTrace),
-		done:  make(map[int]Result),
+		tm:    report.NewTraceMerger(sink),
 	}
 }
 
@@ -67,67 +61,35 @@ func (t *Tracer) Attach(units []Unit) {
 	}
 }
 
-// Emit implements Sink. The Runner serialises calls and emits a unit's
-// result on the goroutine that ran it, so the unit's observer callbacks
-// are complete by the time its result arrives here.
+// Emit implements Sink. The Runner emits a unit's result on the
+// goroutine that ran it, so the unit's observer callbacks are complete
+// by the time its result arrives here.
 func (t *Tracer) Emit(res Result) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.done[res.Seq] = res
-	for {
-		r, ok := t.done[t.next]
-		if !ok {
-			return
-		}
-		delete(t.done, t.next)
-		t.release(r)
-		t.next++
+	ut := t.units[res.Seq]
+	delete(t.units, res.Seq)
+	t.mu.Unlock()
+	if ut == nil {
+		ut = &unitTrace{}
 	}
+	t.tm.AddUnit(res.Seq, ut.subtree(res))
 }
 
 // Flush releases any still-buffered units (gaps left by cancelled,
 // never-dispatched units are skipped) and closes the trace with the
 // campaign span. Call it once, after Campaign has returned.
-func (t *Tracer) Flush() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Remaining buffered results, in seq order past any gaps.
-	for len(t.done) > 0 {
-		if r, ok := t.done[t.next]; ok {
-			delete(t.done, t.next)
-			t.release(r)
-		}
-		t.next++
-	}
-	verdict := "pass"
-	if t.fail || t.count == 0 {
-		verdict = "fail"
-	}
-	t.sink.Span(report.Span{
-		ID:      "c",
-		Kind:    report.SpanCampaign,
-		StartNS: 0,
-		DurNS:   t.base,
-		Verdict: verdict,
-	})
-}
+func (t *Tracer) Flush() { t.tm.Flush() }
 
-// release emits one unit's span subtree at the current timeline base.
-// Caller holds t.mu.
-func (t *Tracer) release(res Result) {
-	ut := t.units[res.Seq]
-	if ut == nil {
-		ut = &unitTrace{}
-	}
-	delete(t.units, res.Seq)
-
+// subtree builds the unit's span subtree, unit span first, with times
+// relative to the unit's start; the TraceMerger places it on the
+// campaign timeline.
+func (u *unitTrace) subtree(res Result) []report.Span {
 	uid := fmt.Sprintf("c/u%d", res.Seq)
 	unit := report.Span{
 		ID:      uid,
 		Parent:  "c",
 		Kind:    report.SpanUnit,
-		StartNS: t.base,
-		DurNS:   int64(ut.total),
+		DurNS:   int64(u.total),
 		Verdict: "fail",
 	}
 	if res.Unit.Script != nil {
@@ -136,7 +98,7 @@ func (t *Tracer) release(res Result) {
 	unit.Stand, unit.DUT = res.Unit.Stand, res.Unit.DUT
 	rep := res.Report
 	if rep == nil {
-		rep = ut.report
+		rep = u.report
 	}
 	if rep != nil {
 		// The report carries the resolved names ("" unit fields fall
@@ -149,20 +111,16 @@ func (t *Tracer) release(res Result) {
 			unit.Verdict = "pass"
 		}
 	}
-	if unit.Verdict != "pass" {
-		t.fail = true
-	}
-	t.count++
-	t.sink.Span(unit)
+	spans := make([]report.Span, 0, 2+len(u.steps))
+	spans = append(spans, unit)
 
-	if ut.haveInit {
-		t.sink.Span(report.Span{
-			ID:      uid + "/init",
-			Parent:  uid,
-			Kind:    report.SpanStep,
-			Name:    "init",
-			StartNS: t.base,
-			DurNS:   int64(ut.initEnd),
+	if u.haveInit {
+		spans = append(spans, report.Span{
+			ID:     uid + "/init",
+			Parent: uid,
+			Kind:   report.SpanStep,
+			Name:   "init",
+			DurNS:  int64(u.initEnd),
 		})
 	}
 	// Step verdicts fire before measurements are judged, so they are
@@ -175,30 +133,30 @@ func (t *Tracer) release(res Result) {
 			}
 		}
 	}
-	prev := ut.initEnd
-	for _, sm := range ut.steps {
+	prev := u.initEnd
+	for _, sm := range u.steps {
 		verdict := "pass"
 		if failed[sm.nr] {
 			verdict = "fail"
 		}
-		t.sink.Span(report.Span{
+		spans = append(spans, report.Span{
 			ID:      fmt.Sprintf("%s/s%d", uid, sm.nr),
 			Parent:  uid,
 			Kind:    report.SpanStep,
 			Name:    sm.remark,
 			Step:    sm.nr,
-			StartNS: t.base + int64(prev),
+			StartNS: int64(prev),
 			DurNS:   int64(sm.end - prev),
 			Verdict: verdict,
 		})
 		prev = sm.end
 	}
-	t.base += int64(ut.total)
+	return spans
 }
 
 // unitTrace records one unit's simulated-clock boundaries. It is only
-// touched by the unit's executing goroutine until the unit's Result is
-// emitted, then only under the Tracer's lock — no locking of its own.
+// touched by the unit's executing goroutine, which also emits the
+// unit's Result (and so builds its subtree) — no locking of its own.
 type unitTrace struct {
 	haveInit bool
 	initEnd  time.Duration

@@ -3,6 +3,9 @@ package comptest
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,6 +66,21 @@ func TestTraceByteStableAcrossParallelism(t *testing.T) {
 	again := runTraced(t, 4, traceUnits(t))
 	if !bytes.Equal(par, again) {
 		t.Errorf("trace differs across reruns")
+	}
+}
+
+// TestTraceGolden pins the parallelism-1 trace of traceUnits to the
+// SHA-256 in testdata/trace_golden.sha256. The parallelism and
+// distributed tests only compare this code with itself; the golden
+// catches a drift that shows the same way at every parallelism.
+func TestTraceGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/trace_golden.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := runTraced(t, 1, traceUnits(t))
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), strings.TrimSpace(string(raw)); got != want {
+		t.Errorf("trace sha256 %s, golden %s\ntrace:\n%s", got, want, b)
 	}
 }
 

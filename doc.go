@@ -36,7 +36,8 @@
 // /slo and `comptest slo`) behind serve's /metrics, internal/report
 // carries deterministic trace spans (campaign → unit → step) written
 // by `comptest run -trace` and re-based across shards by
-// report.TraceMerger so distributed traces stay byte-identical,
+// report.TraceMerger so distributed traces stay byte-identical (one
+// report.Sequencer orders and dedups every unit-ordered stream),
 // structured slog event logs correlate job/shard/worker across the
 // fleet, and opt-in pprof rides a -debug-addr listener. The
 // building blocks live under internal/, the command line tools under

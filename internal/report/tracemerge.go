@@ -2,54 +2,44 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// TraceMerger is the Merger's sibling for span streams: it reassembles
-// per-shard trace fragments into the one campaign → unit → step tree a
-// single-node traced run would have produced, byte for byte.
+// TraceMerger reassembles span streams into the one campaign → unit →
+// step tree a single-node traced run produces, byte for byte. It keeps
+// the trace's as-if-sequential timeline: each unit subtree is released
+// in unit order through a Sequencer and placed where the previous unit
+// ended, and Flush closes the trace with the campaign span. comptest's
+// Tracer feeds it one unit at a time (AddUnit); the coordinator feeds
+// it whole shard streams (Add).
 //
 // Each shard job is itself a complete traced campaign on its worker, so
 // its span stream uses shard-local unit numbering ("c/u0", "c/u1", …)
 // and shard-local as-if-sequential times starting at 0. Add re-bases
 // both onto the global campaign: shard-local unit i becomes global unit
 // base+i (IDs rewritten through the whole subtree), and every span's
-// start time is first normalised to its unit's own origin, then placed
-// where the previous global unit ended — exactly the accumulation
-// comptest's Tracer performs when all units run on one node. The
-// shard's own closing campaign span is dropped; Flush emits the global
-// one.
+// start time is normalised to its unit's own origin. The shard's own
+// closing campaign span is dropped.
 //
-// Units are released in strict global sequence order and deduplicated
-// by sequence, mirroring the result Merger: a requeued shard re-delivers
-// every unit it covers, and the units whose spans already merged before
-// the worker died must not appear twice. Dedup is per unit subtree, not
-// per span — a unit's spans either all merged or none did, because Add
-// only ever sees the complete stream of a shard whose result stream
-// finished cleanly.
+// A requeued shard re-delivers every unit it covers; the Sequencer's
+// positional dedup drops the units whose spans already merged. Dedup is
+// per unit subtree, not per span — a unit's spans either all merged or
+// none did, because Add only ever sees the complete stream of a shard
+// whose result stream finished cleanly.
 type TraceMerger struct {
-	mu      sync.Mutex
-	sink    TraceSink
-	next    int            // next global unit seq to release
-	pending map[int][]Span // buffered unit subtrees, unit-relative times
-	seen    map[int]bool   // global seqs accepted (released or buffered)
-	base    int64          // accumulated global timeline offset, ns
-	fail    bool           // any released unit not "pass"
-	count   int            // units released
-	written int
-	dupes   int
+	sink  TraceSink
+	units *Sequencer[[]Span]
+	base  int64 // accumulated global timeline offset, ns
+	fail  bool  // any released unit not "pass"
+	count int   // units released
 }
 
 // NewTraceMerger builds a TraceMerger emitting merged spans to sink.
 func NewTraceMerger(sink TraceSink) *TraceMerger {
-	return &TraceMerger{
-		sink:    sink,
-		pending: map[int][]Span{},
-		seen:    map[int]bool{},
-	}
+	m := &TraceMerger{sink: sink}
+	m.units = NewSequencer(0, m.release)
+	return m
 }
 
 // Add merges one shard's complete span stream, whose shard-local unit 0
@@ -62,43 +52,26 @@ func (m *TraceMerger) Add(base int, spans []Span) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, u := range units {
-		m.offer(base+u.local, rebase(u, base))
+		m.AddUnit(base+u.local, rebase(u, base))
 	}
-	// Release every buffered unit whose turn has come, accumulating the
-	// global timeline exactly like the single-node Tracer.
-	for {
-		subtree, ok := m.pending[m.next]
-		if !ok {
-			return nil
-		}
-		delete(m.pending, m.next)
-		m.release(subtree)
-		m.next++
-	}
+	return nil
 }
 
-// offer records one normalised unit subtree under its global sequence,
-// dropping duplicates. Caller holds m.mu.
-func (m *TraceMerger) offer(seq int, subtree []Span) {
-	if m.seen[seq] {
-		m.dupes++
-		return
-	}
-	m.seen[seq] = true
-	m.pending[seq] = subtree
+// AddUnit offers the subtree of global unit seq: its unit span first,
+// IDs already numbered for seq, times relative to the unit's start. A
+// duplicate is dropped.
+func (m *TraceMerger) AddUnit(seq int, subtree []Span) {
+	m.units.Add(seq, subtree) // release never fails
 }
 
-// release emits one unit subtree at the current timeline base. The
-// subtree's times are unit-relative; the unit span is first and carries
-// the unit's total duration. Caller holds m.mu.
-func (m *TraceMerger) release(subtree []Span) {
+// release emits one unit subtree at the current timeline base; the
+// unit span carries the unit's total duration. The Sequencer serialises
+// calls.
+func (m *TraceMerger) release(subtree []Span) error {
 	for _, s := range subtree {
 		s.StartNS += m.base
 		m.sink.Span(s)
-		m.written++
 	}
 	unit := subtree[0]
 	if unit.Verdict != "pass" {
@@ -106,28 +79,15 @@ func (m *TraceMerger) release(subtree []Span) {
 	}
 	m.count++
 	m.base += unit.DurNS
+	return nil
 }
 
 // Flush releases any still-buffered units (in sequence order, past the
 // gaps a failed or cancelled job never delivered) and closes the trace
-// with the campaign span — the same closing record, with the same
-// verdict rule, as comptest's Tracer. Call it once, after every shard
-// has been merged.
+// with the campaign span: it fails when any unit failed or no unit ran.
+// Call it once, after every unit has been added.
 func (m *TraceMerger) Flush() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.pending) > 0 {
-		seqs := make([]int, 0, len(m.pending))
-		for seq := range m.pending {
-			seqs = append(seqs, seq)
-		}
-		sort.Ints(seqs)
-		for _, seq := range seqs {
-			subtree := m.pending[seq]
-			delete(m.pending, seq)
-			m.release(subtree)
-		}
-	}
+	m.units.Drain() // release never fails
 	verdict := "pass"
 	if m.fail || m.count == 0 {
 		verdict = "fail"
@@ -139,28 +99,6 @@ func (m *TraceMerger) Flush() {
 		DurNS:   m.base,
 		Verdict: verdict,
 	})
-}
-
-// Written returns the number of spans released to the sink.
-func (m *TraceMerger) Written() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.written
-}
-
-// Duplicates returns the number of unit subtrees dropped as
-// re-deliveries.
-func (m *TraceMerger) Duplicates() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dupes
-}
-
-// Pending returns the number of buffered out-of-order unit subtrees.
-func (m *TraceMerger) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
 }
 
 // shardUnit is one unit subtree cut out of a shard's span stream, still
@@ -189,6 +127,9 @@ func splitUnits(spans []Span) ([]shardUnit, error) {
 		case SpanStep:
 			if len(units) == 0 || units[len(units)-1].spans[0].ID != s.Parent {
 				return nil, fmt.Errorf("report: shard trace: step span %q arrived outside its unit", s.ID)
+			}
+			if !strings.HasPrefix(s.ID, s.Parent+"/") {
+				return nil, fmt.Errorf("report: shard trace: step span %q is not under its unit %q", s.ID, s.Parent)
 			}
 			last := len(units) - 1
 			units[last].spans = append(units[last].spans, s)
@@ -226,7 +167,7 @@ func rebase(u shardUnit, base int) []Span {
 		if i == 0 {
 			s.ID = newUID
 		} else {
-			s.ID = newUID + strings.TrimPrefix(s.ID, oldUID)
+			s.ID = newUID + s.ID[len(oldUID):] // splitUnits checked the prefix
 			s.Parent = newUID
 		}
 		out[i] = s
