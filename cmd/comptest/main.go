@@ -918,7 +918,6 @@ func cmdServe(args []string, out io.Writer) error {
 	remote := fs.Bool("workers-remote", false, "coordinate remote workers: shard jobs across nodes joined via 'comptest worker -join'")
 	shardUnits := fs.Int("shard-units", 4, "max campaign units per shard (with -workers-remote)")
 	stateDir := fs.String("state-dir", "", "durable coordination: journal every job to DIR/journal.ndjson and recover in-flight campaigns on restart (with -workers-remote)")
-	shardTarget := fs.Float64("shard-target", 0, "auto-tune the shard size to carry about this many seconds of work, from observed unit cost; 0 keeps -shard-units fixed (with -workers-remote)")
 	stealLocal := fs.Bool("steal-local", false, "let the coordinator's own executor steal shards that waited -steal-after for a saturated fleet (with -workers-remote)")
 	stealAfter := fs.Duration("steal-after", 2*time.Second, "how long a shard waits for a remote slot before -steal-local claims it (with -workers-remote)")
 	lease := fs.Duration("lease", 15*time.Second, "worker lease: a node silent this long is not scheduled (with -workers-remote)")
@@ -961,15 +960,14 @@ func cmdServe(args []string, out io.Writer) error {
 	)
 	if *remote {
 		coord := dist.New(dist.Options{
-			Serve:              serveOpts,
-			ShardUnits:         *shardUnits,
-			StateDir:           *stateDir,
-			ShardTargetSeconds: *shardTarget,
-			StealLocal:         *stealLocal,
-			StealAfter:         *stealAfter,
-			LeaseTTL:           *lease,
-			ScrapeTimeout:      *scrapeTimeout,
-			Logger:             logger,
+			Serve:         serveOpts,
+			ShardUnits:    *shardUnits,
+			StateDir:      *stateDir,
+			StealLocal:    *stealLocal,
+			StealAfter:    *stealAfter,
+			LeaseTTL:      *lease,
+			ScrapeTimeout: *scrapeTimeout,
+			Logger:        logger,
 		})
 		handler, metrics, closeFn = coord.Handler(), coord.MetricsHandler(), coord.Close
 		mode = fmt.Sprintf("coordinator, shard-units %d; join workers with 'comptest worker -join URL'", *shardUnits)

@@ -592,4 +592,10 @@ func TestServeBadFlags(t *testing.T) {
 	if _, err := runCLI(t, "serve", "-addr", "not an address"); err == nil {
 		t.Error("bad listen address accepted")
 	}
+	// There is no shard auto-tuner: -shard-target must be rejected, not
+	// silently ignored. The bad address keeps a regression from binding.
+	_, err := runCLI(t, "serve", "-workers-remote", "-shard-target", "30", "-addr", "not an address")
+	if err == nil || !strings.Contains(err.Error(), "shard-target") {
+		t.Errorf("-shard-target: err = %v, want an undefined-flag error", err)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/comptest"
 	"repro/comptest/serve"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -40,16 +39,6 @@ type Options struct {
 	// is unusable the error is logged and the coordinator runs
 	// non-durable rather than refusing to start.
 	StateDir string
-	// ShardTargetSeconds, when > 0, auto-tunes the campaign shard size
-	// so one shard carries roughly this many seconds of work, using the
-	// observed mean unit cost (the comptest_unit_seconds histogram).
-	// Until enough samples exist, ShardUnits applies. The chosen size
-	// is pinned per job in the journal, so a recovered campaign re-chunks
-	// exactly as it originally did. Off (0) by default: auto-sizing
-	// changes shard boundaries between runs, which is fine for results
-	// (the merge is order-identical regardless) but makes dispatch
-	// timing less reproducible.
-	ShardTargetSeconds float64
 	// StealLocal lets the coordinator's own executor steal a shard that
 	// has waited StealAfter for a remote slot while the whole fleet is
 	// saturated. Off by default: stealing trades strict fleet affinity
@@ -647,15 +636,12 @@ func (c *Coordinator) planShards(ex serve.Execution, rec *recoveredJob) ([]shard
 		names[i] = sc.Name
 	}
 	// A recovered job re-chunks with the shard size pinned in its plan
-	// record — auto-tuning may have picked a different size since, and
-	// shard boundaries must not move under the journaled dispatch state.
+	// record — the restarted process may run with a different
+	// -shard-units, and shard boundaries must not move under the
+	// journaled dispatch state.
 	size := c.opts.ShardUnits
-	switch {
-	case rec != nil && rec.shardUnits > 0:
+	if rec != nil && rec.shardUnits > 0 {
 		size = rec.shardUnits
-	case c.opts.ShardTargetSeconds > 0:
-		mean, samples := c.srv.UnitCost()
-		size = autoShardSize(c.opts.ShardTargetSeconds, mean, samples, size)
 	}
 	c.journal.append(journalRec{T: "plan", Job: ex.ID, ShardUnits: size})
 	return chunkShards(names, size), nil
@@ -777,31 +763,6 @@ func (c *Coordinator) stealDeadline() time.Duration {
 	}
 	return c.opts.StealAfter
 }
-
-// autoShardSize picks a campaign shard size carrying roughly
-// targetSeconds of work at the observed meanUnitSeconds cost. Below
-// autoShardMinSamples observations the estimate is noise and fallback
-// applies; the result clamps to [1, maxAutoShardUnits] so a pathological
-// estimate can neither serialise the campaign into single-unit shards'
-// inverse (a giant undivided shard) nor explode the dispatch count.
-func autoShardSize(targetSeconds, meanUnitSeconds float64, samples int64, fallback int) int {
-	if samples < autoShardMinSamples || meanUnitSeconds <= 0 || targetSeconds <= 0 {
-		return fallback
-	}
-	size := int(targetSeconds / meanUnitSeconds)
-	if size < 1 {
-		return 1
-	}
-	if size > maxAutoShardUnits {
-		return maxAutoShardUnits
-	}
-	return size
-}
-
-const (
-	autoShardMinSamples = 8
-	maxAutoShardUnits   = 256
-)
 
 // execLogger returns the job's structured logger, or a discard logger
 // for callers (tests, embedders driving execute directly) that never
@@ -1142,72 +1103,42 @@ func (f *lineForwarder) Write(p []byte) (int, error) {
 
 // runShardLocal executes a shard in-process — the fallback that keeps
 // a coordinator with no (surviving) workers behaving exactly like a
-// single-node server.
+// single-node server. It runs exactly what a worker runs for the shard:
+// the server's own engine, on the shard's unit list, streaming through
+// the forwarder. The job-level campaign status stays the coordinator's
+// tally, and a traced shard's spans feed the same TraceMerger re-base
+// as a worker's fetched trace.
 func (c *Coordinator) runShardLocal(ctx context.Context, j *dispatchJob, sh shardSpec) error {
-	ex := j.ex
 	fw := &lineForwarder{base: sh.base, j: j}
-	if !j.campaign() {
-		// The open-ended shard is the whole job: the server's own engine
-		// streams the same lines a worker would, through the forwarder.
-		lex := ex
-		lex.Log = fw
-		verdict, err := c.srv.ExecuteLocal(ctx, lex)
-		if err != nil {
-			return err
-		}
-		j.verdict = verdict
-		return fw.err
+	lex := j.ex
+	lex.Spec.Scripts = sh.names
+	lex.Log = fw
+	lex.OnCampaign = nil
+	if obsv := j.ex.Observer; obsv != nil {
+		lex.Observer = func(unit int) stand.Observer { return obsv(sh.base + unit) }
 	}
-	factory, err := comptest.FaultedFactory(ex.Spec.DUT, ex.Spec.Faults...)
-	if err != nil {
-		return err
-	}
-	scripts, err := ex.Art.Select(sh.names)
-	if err != nil {
-		return err
-	}
-	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, "")
-	// The local fallback traces exactly like a remote worker would: a
-	// shard-local Tracer (unit indices 0..n-1, its own timeline) whose
-	// collected spans feed the same TraceMerger re-base as fetched ones.
-	var (
-		tracer *comptest.Tracer
-		col    *report.SpanCollector
-	)
+	lex.Logger = execLogger(j.ex).With("shard", sh.base)
+	var trace *bytes.Buffer
 	if j.tm != nil {
-		col = &report.SpanCollector{}
-		tracer = comptest.NewTracer(col)
+		trace = &bytes.Buffer{}
+		lex.Trace = trace
 	}
-	for i := range units {
-		units[i].Factory = factory
-		if ex.Observer != nil {
-			units[i].Observer = ex.Observer(sh.base + i)
-		}
-		if tracer != nil {
-			units[i].Observer = stand.MultiObserver(units[i].Observer, tracer.Observer(i))
-		}
-	}
-	opts := []comptest.Option{
-		comptest.WithStand(ex.Spec.Stand),
-		comptest.WithParallelism(ex.Spec.Parallelism),
-		comptest.WithSink(comptest.Ordered(comptest.NDJSON(fw))),
-	}
-	if tracer != nil {
-		opts = append(opts, comptest.WithSink(tracer))
-	}
-	runner, err := comptest.NewRunner(opts...)
+	verdict, err := c.srv.ExecuteLocal(ctx, lex)
 	if err != nil {
-		return err
-	}
-	if _, err := runner.Campaign(ctx, units); err != nil {
 		return err
 	}
 	if fw.err != nil {
 		return fw.err
 	}
-	if tracer != nil {
-		tracer.Flush()
-		if err := j.tm.Add(sh.base, col.Spans()); err != nil {
+	if !j.campaign() {
+		j.verdict = verdict
+	}
+	if trace != nil {
+		spans, err := report.DecodeSpans(trace)
+		if err == nil {
+			err = j.tm.Add(sh.base, spans)
+		}
+		if err != nil {
 			return permanentf("dist: merge trace of local shard %d: %v", sh.base, err)
 		}
 	}

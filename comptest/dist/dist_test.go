@@ -562,6 +562,44 @@ func TestLocalFallbackWithoutWorkers(t *testing.T) {
 	}
 }
 
+// TestLocalShardsLeaveCampaignStatusToTally: a local campaign shard runs
+// serve's engine, which reports its own shard-local CampaignStatus; the
+// job must only ever see the coordinator's tally over all its units.
+func TestLocalShardsLeaveCampaignStatusToTally(t *testing.T) {
+	c := New(Options{ShardUnits: 1})
+	defer c.Close()
+	wb, err := comptest.BuiltinWorkbook("central_locking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := serve.NewCacheCap(1).Load([]byte(wb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		calls []serve.CampaignStatus
+	)
+	verdict, err := c.execute(t.Context(), serve.Execution{
+		Spec: serve.JobSpec{Kind: serve.KindCampaign, DUT: "central_locking",
+			Stand: "full_lab", Parallelism: 1},
+		Art: art,
+		Log: io.Discard,
+		OnCampaign: func(st serve.CampaignStatus) {
+			mu.Lock()
+			calls = append(calls, st)
+			mu.Unlock()
+		},
+	})
+	if err != nil || verdict != "green" {
+		t.Fatalf("execute = %q, %v", verdict, err)
+	}
+	want := serve.CampaignStatus{Units: 4, Passed: 4}
+	if len(calls) != 1 || calls[0] != want {
+		t.Errorf("OnCampaign calls = %+v, want exactly [%+v]", calls, want)
+	}
+}
+
 // TestOpenShardRequeuesExactlyOnce: a mutate, explore or vet job is
 // one open-ended shard. Offered first to a worker that delivers one
 // line and dies, it requeues — onto a real worker, or for vet (which

@@ -41,9 +41,10 @@
 // requeued on a survivor — units the dead worker already delivered
 // are dropped as duplicates, units it never reached merge from the
 // retry. After MaxAttempts remote tries (or with no live worker at
-// all) the coordinator executes the shard in-process, so a
-// coordinator alone degrades gracefully into exactly a single-node
-// serve.Server. Per-job cancellation propagates: cancelling the
+// all) the coordinator executes the shard in-process through
+// serve.Server.ExecuteLocal — exactly what a worker runs for that
+// shard — so a coordinator alone degrades gracefully into exactly a
+// single-node serve.Server. Per-job cancellation propagates: cancelling the
 // coordinator job cancels every in-flight shard dispatch and sends a
 // best-effort DELETE for the remote jobs.
 //

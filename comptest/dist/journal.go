@@ -17,11 +17,12 @@ import (
 // <state-dir>/journal.ndjson. Every coordination event that matters
 // for recovery is one record: a job accepted (spec + exact workbook
 // text), its campaign plan (the shard size pinned at execute time, so
-// auto-tuned chunking replays identically), shard dispatches and
-// requeues (which worker holds which shard under which remote job ID —
-// the re-adoption addresses), every result line the line merge released
-// contiguously (so the recovered stream offset is simply the record
-// count), worker registrations, and terminal job statuses.
+// a restart with another shard size replays the same chunking), shard
+// dispatches and requeues (which worker holds which shard under which
+// remote job ID — the re-adoption addresses), every result line the
+// line merge released contiguously (so the recovered stream offset is
+// simply the record count), worker registrations, and terminal job
+// statuses.
 //
 // On startup the journal is replayed, the folded state is rewritten as
 // a compacted snapshot (atomic rename), and appends continue on the

@@ -124,6 +124,28 @@ func TestCoordinatorFleetMetrics(t *testing.T) {
 	}
 }
 
+// TestLocalShardUnitSeconds: a shard the coordinator runs itself goes
+// through the server's own campaign engine, exactly like a worker's
+// shard, so its units land in the coordinator's comptest_unit_seconds.
+func TestLocalShardUnitSeconds(t *testing.T) {
+	h := newHarness(t, Options{ShardUnits: 1})
+	st := h.submit(t, campaignSpec)
+	h.streamRaw(t, st.ID)
+	final := h.status(t, st.ID)
+	if final.State != serve.StateDone || final.Shards == nil || final.Shards.Local != 4 {
+		t.Fatalf("final = %s (%s), shards %+v; want done with 4 local shards", final.State, final.Error, final.Shards)
+	}
+	var count int64 = -1
+	for _, f := range fleetSnap(t, h.url).Families {
+		if f.Name == serve.MetricUnitSeconds && len(f.Cells) == 1 && len(f.Cells[0].Labels) == 0 {
+			count = f.Cells[0].Count
+		}
+	}
+	if count != 4 {
+		t.Errorf("%s count = %d, want 4 (one per locally executed unit)", serve.MetricUnitSeconds, count)
+	}
+}
+
 // traceURL fetches a terminal job's span NDJSON byte for byte.
 func traceURL(t *testing.T, base, id string) []byte {
 	t.Helper()
@@ -175,7 +197,8 @@ const tracedSpec = `{"kind":"campaign","workbook_name":"central_locking","parall
 // deliver a merged span log byte-identical to the single-node run —
 // including when one worker is kill-9'd and its shards requeue, where
 // the TraceMerger's per-unit dedup keeps re-delivered spans
-// exactly-once like result lines.
+// exactly-once like result lines, and when the coordinator runs every
+// shard itself.
 func TestDistributedTraceByteIdentical(t *testing.T) {
 	want := singleNodeTraceRaw(t, tracedSpec)
 	// 4 units × (unit + init + ≥1 step) + the campaign root.
@@ -213,6 +236,15 @@ func TestDistributedTraceByteIdentical(t *testing.T) {
 		final := run(t, h)
 		if final.Shards == nil || final.Shards.Requeued < 1 {
 			t.Fatalf("no shard was requeued: %+v", final.Shards)
+		}
+	})
+
+	t.Run("local", func(t *testing.T) {
+		// No workers: each shard runs on the coordinator's own engine and
+		// its spans take the same re-base as a worker's fetched trace.
+		final := run(t, newHarness(t, Options{ShardUnits: 1}))
+		if final.Shards == nil || final.Shards.Local != 4 {
+			t.Fatalf("want 4 local shards: %+v", final.Shards)
 		}
 	})
 }

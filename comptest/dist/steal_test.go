@@ -143,30 +143,3 @@ func TestStealLocalUnderSaturatedFleet(t *testing.T) {
 		t.Errorf("%s = %v, want 3", MetricShardsStolen, got)
 	}
 }
-
-// TestAutoShardSize pins the shard-size autotuner's arithmetic and its
-// guard rails.
-func TestAutoShardSize(t *testing.T) {
-	cases := []struct {
-		target, mean float64
-		samples      int64
-		fallback     int
-		want         int
-	}{
-		{10, 1, 8, 4, 10},         // 10s target at 1s/unit → 10 units
-		{9, 2, 8, 4, 4},           // truncates toward fewer units
-		{10, 1, 7, 4, 4},          // below min samples → fallback
-		{0, 1, 100, 4, 4},         // autotune disabled
-		{10, 0, 100, 4, 4},        // no cost signal yet
-		{-1, 1, 100, 4, 4},        // nonsense target
-		{0.5, 2, 100, 4, 1},       // clamp low: at least one unit
-		{1e6, 0.001, 100, 4, 256}, // clamp high: bounded dispatch count
-		{2.5, 0.5, 8, 1, 5},       // exact division
-	}
-	for _, c := range cases {
-		if got := autoShardSize(c.target, c.mean, c.samples, c.fallback); got != c.want {
-			t.Errorf("autoShardSize(%v, %v, %d, %d) = %d, want %d",
-				c.target, c.mean, c.samples, c.fallback, got, c.want)
-		}
-	}
-}

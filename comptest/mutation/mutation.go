@@ -76,7 +76,6 @@ type Mutant struct {
 	Signals []string
 
 	scripts []*script.Script
-	factory comptest.DUTFactory
 }
 
 // Plan is the enumerated mutant matrix for one DUT model and suite.
@@ -93,8 +92,6 @@ type Plan struct {
 	// Mutants is the enumerated matrix: fault mutants first (in
 	// ecu.Faults order), then script mutants (in workbook order).
 	Mutants []Mutant
-
-	factory comptest.DUTFactory // clean DUT factory
 }
 
 // DefaultStand returns the stand profile a DUT's built-in suite is
@@ -118,7 +115,7 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 	if standName == "" {
 		standName = DefaultStand(dut)
 	}
-	clean, err := comptest.FaultedFactory(dut)
+	faults, err := comptest.DUTFaults(dut)
 	if err != nil {
 		return nil, err
 	}
@@ -126,17 +123,8 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{DUT: dut, Stand: standName, Suite: suite, Baseline: baseline, factory: clean}
-
-	faults, err := comptest.DUTFaults(dut)
-	if err != nil {
-		return nil, err
-	}
+	p := &Plan{DUT: dut, Stand: standName, Suite: suite, Baseline: baseline}
 	for _, f := range faults {
-		factory, err := comptest.FaultedFactory(dut, f.Name)
-		if err != nil {
-			return nil, err
-		}
 		p.Mutants = append(p.Mutants, Mutant{
 			ID:      "fault/" + f.Name,
 			Kind:    FaultMutant,
@@ -144,16 +132,12 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 			Detail:  f.Doc,
 			Signals: f.Signals,
 			scripts: baseline,
-			factory: factory,
 		})
 	}
 
 	scriptMuts, err := scriptMutants(suite)
 	if err != nil {
 		return nil, err
-	}
-	for i := range scriptMuts {
-		scriptMuts[i].factory = clean
 	}
 	p.Mutants = append(p.Mutants, scriptMuts...)
 	return p, nil

@@ -75,18 +75,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.quota.activeTenants()) })
 }
 
-// UnitCost reports the mean wall-clock seconds per campaign unit and
-// the sample count behind it — the comptest_unit_seconds histogram's
-// running aggregate. The dist coordinator auto-tunes shard sizes from
-// this.
-func (s *Server) UnitCost() (mean float64, samples int64) {
-	count := s.unitSeconds.Count()
-	if count == 0 {
-		return 0, 0
-	}
-	return s.unitSeconds.Sum() / float64(count), count
-}
-
 // jobsByState scans the live job table — the same data the list and
 // health endpoints serve — into one gauge cell per lifecycle state.
 // Every state is always present (zero-valued when empty) so dashboards

@@ -93,28 +93,6 @@ func (sw *SpanWriter) Err() error {
 	return sw.err
 }
 
-// SpanCollector is a TraceSink that accumulates every span.
-type SpanCollector struct {
-	mu    sync.Mutex
-	spans []Span
-}
-
-// Span implements TraceSink.
-func (c *SpanCollector) Span(s Span) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = append(c.spans, s)
-}
-
-// Spans returns the collected spans in arrival order.
-func (c *SpanCollector) Spans() []Span {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Span, len(c.spans))
-	copy(out, c.spans)
-	return out
-}
-
 // DecodeSpans parses NDJSON produced by SpanWriter.
 func DecodeSpans(r io.Reader) ([]Span, error) {
 	dec := json.NewDecoder(r)

@@ -4,8 +4,32 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// SpanCollector is a TraceSink that accumulates every span, for tests
+// that inspect what a merger or writer released.
+type SpanCollector struct {
+	mu    sync.Mutex
+	spans []Span
+}
+
+// Span implements TraceSink.
+func (c *SpanCollector) Span(s Span) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.spans = append(c.spans, s)
+}
+
+// Spans returns the collected spans in arrival order.
+func (c *SpanCollector) Spans() []Span {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Span, len(c.spans))
+	copy(out, c.spans)
+	return out
+}
 
 // TestSpanWriterRoundTrip: spans written as NDJSON decode back
 // identically, one line per span.
