@@ -424,13 +424,9 @@ func BenchmarkAblationSolver(b *testing.B) {
 	b.Run("resolve_every_query", func(b *testing.B) {
 		n, dec := build()
 		for i := 0; i < b.N; i++ {
-			// Toggling an element invalidates the cache every time.
-			if i%2 == 0 {
-				dec.SetOhms(5000)
-				dec.SetOhms(4999)
-			} else {
-				dec.SetOhms(5000)
-			}
+			// Cycling through more values than the network remembers
+			// solutions for makes every query a full re-solve.
+			dec.SetOhms(4990 + float64(i%16))
 			if _, err := n.Solve(); err != nil {
 				b.Fatal(err)
 			}

@@ -44,9 +44,9 @@ func widenMutants(suite *comptest.Suite) ([]Mutant, error) {
 		if !st.Desc.IsMeasure() {
 			continue
 		}
-		lo, err1 := unit.ParseNumber(st.Min)
-		hi, err2 := unit.ParseNumber(st.Max)
-		if err1 != nil || err2 != nil || hi <= lo {
+		lo, ok1 := unit.Number(st.Min)
+		hi, ok2 := unit.Number(st.Max)
+		if !ok1 || !ok2 || hi <= lo {
 			continue // expression, infinite or degenerate limits
 		}
 		using, signals := testsUsingStatus(suite, st.Name)

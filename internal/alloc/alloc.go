@@ -252,8 +252,8 @@ func isDisconnect(req Request) bool {
 	if !ok {
 		return false
 	}
-	f, err := unit.ParseNumber(v)
-	return err == nil && math.IsInf(f, 1)
+	f, ok := unit.Number(v)
+	return ok && math.IsInf(f, 1)
 }
 
 func conflictReason(cand Assignment) string {

@@ -13,6 +13,7 @@ package analog
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a network node. Ground is node 0.
@@ -35,6 +36,11 @@ const minOhms = 1e-6
 // closedSwitchOhms is the on-resistance of relays/mux contacts.
 const closedSwitchOhms = 1e-3
 
+// recentSolves is how many configurations a Network remembers solutions
+// for. PWM phases and ECU outputs flip a stand's network among a few
+// configurations, so a handful of slots catches most dirty solves.
+const recentSolves = 4
+
 // Network is a mutable DC circuit. Create nodes with Node, add elements,
 // then call Solve after every change of element state.
 type Network struct {
@@ -53,6 +59,14 @@ type Network struct {
 	cells  []float64
 	rows   [][]float64
 	active []*VSource
+
+	// recent remembers the last few solutions by configuration: slot i's
+	// key is keys[(i+1)*k:(i+2)*k] for key length k, and keys[:k] is the
+	// scratch the current configuration is encoded into. next is the
+	// slot the next miss overwrites.
+	recent [recentSolves]*Solution
+	keys   []uint64
+	next   int
 }
 
 // NewNetwork returns a network containing only the ground node.
@@ -72,6 +86,7 @@ func (n *Network) Node(name string) NodeID {
 	id := NodeID(len(n.nodes))
 	n.names[name] = id
 	n.nodes = append(n.nodes, name)
+	n.reshape()
 	return id
 }
 
@@ -98,7 +113,7 @@ type Resistor struct {
 func (n *Network) AddResistor(name string, a, b NodeID, ohms float64) *Resistor {
 	r := &Resistor{net: n, Name: name, A: a, B: b, ohms: ohms}
 	n.rs = append(n.rs, r)
-	n.dirty = true
+	n.reshape()
 	return r
 }
 
@@ -156,7 +171,7 @@ type VSource struct {
 func (n *Network) AddVSource(name string, pos, neg NodeID, volts float64) *VSource {
 	v := &VSource{net: n, idx: len(n.vs), Name: name, Pos: pos, Neg: neg, volts: volts, enabled: true}
 	n.vs = append(n.vs, v)
-	n.dirty = true
+	n.reshape()
 	return v
 }
 
@@ -196,7 +211,7 @@ type ISource struct {
 func (n *Network) AddISource(name string, pos, neg NodeID, amps float64) *ISource {
 	i := &ISource{net: n, Name: name, Pos: pos, Neg: neg, amps: amps, enabled: true}
 	n.is = append(n.is, i)
-	n.dirty = true
+	n.reshape()
 	return i
 }
 
@@ -259,13 +274,76 @@ func (s *Solution) ResistorCurrent(r *Resistor) float64 {
 	return (s.Voltage(r.A) - s.Voltage(r.B)) / ohms
 }
 
+// reshape records a change of topology: the next Solve cannot reuse the
+// last solution, nor any remembered one.
+func (n *Network) reshape() {
+	n.dirty = true
+	n.recent = [recentSolves]*Solution{}
+}
+
+// config encodes every element value a solve reads into the key scratch
+// and returns it. Values are compared by bit pattern, so a source at −0 V
+// and one at +0 V are different configurations, as they are to gauss.
+func (n *Network) config() []uint64 {
+	k := len(n.rs) + 2*len(n.vs) + 2*len(n.is)
+	// Only a reshape changes k, and it emptied every slot.
+	n.keys = slices.Grow(n.keys[:0], (recentSolves+1)*k)[:(recentSolves+1)*k]
+	key := n.keys[:k]
+	i := 0
+	for _, r := range n.rs {
+		key[i] = math.Float64bits(r.ohms)
+		i++
+	}
+	for _, v := range n.vs {
+		key[i], key[i+1] = math.Float64bits(v.volts), bit(v.enabled)
+		i += 2
+	}
+	for _, s := range n.is {
+		key[i], key[i+1] = math.Float64bits(s.amps), bit(s.enabled)
+		i += 2
+	}
+	return key
+}
+
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Solve computes the DC operating point by modified nodal analysis with
-// partial-pivot Gaussian elimination. Results are cached until an element
-// changes.
+// partial-pivot Gaussian elimination. While no element changes, Solve
+// returns the last solution. After a change, it first looks the new
+// configuration up among the last few it solved: a PWM source toggling
+// back, or an ECU output flipping back, finds its earlier Solution there.
+// A remembered Solution is exactly what a fresh solve would return,
+// since the same inputs run the same floating-point operations.
 func (n *Network) Solve() (*Solution, error) {
 	if !n.dirty && n.lastOK != nil {
 		return n.lastOK, nil
 	}
+	key := n.config()
+	k := len(key)
+	for i, sol := range n.recent {
+		if sol != nil && slices.Equal(n.keys[(i+1)*k:(i+2)*k], key) {
+			n.lastOK, n.dirty = sol, false
+			return sol, nil
+		}
+	}
+	sol, err := n.solve()
+	if err != nil {
+		return nil, err
+	}
+	copy(n.keys[(n.next+1)*k:], key)
+	n.recent[n.next] = sol
+	n.next = (n.next + 1) % recentSolves
+	n.lastOK, n.dirty = sol, false
+	return sol, nil
+}
+
+// solve builds and eliminates the MNA system of the current configuration.
+func (n *Network) solve() (*Solution, error) {
 	nn := len(n.nodes) - 1 // unknown node voltages (ground excluded)
 	active := n.active[:0]
 	for _, v := range n.vs {
@@ -280,7 +358,6 @@ func (n *Network) Solve() (*Solution, error) {
 	buf := make([]float64, len(n.nodes)+len(n.vs))
 	sol := &Solution{net: n, v: buf[:len(n.nodes):len(n.nodes)], srcAmps: buf[len(n.nodes):]}
 	if dim == 0 {
-		n.lastOK, n.dirty = sol, false
 		return sol, nil
 	}
 	a := n.matrix(dim)
@@ -349,7 +426,6 @@ func (n *Network) Solve() (*Solution, error) {
 		// current delivered to the circuit is its negative.
 		sol.srcAmps[src.idx] = -a[nn+k][dim]
 	}
-	n.lastOK, n.dirty = sol, false
 	return sol, nil
 }
 
@@ -402,13 +478,13 @@ func (n *Network) MeasureResistance(a, b NodeID) (float64, error) {
 	// Restore before inspecting the result.
 	probe.SetEnabled(false)
 	n.is = n.is[:len(n.is)-1]
+	n.reshape()
 	for i, v := range n.vs {
 		v.SetEnabled(savedV[i])
 	}
 	for i, s := range n.is {
 		s.SetEnabled(savedI[i])
 	}
-	n.dirty = true
 	if err != nil {
 		return 0, err
 	}

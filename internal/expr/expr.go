@@ -23,6 +23,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/unit"
 )
@@ -43,7 +44,10 @@ func (m MapEnv) Lookup(name string) (float64, bool) {
 	return v, ok
 }
 
-// Expr is a compiled expression ready for repeated evaluation.
+// Expr is a compiled expression ready for repeated evaluation. Compile
+// shares one Expr among every caller that compiles the same source, so
+// an Expr is immutable: evaluating it from many goroutines is safe, and
+// the slice Vars returns must not be modified.
 type Expr struct {
 	src  string
 	root node
@@ -53,7 +57,8 @@ type Expr struct {
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.src }
 
-// Vars returns the sorted set of variable names the expression references.
+// Vars returns the sorted set of variable names the expression
+// references. The slice is shared; callers must not modify it.
 func (e *Expr) Vars() []string { return e.vars }
 
 // IsConstant reports whether the expression references no variables and can
@@ -79,8 +84,47 @@ func (e *Expr) EvalConst() (float64, error) {
 // String returns a normalised rendering of the expression.
 func (e *Expr) String() string { return e.root.render() }
 
-// Compile parses src into an Expr.
+// memoCap bounds the compile memo. Sources come from scripts, and a
+// generator can feed new ones forever (explore), so the memo is flushed
+// when full rather than grown without bound.
+const memoCap = 1 << 13
+
+// memo maps a source to its compiled Expr. Compiling is a pure function
+// of the source, so a hit returns exactly what a fresh compile would.
+var memo = struct {
+	sync.Mutex
+	m map[string]*Expr
+}{m: make(map[string]*Expr)}
+
+// Compile parses src into an Expr. Successful compiles are memoised by
+// source: the same limit string recurs in every mutant of a script, and
+// a repeat compile returns the shared Expr without parsing again. A
+// source that fails to compile is not remembered, so it fails with the
+// same error every time.
 func Compile(src string) (*Expr, error) {
+	memo.Lock()
+	e, ok := memo.m[src]
+	memo.Unlock()
+	if ok {
+		return e, nil
+	}
+	// Clone the key so the memo pins no larger document src was cut from.
+	src = strings.Clone(src)
+	e, err := compile(src)
+	if err != nil {
+		return nil, err
+	}
+	memo.Lock()
+	if len(memo.m) >= memoCap {
+		clear(memo.m)
+	}
+	memo.m[src] = e
+	memo.Unlock()
+	return e, nil
+}
+
+// compile is Compile without the memo.
+func compile(src string) (*Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -182,8 +226,8 @@ func lex(src string) ([]token, error) {
 				break
 			}
 			text := src[start:i]
-			f, err := unit.ParseNumber(text)
-			if err != nil {
+			f, ok := unit.Number(text)
+			if !ok {
 				return nil, fmt.Errorf("expr: bad number %q in %q", text, src)
 			}
 			toks = append(toks, token{kind: tokNum, text: text, num: f})

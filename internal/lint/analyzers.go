@@ -195,9 +195,9 @@ func numericLimits(st *status.Status) (lo, hi float64, ok bool) {
 		st.Desc.Attr(st.Desc.RangeAttr).Kind == method.Bits {
 		return 0, 0, false
 	}
-	lo, err1 := unit.ParseNumber(st.Min)
-	hi, err2 := unit.ParseNumber(st.Max)
-	if err1 != nil || err2 != nil {
+	lo, ok1 := unit.Number(st.Min)
+	hi, ok2 := unit.Number(st.Max)
+	if !ok1 || !ok2 {
 		return 0, 0, false // expressions: see unsatisfiable-limits
 	}
 	return lo, hi, true

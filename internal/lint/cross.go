@@ -65,9 +65,9 @@ func unsatisfiableUnder(st *status.Status, envs []LimitEnv) (bad []string) {
 	if a := st.Desc.Attr(st.Desc.RangeAttr); a != nil && a.Kind == method.Bits {
 		return nil
 	}
-	_, err1 := unit.ParseNumber(st.Min)
-	_, err2 := unit.ParseNumber(st.Max)
-	if strings.TrimSpace(st.Var) == "" && err1 == nil && err2 == nil {
+	_, ok1 := unit.Number(st.Min)
+	_, ok2 := unit.Number(st.Max)
+	if strings.TrimSpace(st.Var) == "" && ok1 && ok2 {
 		return nil // plain numeric: inverted-limits territory
 	}
 	for _, e := range envs {

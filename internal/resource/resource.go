@@ -147,7 +147,7 @@ func (c *Capability) checkAttrs(d *method.Descriptor, attrs map[string]string, e
 // EvalNumber evaluates an attribute value against env: a plain number
 // parses directly, anything else compiles as a limit expression.
 func EvalNumber(v string, env expr.Env) (float64, error) {
-	if f, err := unit.ParseNumber(v); err == nil {
+	if f, ok := unit.Number(v); ok {
 		return f, nil
 	}
 	e, err := expr.Compile(v)

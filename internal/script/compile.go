@@ -56,7 +56,7 @@ func Compile(sc *Script, reg *method.Registry) (*Compiled, error) {
 				cs.Measures = append(cs.Measures, st)
 			case method.Control:
 				if t, ok := st.Call.Attr("t"); ok {
-					if f, err := unit.ParseNumber(t); err == nil {
+					if f, ok := unit.Number(t); ok {
 						cs.ExtraWait += f
 					}
 				}

@@ -40,7 +40,7 @@ func Fold(sc *Script, env expr.Env, reg *method.Registry) (*Script, error) {
 				attrs[name] = v
 				continue
 			}
-			if _, err := unit.ParseNumber(v); err == nil {
+			if _, ok := unit.Number(v); ok {
 				attrs[name] = v // already constant
 				continue
 			}
@@ -95,7 +95,7 @@ func SymbolicAttrs(sc *Script) int {
 	countIn := func(stmts []*SignalStmt) {
 		for _, st := range stmts {
 			for _, v := range st.Call.Attrs {
-				if _, err := unit.ParseNumber(v); err == nil {
+				if _, ok := unit.Number(v); ok {
 					continue
 				}
 				if strings.HasSuffix(strings.ToUpper(strings.TrimSpace(v)), "B") {

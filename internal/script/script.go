@@ -32,9 +32,6 @@ import (
 	"repro/internal/unit"
 )
 
-// compileCheck verifies an attribute value parses as a limit expression.
-func compileCheck(v string) (*expr.Expr, error) { return expr.Compile(v) }
-
 // Version is the script format version emitted by this generator.
 const Version = "1.0"
 
@@ -403,10 +400,10 @@ func Validate(sc *Script, reg *method.Registry) error {
 			if !present || a.Kind != method.Numeric {
 				continue
 			}
-			if _, err := unit.ParseNumber(v); err == nil {
+			if _, ok := unit.Number(v); ok {
 				continue
 			}
-			if _, err := compileCheck(v); err != nil {
+			if _, err := expr.Compile(v); err != nil {
 				return fmt.Errorf("script %q: %s: signal %q: attribute %s: %v", sc.Name, where, st.Name, a.Name, err)
 			}
 		}

@@ -110,7 +110,7 @@ func (t *Table) validate(s *Status) error {
 		if strings.TrimSpace(v) == "" {
 			return nil
 		}
-		if _, err := unit.ParseNumber(v); err == nil {
+		if _, ok := unit.Number(v); ok {
 			return nil
 		}
 		if _, err := expr.Compile(v); err != nil {
@@ -266,7 +266,7 @@ func normalizeNumeric(cell string) (string, error) {
 	if c == "" {
 		return "", fmt.Errorf("empty value")
 	}
-	if f, err := unit.ParseNumber(c); err == nil {
+	if f, ok := unit.Number(c); ok {
 		return unit.FormatNumber(f), nil
 	}
 	e, err := expr.Compile(c)

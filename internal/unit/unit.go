@@ -11,6 +11,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Unit enumerates the physical units that occur in component-test sheets,
@@ -119,33 +120,84 @@ func (v Value) String() string {
 // Plain thousands separators are NOT supported: a cell such as "1.234,5"
 // is ambiguous in mixed-locale sheets and is rejected.
 func ParseNumber(s string) (float64, error) {
+	if f, ok := Number(s); ok {
+		return f, nil
+	}
 	t := strings.TrimSpace(s)
-	if t == "" {
+	switch {
+	case t == "":
 		return 0, fmt.Errorf("unit: empty number")
-	}
-	switch strings.ToUpper(t) {
-	case "INF", "+INF", "∞":
-		return math.Inf(1), nil
-	case "-INF", "-∞":
-		return math.Inf(-1), nil
-	}
-	// Reject forms with both comma and point: ambiguous locale.
-	hasComma := strings.Contains(t, ",")
-	hasPoint := strings.Contains(t, ".")
-	if hasComma && hasPoint {
+	case strings.Contains(t, ",") && strings.Contains(t, "."):
 		return 0, fmt.Errorf("unit: ambiguous number %q (mixes ',' and '.')", s)
 	}
-	if hasComma {
-		if strings.Count(t, ",") > 1 {
-			return 0, fmt.Errorf("unit: malformed number %q", s)
+	return 0, fmt.Errorf("unit: malformed number %q", s)
+}
+
+// Number is ParseNumber without the error: it accepts exactly the cells
+// ParseNumber accepts. A cell holding a byte no number uses, or not
+// starting like a number, is rejected without allocating, so probing a
+// symbolic limit such as "(1.1*ubatt)" or a variable such as "ubatt"
+// costs no garbage.
+func Number(s string) (float64, bool) {
+	t := strings.TrimSpace(s)
+	if t == "" {
+		return 0, false
+	}
+	commas, point := 0, false
+	for i := 0; i < len(t); i++ {
+		switch c := t[i]; {
+		case c >= utf8.RuneSelf:
+			// strconv parses ASCII only, so a non-ASCII cell can only be
+			// an infinity. ToUpper, not EqualFold: ToUpper("ınf") is "INF".
+			switch strings.ToUpper(t) {
+			case "INF", "+INF", "∞":
+				return math.Inf(1), true
+			case "-INF", "-∞":
+				return math.Inf(-1), true
+			}
+			return 0, false
+		case c == ',':
+			commas++
+		case c == '.':
+			point = true
+		case !numberByte(c):
+			return 0, false // no float syntax uses this byte
 		}
+	}
+	switch {
+	case strings.EqualFold(t, "INF"), strings.EqualFold(t, "+INF"):
+		return math.Inf(1), true
+	case strings.EqualFold(t, "-INF"):
+		return math.Inf(-1), true
+	}
+	// Reject forms with both comma and point: ambiguous locale.
+	if commas > 1 || commas == 1 && point {
+		return 0, false
+	}
+	// After its sign, a float starts with a digit, a decimal separator or
+	// one of strconv's spelled-out specials. Rejecting anything else here
+	// keeps an identifier such as "ubatt" from paying for a NumError.
+	rest := t
+	if rest[0] == '+' || rest[0] == '-' {
+		rest = rest[1:]
+	}
+	if rest == "" || !('0' <= rest[0] && rest[0] <= '9' || rest[0] == '.' || rest[0] == ',' ||
+		strings.EqualFold(rest, "infinity") || strings.EqualFold(rest, "nan")) {
+		return 0, false
+	}
+	if commas == 1 {
 		t = strings.Replace(t, ",", ".", 1)
 	}
 	f, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("unit: malformed number %q", s)
-	}
-	return f, nil
+	return f, err == nil
+}
+
+// numberByte reports whether c can occur in a cell ParseFloat accepts
+// after the decimal comma is replaced: digits, letters (exponents, hex
+// digits, INF/NaN), signs, the separators and digit-group underscores.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+		c == '+' || c == '-' || c == '.' || c == '_' || c == ','
 }
 
 // FormatNumber renders a float the way the generated XML scripts and
