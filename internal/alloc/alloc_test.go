@@ -85,6 +85,34 @@ func TestPaperStep0(t *testing.T) {
 	}
 }
 
+// TestAssignmentsInRequestOrder pins the order contract the stand's
+// shared step plans rely on: assignment i answers request i, whatever
+// kind of request it is and whichever resource a preference picks.
+func TestAssignmentsInRequestOrder(t *testing.T) {
+	al := paperAllocator(t, Backtracking)
+	reqs := []Request{
+		reqGetU(t, "INT_ILL", "INT_ILL_F", "INT_ILL_R"),
+		reqPutR(t, "DS_FL", "DS_FL", "INF"),
+		{Signal: "pause", Method: desc(t, "wait"), Attrs: map[string]string{"t": "1"}},
+		reqPutR(t, "DS_RR", "DS_RR", "5000"),
+		reqPutR(t, "DS_FR", "DS_FR", "0"),
+	}
+	for _, prefer := range []map[string]string{nil, {"ds_fr": "Ress2"}, {"ds_rr": "Ress2"}} {
+		plan, err := al.Allocate(reqs, prefer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Assignments) != len(reqs) {
+			t.Fatalf("prefer %v: %d assignments for %d requests", prefer, len(plan.Assignments), len(reqs))
+		}
+		for i := range reqs {
+			if got := plan.Assignments[i].Request.Signal; got != reqs[i].Signal {
+				t.Errorf("prefer %v: assignment %d is for %q, want %q", prefer, i, got, reqs[i].Signal)
+			}
+		}
+	}
+}
+
 func TestOpenDoorTakesADecade(t *testing.T) {
 	al := paperAllocator(t, Backtracking)
 	plan, err := al.Allocate([]Request{reqPutR(t, "DS_FL", "DS_FL", "0")}, nil)

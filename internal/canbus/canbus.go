@@ -207,18 +207,26 @@ type MessageDef struct {
 
 // DB maps message names (as used in signal definition sheets) to CAN IDs.
 // Stand and DUT share one DB so both sides agree on the identifiers.
+// Names match case-insensitively. A DB is not safe for concurrent use:
+// Ensure defines messages, and Ensure and Lookup record every spelling
+// they resolve, so one DB belongs to one goroutine (a stand and its DUT
+// run on one).
 type DB struct {
-	byName map[string]*MessageDef
-	byID   map[uint32]*MessageDef
-	nextID uint32
+	byName map[string]*MessageDef // by lower, trimmed name
+	// spelled maps exact spellings already resolved, so a repeated
+	// lookup does not fold the name again.
+	spelled map[string]*MessageDef
+	byID    map[uint32]*MessageDef
+	nextID  uint32
 }
 
 // NewDB returns an empty database. Auto-assigned IDs start at 0x100.
 func NewDB() *DB {
 	return &DB{
-		byName: map[string]*MessageDef{},
-		byID:   map[uint32]*MessageDef{},
-		nextID: 0x100,
+		byName:  map[string]*MessageDef{},
+		spelled: map[string]*MessageDef{},
+		byID:    map[uint32]*MessageDef{},
+		nextID:  0x100,
 	}
 }
 
@@ -246,8 +254,7 @@ func (db *DB) Define(name string, id uint32, dlc int) (*MessageDef, error) {
 // Ensure returns the message with the given name, auto-assigning the next
 // free ID (from 0x100) if it does not exist yet.
 func (db *DB) Ensure(name string) (*MessageDef, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if m, ok := db.byName[key]; ok {
+	if m, ok := db.Lookup(name); ok {
 		return m, nil
 	}
 	for {
@@ -266,7 +273,13 @@ func (db *DB) Ensure(name string) (*MessageDef, error) {
 
 // Lookup finds a message by name.
 func (db *DB) Lookup(name string) (*MessageDef, bool) {
+	if m, ok := db.spelled[name]; ok {
+		return m, true
+	}
 	m, ok := db.byName[strings.ToLower(strings.TrimSpace(name))]
+	if ok {
+		db.spelled[name] = m
+	}
 	return m, ok
 }
 

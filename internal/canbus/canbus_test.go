@@ -159,6 +159,34 @@ func TestDBEnsure(t *testing.T) {
 	}
 }
 
+// TestDBSpelledLookup: a spelling resolved once is found again without
+// folding the name, so warm lookups of upper-case names allocate
+// nothing; every spelling still resolves to the one definition.
+func TestDBSpelledLookup(t *testing.T) {
+	db := NewDB()
+	m, err := db.Ensure("ENG_CMD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ENG_CMD", "eng_cmd", " Eng_Cmd "} {
+		if got, _ := db.Ensure(name); got != m {
+			t.Errorf("Ensure(%q) = %v, want %v", name, got, m)
+		}
+		if got, ok := db.Lookup(name); !ok || got != m {
+			t.Errorf("Lookup(%q) = %v, %v, want %v", name, got, ok, m)
+		}
+	}
+	if _, ok := db.Lookup("ENG_CMD2"); ok {
+		t.Error("Lookup found an undefined message")
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = db.Ensure("ENG_CMD") }); got != 0 {
+		t.Errorf("warm Ensure allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = db.Lookup("Eng_Cmd") }); got != 0 {
+		t.Errorf("warm Lookup allocates %v times, want 0", got)
+	}
+}
+
 func TestDBNames(t *testing.T) {
 	db := NewDB()
 	_, _ = db.Ensure("Zeta")

@@ -3,7 +3,6 @@ package stand
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/alloc"
@@ -73,7 +72,7 @@ func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) m
 		if !ok || a.Resource == nil {
 			continue // measure() will report the missing assignment
 		}
-		inst := s.instruments[strings.ToLower(a.Resource.ID)]
+		inst := s.instruments[a.Resource]
 		sm := &sampler{stand: s, inst: inst}
 		sm.stopFn = s.sched.Every(SamplePeriod, sm.sample)
 		out[st] = sm
@@ -104,7 +103,7 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt,
 
 	switch st.Call.Method {
 	case "get_u":
-		inst := s.instruments[strings.ToLower(a.Resource.ID)]
+		inst := s.instruments[a.Resource]
 		sol, err := s.net.Solve()
 		if err != nil {
 			return fail("solver: %v", err)
@@ -114,7 +113,7 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt,
 		return s.judgeRange(check, v, st, "u", unit.Volt.String())
 
 	case "get_r":
-		inst := s.instruments[strings.ToLower(a.Resource.ID)]
+		inst := s.instruments[a.Resource]
 		r, err := s.net.MeasureResistance(inst.nodes[0], inst.nodes[1])
 		if err != nil {
 			return fail("solver: %v", err)

@@ -70,7 +70,7 @@ type Stand struct {
 	db    *canbus.DB
 	env   expr.MapEnv
 
-	instruments map[string]*instrument    // by lower resource id
+	instruments map[*resource.Resource]*instrument
 	switches    map[string]*analog.Switch // by element name
 	monitor     *canbus.Monitor
 	tx          *canbus.TxGroup
@@ -91,30 +91,42 @@ type Stand struct {
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]heldStimulus
 
-	// Per-call scratch of applyStep's merge, cleared on entry; nothing
-	// derived from it outlives the call.
+	// Per-call scratch of route, allocate and expectation, cleared on
+	// entry; nothing derived from it outlives the call.
 	merged       map[string]*script.SignalStmt
 	order        []string
 	stimulusKeys map[string]bool
 	prefer       map[string]string
+	decls        []*script.SignalDecl
 	reqs         []alloc.Request
+	stepKey      []byte
+	expectKey    []byte
 
-	// Binding caches: attribute evaluation and expectation rendering are
-	// pure functions of the stand environment (ubatt never changes after
-	// New), so their results are memoised across steps, runs and scripts.
+	// Content memos: attribute evaluation, expectation rendering and
+	// allocation are pure functions of their input and the stand (ubatt,
+	// catalog and matrix never change after New), so their results are
+	// shared by every step, run and script on the stand.
 	attrVals map[string]float64
 	attrErrs map[string]error
-	expect   map[*script.SignalStmt]string
+	// expect maps a statement's method and sorted attributes (see
+	// appendAttrs) to its rendered expected value.
+	expect map[string]string
+	// plans maps the encoded allocator input of a step (see
+	// appendReqKey) to its immutable routing outcome; failures are
+	// never stored.
+	plans map[string]*stepPlan
 
-	// routes memoises the per-step allocation + instrument routing (see
-	// routedStep), keyed by *script.Step (or *script.Script for init).
-	routes map[any]*routedStep
+	// routes binds a step (its *script.Step, or the *script.Script for
+	// the init block) to its shared plan and its own statements, so a
+	// pooled stand re-running a script skips the merge and the key.
+	routes map[any]routedStep
 
 	// ff enables the quiescence fast-forward (see advanceTo); tests
 	// disable it to compare against ground-truth tick-by-tick execution.
 	ff bool
 
-	// stats for benchmarking/EXPERIMENTS.
+	// stats for benchmarking/EXPERIMENTS. Allocations counts allocator
+	// calls: steps whose allocator input the stand had not seen yet.
 	Allocations uint64
 	Solves      uint64
 }
@@ -222,7 +234,7 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		net:          analog.NewNetwork(),
 		db:           canbus.NewDB(),
 		env:          expr.MapEnv{"ubatt": cfg.UbattVolts},
-		instruments:  map[string]*instrument{},
+		instruments:  map[*resource.Resource]*instrument{},
 		switches:     map[string]*analog.Switch{},
 		held:         map[string]heldStimulus{},
 		merged:       map[string]*script.SignalStmt{},
@@ -230,8 +242,9 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		prefer:       map[string]string{},
 		attrVals:     map[string]float64{},
 		attrErrs:     map[string]error{},
-		expect:       map[*script.SignalStmt]string{},
-		routes:       map[any]*routedStep{},
+		expect:       map[string]string{},
+		plans:        map[string]*stepPlan{},
+		routes:       map[any]routedStep{},
 		ff:           true,
 	}
 	s.bus = canbus.NewBus(s.sched)
@@ -264,11 +277,12 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 			s.net.AddResistor("inst."+res.ID+".zin", inst.nodes[0], inst.nodes[1], DVMInputOhms)
 			inst.loGnd = s.net.AddSwitch("inst."+res.ID+".lognd", inst.nodes[1], analog.Ground)
 		}
-		s.instruments[strings.ToLower(res.ID)] = inst
+		s.instruments[res] = inst
 	}
 
 	for _, e := range cfg.Matrix.Entries() {
-		inst, ok := s.instruments[strings.ToLower(e.Resource)]
+		res, _ := cfg.Catalog.Lookup(e.Resource)
+		inst, ok := s.instruments[res]
 		if !ok {
 			return nil, fmt.Errorf("stand %q: connection matrix references unknown resource %q", cfg.Name, e.Resource)
 		}
@@ -468,56 +482,70 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	return res
 }
 
-// routedStep is the memoised outcome of one successful applyStep: the
-// allocation plan plus everything needed to re-program the instruments
-// without consulting the allocator again. Valid because a run always
-// starts from resetRun and executes its steps in order, so the held
-// state — and with it the allocator's input — at any given step is
-// identical on every run of the same script on the same stand.
+// stepPlan is the routing outcome of one step's allocator input on this
+// stand: the plan, the switch closures, the resources in use (PWM
+// keep-alive) and the report's Applied line per assignment ("" = none).
+// It is a pure function of that input — the stand's catalog, matrix and
+// variables are fixed — so every script reaching the same input shares
+// one entry. Immutable once stored in Stand.plans.
+type stepPlan struct {
+	plan    *alloc.Plan
+	want    map[string]bool // by switch element name
+	inUse   map[*resource.Resource]bool
+	applied []string
+	lines   int // non-empty entries of applied
+}
+
+// routedStep binds a shared stepPlan to one script's statements: for
+// assignment i, the statement and declaration that program the
+// instrument, the signal's held-state key and whether it is a stimulus.
+// Valid because a run always starts from resetRun and executes its steps
+// in order, so the held state — and with it the allocator's input — at
+// any given step is identical on every run of the same script on the
+// same stand.
 type routedStep struct {
-	plan  *alloc.Plan
-	want  map[string]bool // switch closures
-	inUse map[string]bool // lower resource ids in use (PWM keep-alive)
-	asg   []routedAsg
+	plan *stepPlan
+	asg  []routedAsg
 }
 
 type routedAsg struct {
-	a        *alloc.Assignment
 	st       *script.SignalStmt
 	decl     *script.SignalDecl
 	key      string // lower signal name
 	stimulus bool
-	applied  string // cached report Applied line, "" = none
 }
 
-// replayStep re-executes a cached routing: switches, instrument
-// programming and held-state updates, identical to the uncached path.
-func (s *Stand) replayStep(rs *routedStep, res *report.StepResult) (*alloc.Plan, error) {
+// replayStep programs a routed step: switches, instruments, Applied
+// lines and held-state updates, in assignment order.
+func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, error) {
+	sp := rs.plan
 	for name, sw := range s.switches {
-		sw.SetClosed(rs.want[name])
+		sw.SetClosed(sp.want[name])
 	}
-	for id, inst := range s.instruments {
-		if inst.pwm != nil && inst.pwm.running && !rs.inUse[id] {
+	// Released PWM generators stop toggling (their switch is open anyway,
+	// but a running waveform would needlessly dirty the network).
+	for r, inst := range s.instruments {
+		if inst.pwm != nil && inst.pwm.running && !sp.inUse[r] {
 			inst.pwm.Stop()
 		}
 	}
 	for i := range rs.asg {
 		ra := &rs.asg[i]
-		via, err := s.programState(ra.a, ra.st, ra.decl)
-		if err != nil {
+		a := &sp.plan.Assignments[i]
+		if err := s.programState(a, ra.st, ra.decl); err != nil {
 			return nil, err
 		}
-		if via != "" && res != nil {
-			if ra.applied == "" {
-				ra.applied = appliedLine(ra.st, via)
+		if line := sp.applied[i]; line != "" && res != nil {
+			if res.Applied == nil {
+				res.Applied = make([]string, 0, sp.lines)
 			}
-			res.Applied = append(res.Applied, ra.applied)
+			res.Applied = append(res.Applied, line)
 		}
 		if ra.stimulus {
-			s.held[ra.key] = heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(ra.a.Resource)}
+			s.held[ra.key] = heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(a.Resource)}
 		}
 	}
-	return rs.plan, nil
+	return sp.plan, nil
 }
 
 // applyStep allocates the step's complete demand — the held persistent
@@ -527,16 +555,34 @@ func (s *Stand) replayStep(rs *routedStep, res *report.StepResult) (*alloc.Plan,
 // assignments update the held state.
 //
 // ckey, when non-nil, identifies the step (its *script.Step, or the
-// *script.Script for the init block) for the routed-step cache: the
-// first execution allocates and memoises, repeats replay. Failed
-// applications are never cached.
+// *script.Script for the init block) for the routes binding: the first
+// execution routes and binds, repeats replay. Failed applications are
+// never bound.
 func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalStmt, res *report.StepResult, ckey any) (*alloc.Plan, error) {
-	if ckey != nil {
-		if rs, ok := s.routes[ckey]; ok {
-			return s.replayStep(rs, res)
+	rs, bound := s.routes[ckey]
+	if !bound {
+		var err error
+		if rs, err = s.route(sc, stimuli, measures); err != nil {
+			return nil, err
 		}
 	}
-	// Merge: new stimuli override held ones per signal.
+	plan, err := s.replayStep(rs, res)
+	if err == nil && !bound && ckey != nil {
+		// Pointer-keyed, so a stand fed generated scripts forever
+		// (explore) would grow the index without bound — flush instead.
+		if len(s.routes) >= 1<<12 {
+			clear(s.routes)
+		}
+		s.routes[ckey] = rs
+	}
+	return plan, err
+}
+
+// route merges the step's demand, validates it and binds it to the
+// stepPlan for its allocator input, calling the allocator only when the
+// stand has not seen that input before. New stimuli override held ones
+// per signal.
+func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt) (routedStep, error) {
 	merged, stimulusKeys, prefer := s.merged, s.stimulusKeys, s.prefer
 	clear(merged)
 	clear(stimulusKeys)
@@ -560,94 +606,88 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 	for _, st := range measures {
 		key := strings.ToLower(st.Name)
 		if stimulusKeys[key] {
-			return nil, fmt.Errorf("signal %q is both stimulated and measured in one step", st.Name)
+			return routedStep{}, fmt.Errorf("signal %q is both stimulated and measured in one step", st.Name)
 		}
 		merged[key] = st
 		order = append(order, key)
 	}
 	s.order = order
 
-	reqs := s.reqs[:0]
+	// Validate, and encode the allocator's whole input in request order.
+	decls, k := s.decls[:0], s.stepKey[:0]
 	for _, key := range order {
 		st := merged[key]
 		decl := sc.Decl(st.Name)
 		if decl == nil {
-			return nil, fmt.Errorf("undeclared signal %q", st.Name)
+			return routedStep{}, fmt.Errorf("undeclared signal %q", st.Name)
 		}
-		d, ok := s.reg.Lookup(st.Call.Method)
-		if !ok {
-			return nil, fmt.Errorf("unknown method %q", st.Call.Method)
+		if _, ok := s.reg.Lookup(st.Call.Method); !ok {
+			return routedStep{}, fmt.Errorf("unknown method %q", st.Call.Method)
 		}
-		reqs = append(reqs, alloc.Request{
-			Signal: st.Name, Method: d, Attrs: st.Call.Attrs, Pins: declPins(decl),
-		})
-		if h, ok := s.held[key]; ok && h.res != "" {
+		h, held := s.held[key]
+		held = held && h.res != ""
+		if held {
 			prefer[key] = h.res
 		}
+		k = appendReqKey(k, st, decl, h.res, held)
+		decls = append(decls, decl)
+	}
+	s.decls, s.stepKey = decls, k
+
+	sp, ok := s.plans[string(k)]
+	if !ok {
+		var err error
+		if sp, err = s.allocate(order, decls); err != nil {
+			return routedStep{}, err
+		}
+		if len(s.plans) >= 1<<12 {
+			clear(s.plans)
+		}
+		s.plans[string(k)] = sp
+	}
+	// The allocator answers in request order (alloc's order contract), so
+	// assignment i belongs to order[i].
+	rs := routedStep{plan: sp, asg: make([]routedAsg, len(order))}
+	for i, key := range order {
+		rs.asg[i] = routedAsg{st: merged[key], decl: decls[i], key: key, stimulus: stimulusKeys[key]}
+	}
+	return rs, nil
+}
+
+// allocate calls the allocator on the merged demand and renders its
+// stepPlan.
+func (s *Stand) allocate(order []string, decls []*script.SignalDecl) (*stepPlan, error) {
+	reqs := s.reqs[:0]
+	for i, key := range order {
+		st := s.merged[key]
+		d, _ := s.reg.Lookup(st.Call.Method)
+		reqs = append(reqs, alloc.Request{
+			Signal: st.Name, Method: d, Attrs: st.Call.Attrs, Pins: declPins(decls[i]),
+		})
 	}
 	s.reqs = reqs
 
 	s.Allocations++
-	plan, err := s.alloc.Allocate(reqs, prefer)
+	plan, err := s.alloc.Allocate(reqs, s.prefer)
 	if err != nil {
 		return nil, err
 	}
-
-	// Desired switch closures.
-	want := map[string]bool{}
-	inUse := map[string]bool{}
-	for _, a := range plan.Assignments {
-		for _, e := range a.Entries {
-			want[e.Elem.Name] = true
-		}
-		if a.Resource != nil {
-			inUse[strings.ToLower(a.Resource.ID)] = true
-		}
-	}
-	for name, sw := range s.switches {
-		sw.SetClosed(want[name])
-	}
-	// Released PWM generators stop toggling (their switch is open anyway,
-	// but a running waveform would needlessly dirty the network).
-	for id, inst := range s.instruments {
-		if inst.pwm != nil && inst.pwm.running && !inUse[id] {
-			inst.pwm.Stop()
-		}
-	}
-
-	// Program the instruments; stimuli update the held state.
-	rs := &routedStep{plan: plan, want: want, inUse: inUse,
-		asg: make([]routedAsg, 0, len(plan.Assignments))}
+	sp := &stepPlan{plan: plan, want: map[string]bool{}, inUse: map[*resource.Resource]bool{},
+		applied: make([]string, len(plan.Assignments))}
 	for i := range plan.Assignments {
 		a := &plan.Assignments[i]
-		key := strings.ToLower(a.Request.Signal)
-		st := merged[key]
-		decl := sc.Decl(st.Name)
-		via, err := s.programState(a, st, decl)
-		if err != nil {
-			return nil, err
+		for _, e := range a.Entries {
+			sp.want[e.Elem.Name] = true
 		}
-		ra := routedAsg{a: a, st: st, decl: decl, key: key, stimulus: stimulusKeys[key]}
-		if via != "" {
-			ra.applied = appliedLine(st, via)
-			if res != nil {
-				res.Applied = append(res.Applied, ra.applied)
-			}
+		if a.Resource != nil {
+			sp.inUse[a.Resource] = true
 		}
-		if ra.stimulus {
-			s.held[key] = heldStimulus{stmt: st, decl: decl, res: resID(a.Resource)}
+		if via := viaOf(a); via != "" {
+			sp.applied[i] = appliedLine(s.merged[order[i]], via)
+			sp.lines++
 		}
-		rs.asg = append(rs.asg, ra)
 	}
-	if ckey != nil {
-		// Pointer-keyed, so a stand fed generated scripts forever
-		// (explore) would grow the cache without bound — flush instead.
-		if len(s.routes) >= 1<<12 {
-			clear(s.routes)
-		}
-		s.routes[ckey] = rs
-	}
-	return plan, nil
+	return sp, nil
 }
 
 func resID(r *resource.Resource) string {
@@ -657,77 +697,78 @@ func resID(r *resource.Resource) string {
 	return r.ID
 }
 
-// programState sets one instrument according to an assignment. It
-// returns the "via" label the report's Applied line should carry, or ""
-// when the assignment produces no line (measurements, silent releases).
-// The rendering itself lives in appliedLine so the routed-step replay
-// can reuse a cached line instead of re-formatting it.
-func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *script.SignalDecl) (string, error) {
-	if a.Resource == nil {
-		if a.Disconnect() {
-			return "disconnect", nil
-		}
-		return "", nil
+// viaOf returns the "via" label of an assignment's report Applied line,
+// or "" when it produces no line (measurements, silent releases). It
+// depends on the plan alone, so a stepPlan renders its lines once.
+func viaOf(a *alloc.Assignment) string {
+	switch {
+	case a.Resource == nil && a.Disconnect():
+		return "disconnect"
+	case a.Resource == nil, a.Resource.Kind == resource.DVM, a.Resource.Kind == resource.Counter:
+		return ""
 	}
-	inst := s.instruments[strings.ToLower(a.Resource.ID)]
+	return a.Resource.ID
+}
+
+// programState sets one instrument according to an assignment.
+func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *script.SignalDecl) error {
+	if a.Resource == nil {
+		return nil
+	}
+	inst := s.instruments[a.Resource]
 	switch a.Resource.Kind {
 	case resource.ResistorDecade:
 		f, err := s.evalAttr(st.Call.Attrs["r"])
 		if err != nil {
-			return "", err
+			return err
 		}
 		inst.decade.SetOhms(f)
 	case resource.PowerSupply:
 		f, err := s.evalAttr(st.Call.Attrs["u"])
 		if err != nil {
-			return "", err
+			return err
 		}
 		inst.source.SetVolts(f)
 		inst.source.SetEnabled(true)
 	case resource.ELoad:
 		f, err := s.evalAttr(st.Call.Attrs["i"])
 		if err != nil {
-			return "", err
+			return err
 		}
 		inst.eload.SetAmps(f)
 		inst.eload.SetEnabled(true)
 	case resource.PWMGenerator:
 		freq, err := s.evalAttr(st.Call.Attrs["f"])
 		if err != nil {
-			return "", err
+			return err
 		}
 		duty, err := s.evalAttr(st.Call.Attrs["duty"])
 		if err != nil {
-			return "", err
+			return err
 		}
-		if err := inst.pwm.Start(s.cfg.UbattVolts, freq, duty); err != nil {
-			return "", err
-		}
+		return inst.pwm.Start(s.cfg.UbattVolts, freq, duty)
 	case resource.CANAdapter:
 		if st.Call.Method == "put_can" {
 			if decl == nil {
-				return "", fmt.Errorf("no declaration for CAN signal %q", st.Name)
+				return fmt.Errorf("no declaration for CAN signal %q", st.Name)
 			}
 			v, _, err := unit.ParseBits(st.Call.Attrs["data"])
 			if err != nil {
-				return "", err
+				return err
 			}
 			order, err := canbus.ParseByteOrder(decl.ByteOrder)
 			if err != nil {
-				return "", err
+				return err
 			}
-			if err := s.tx.SetSignalOrder(order, decl.Message, decl.StartBit, decl.Length, v); err != nil {
-				return "", err
-			}
+			return s.tx.SetSignalOrder(order, decl.Message, decl.StartBit, decl.Length, v)
 		}
 	case resource.DVM, resource.Counter:
 		// Measurement instruments: single-ended use ties lo to ground.
 		if inst.loGnd != nil {
 			inst.loGnd.SetClosed(len(a.Entries) < 2)
 		}
-		return "", nil // nothing to program for measurements
 	}
-	return a.Resource.ID, nil
+	return nil
 }
 
 // appliedLine renders one report Applied line,
@@ -800,19 +841,21 @@ func (s *Stand) evalAttr(v string) (float64, error) {
 }
 
 // expectation renders the expected value of a statement for reports,
-// memoised per statement: scripts are immutable once parsed, so the
-// rendering is a pure function of the statement pointer.
+// memoised by content: the rendering reads only the method and the
+// attributes, so every statement spelling them alike shares one string.
 func (s *Stand) expectation(st *script.SignalStmt) string {
-	if e, ok := s.expect[st]; ok {
+	k := appendAttrs(appendField(s.expectKey[:0], st.Call.Method), st.Call.Attrs)
+	s.expectKey = k
+	if e, ok := s.expect[string(k)]; ok {
 		return e
 	}
-	// The key is a pointer, so a stand fed generated scripts forever
-	// (explore) would grow the cache without bound — flush it instead.
+	// A stand fed generated scripts forever (explore) would grow the
+	// memo without bound — flush it instead.
 	if len(s.expect) >= 1<<13 {
 		clear(s.expect)
 	}
 	e := s.expectationUncached(st)
-	s.expect[st] = e
+	s.expect[string(k)] = e
 	return e
 }
 
