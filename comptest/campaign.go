@@ -45,8 +45,8 @@ type Unit struct {
 	// Each unit needs its own observer instance: units run concurrently
 	// under WithParallelism, and observer callbacks are only serialised
 	// within one unit. The exploration engine (comptest/explore) records
-	// coverage through this field. Units with an Observer never share
-	// pooled stands.
+	// coverage through this field. The observer is attached for this
+	// unit's run only and detached before its stand returns to the pool.
 	Observer stand.Observer
 }
 
@@ -312,6 +312,7 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		}
 	}
 	res.Report = r.runOn(ctx, st, u.Script, u.Compiled, stand.RunOptions{StopOnFail: u.StopOnFail})
+	st.SetObserver(nil)
 	r.releaseStand(key, st, faulted)
 	return res
 }

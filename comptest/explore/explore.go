@@ -43,12 +43,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/comptest"
 	"repro/comptest/mutation"
 	"repro/internal/report"
 	"repro/internal/script"
+	"repro/internal/stand"
 	"repro/internal/status"
 	"repro/internal/testdef"
 )
@@ -126,19 +128,18 @@ type Explorer struct {
 	gen   *Generator
 	pin   *pinner
 
-	clean   comptest.DUTFactory
-	oracles []oracle
+	// runner executes every stand run of the exploration, so its pooled
+	// stands outlive single batches. Its one sink is record.
+	runner  *comptest.Runner
+	oracles []string // sorted, unique fault names
+	reps    []*report.Report
+	ordered comptest.Sink
 
 	cov    *Coverage
 	corpus *Corpus
 
 	executions int
 	candidates int
-}
-
-type oracle struct {
-	fault   string
-	factory comptest.DUTFactory
 }
 
 // Result is the outcome of one exploration run.
@@ -170,19 +171,10 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 		return nil, fmt.Errorf("explore: MaxSteps %d below MinSteps %d", opts.MaxSteps, opts.MinSteps)
 	}
 
-	clean, err := comptest.FaultedFactory(opts.DUT)
-	if err != nil {
+	// Validate the DUT and every oracle fault up front.
+	oracles := slices.Compact(slices.Sorted(slices.Values(opts.Oracle)))
+	if _, err := comptest.FaultedFactory(opts.DUT, oracles...); err != nil {
 		return nil, err
-	}
-	var oracles []oracle
-	faults := append([]string(nil), opts.Oracle...)
-	sort.Strings(faults)
-	for _, f := range faults {
-		factory, err := comptest.FaultedFactory(opts.DUT, f)
-		if err != nil {
-			return nil, err
-		}
-		oracles = append(oracles, oracle{fault: f, factory: factory})
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -194,21 +186,21 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Probe the stand name now so a typo fails at construction, not on
-	// the first campaign.
-	if _, err := comptest.NewRunner(comptest.WithStand(opts.Stand)); err != nil {
-		return nil, err
-	}
-	return &Explorer{
+	e := &Explorer{
 		suite:   suite,
 		opts:    opts,
 		gen:     gen,
 		pin:     pin,
-		clean:   clean,
 		oracles: oracles,
 		cov:     NewCoverage(),
 		corpus:  &Corpus{},
-	}, nil
+	}
+	e.runner, err = comptest.NewRunner(comptest.WithStand(opts.Stand), comptest.WithDUT(opts.DUT),
+		comptest.WithParallelism(opts.Parallelism), comptest.WithSink(comptest.SinkFunc(e.record)))
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Run executes the exploration: Budget candidate walks in campaign
@@ -232,7 +224,7 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			}
 			tr := &Trace{}
 			cands[i] = &candidate{tc: tc, sc: sc, trace: tr}
-			units[i] = comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: e.clean, Observer: tr}
+			units[i] = e.unit(sc, tr)
 		}
 		reps, err := e.campaign(ctx, units)
 		if err != nil {
@@ -256,13 +248,13 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			}
 			keys := keysOf(c.tc, c.trace, promo)
 			novel := e.cov.Missing(keys)
-			kills := e.oracleKills(ctx, promo.Script)
+			kills := e.kills(ctx, promo.Script, e.oracles)
 			if len(novel) == 0 && len(kills) == 0 {
 				continue
 			}
 			// The promoted script must pass on the clean DUT — it is
 			// the contract that makes its kills meaningful.
-			if !e.runPasses(ctx, promo.Script, e.clean) {
+			if !e.runPasses(ctx, promo.Script) {
 				continue
 			}
 			promo, keys = e.shrink(ctx, c.tc, promo, keys, novel, kills)
@@ -298,48 +290,53 @@ type candidate struct {
 	trace *Trace
 }
 
+// unit is one run of sc on the clean DUT, observed by obs. It carries
+// its compiled form, so the long-lived Runner's compile cache does not
+// grow with one-shot scripts.
+func (e *Explorer) unit(sc *script.Script, obs stand.Observer) comptest.Unit {
+	c, _ := script.Compile(sc, e.runner.Methods())
+	return comptest.Unit{Script: sc, Compiled: c, Stand: e.opts.Stand, Observer: obs}
+}
+
 // campaign fans the units out over the worker pool and returns their
 // reports in unit order (nil where the execution could not be built).
 // Every completed run counts toward Executions.
 func (e *Explorer) campaign(ctx context.Context, units []comptest.Unit) ([]*report.Report, error) {
-	collector := &comptest.Collector{}
-	ropts := []comptest.Option{
-		comptest.WithStand(e.opts.Stand),
-		comptest.WithParallelism(e.opts.Parallelism),
-		comptest.WithSink(collector),
-	}
+	e.reps, e.ordered = make([]*report.Report, len(units)), nil
 	if e.opts.Sink != nil {
-		ropts = append(ropts, comptest.WithSink(comptest.Ordered(e.opts.Sink)))
+		e.ordered = comptest.Ordered(e.opts.Sink)
 	}
-	runner, err := comptest.NewRunner(ropts...)
-	if err != nil {
-		return nil, err
+	_, err := e.runner.Campaign(ctx, units)
+	return e.reps, err
+}
+
+// record is the Runner's sink: it keeps the current batch's reports by
+// Seq and forwards each result to the batch's Ordered wrapper of
+// Options.Sink. Campaign dispatches single-unit groups in order, so the
+// units it skips on cancellation are a trailing range the wrapper never
+// waits for.
+func (e *Explorer) record(r comptest.Result) {
+	e.executions++
+	if r.Err == nil {
+		e.reps[r.Seq] = r.Report
 	}
-	_, cerr := runner.Campaign(ctx, units)
-	reps := make([]*report.Report, len(units))
-	for _, res := range collector.Results() {
-		e.executions++
-		if res.Err == nil {
-			reps[res.Seq] = res.Report
-		}
+	if e.ordered != nil {
+		e.ordered.Emit(r)
 	}
-	return reps, cerr
 }
 
 // execTraced runs one stimulus walk on the clean DUT with a fresh
 // trace attached.
 func (e *Explorer) execTraced(ctx context.Context, sc *script.Script) (*Trace, *report.Report) {
 	tr := &Trace{}
-	reps, _ := e.campaign(ctx, []comptest.Unit{{
-		Script: sc, Stand: e.opts.Stand, Factory: e.clean, Observer: tr,
-	}})
+	reps, _ := e.campaign(ctx, []comptest.Unit{e.unit(sc, tr)})
 	return tr, reps[0]
 }
 
-// runPasses executes the script against the factory's DUT and reports
-// a fully green run.
-func (e *Explorer) runPasses(ctx context.Context, sc *script.Script, f comptest.DUTFactory) bool {
-	reps, _ := e.campaign(ctx, []comptest.Unit{{Script: sc, Stand: e.opts.Stand, Factory: f}})
+// runPasses executes the script against the clean DUT and reports a
+// fully green run.
+func (e *Explorer) runPasses(ctx context.Context, sc *script.Script) bool {
+	reps, _ := e.campaign(ctx, []comptest.Unit{e.unit(sc, nil)})
 	return reps[0] != nil && reps[0].Passed()
 }
 
@@ -354,49 +351,27 @@ func killed(rep *report.Report) bool {
 	return fail > 0 && errs == 0 && skip == 0
 }
 
-// oracleKills scores a promoted script against every oracle fault,
-// fanning the faulted runs out as one campaign. Returns the killed
-// fault names, sorted.
-func (e *Explorer) oracleKills(ctx context.Context, sc *script.Script) []string {
-	if len(e.oracles) == 0 {
+// kills runs the script once per fault, each injected alone into the
+// DUT, fanning the faulted runs out as one campaign. Returns the faults
+// it kills, in the given order.
+func (e *Explorer) kills(ctx context.Context, sc *script.Script, faults []string) []string {
+	if len(faults) == 0 {
 		return nil
 	}
-	units := make([]comptest.Unit, len(e.oracles))
-	for i, o := range e.oracles {
-		units[i] = comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: o.factory}
+	u := e.unit(sc, nil)
+	units := make([]comptest.Unit, len(faults))
+	for i := range faults {
+		units[i] = u
+		units[i].Faults = faults[i : i+1]
 	}
 	reps, _ := e.campaign(ctx, units)
 	var out []string
-	for i, o := range e.oracles {
+	for i, f := range faults {
 		if killed(reps[i]) {
-			out = append(out, o.fault)
+			out = append(out, f)
 		}
 	}
 	return out
-}
-
-// killsAll re-checks that the script still kills every named fault,
-// fanning the faulted runs out as one campaign like oracleKills.
-func (e *Explorer) killsAll(ctx context.Context, sc *script.Script, faults []string) bool {
-	units := make([]comptest.Unit, 0, len(faults))
-	for _, f := range faults {
-		for _, o := range e.oracles {
-			if o.fault == f {
-				units = append(units, comptest.Unit{Script: sc, Stand: e.opts.Stand, Factory: o.factory})
-				break
-			}
-		}
-	}
-	if len(units) != len(faults) {
-		return false
-	}
-	reps, _ := e.campaign(ctx, units)
-	for _, rep := range reps {
-		if !killed(rep) {
-			return false
-		}
-	}
-	return true
 }
 
 // SurvivingFaults runs the fault-mutant kill matrix of the suite and

@@ -7,13 +7,20 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/comptest"
 	"repro/comptest/mutation"
+	"repro/internal/method"
 	"repro/internal/paper"
+	"repro/internal/stand"
 	"repro/internal/workbooks"
 )
 
@@ -229,14 +236,7 @@ func TestExploreDeterminism(t *testing.T) {
 // so this is what holds the observed fast-forward to the corpora that
 // tick-by-tick execution produced.
 func TestExploreFingerprintsPinned(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fingerprints.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := pinnedFingerprints(t)
 	suite := loadSuite(t, paper.Workbook)
 	for seed := int64(1); seed <= 7; seed++ {
 		for _, par := range []int{1, 2} {
@@ -250,16 +250,36 @@ func TestExploreFingerprintsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := res.Corpus.Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256([]byte(fp))
-			if got, w := hex.EncodeToString(sum[:]), want[strconv.FormatInt(seed, 10)]; got != w {
+			if got, w := fingerprintSum(t, res), want[strconv.FormatInt(seed, 10)]; got != w {
 				t.Errorf("seed %d, parallelism %d: fingerprint sha256 %s, pinned %s", seed, par, got, w)
 			}
 		}
 	}
+}
+
+// pinnedFingerprints reads the committed fingerprint sums by seed.
+func pinnedFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fingerprints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// fingerprintSum is the SHA-256 of the corpus fingerprint, as pinned.
+func fingerprintSum(t *testing.T, res *Result) string {
+	t.Helper()
+	fp, err := res.Corpus.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(fp))
+	return hex.EncodeToString(sum[:])
 }
 
 // TestSurvivingFaults computes the oracle set the C2 experiment
@@ -445,5 +465,74 @@ func TestCoverageSet(t *testing.T) {
 	}
 	if c.Len() != 3 || len(c.Keys()) != 3 {
 		t.Fatalf("Len/Keys inconsistent: %d %v", c.Len(), c.Keys())
+	}
+}
+
+// countingStand is paper_stand under another name, counting the stands
+// built from it.
+var (
+	countingStandOnce  sync.Once
+	countingStandBuilt atomic.Int64
+)
+
+func countingStand(t *testing.T) string {
+	t.Helper()
+	const name = "counting_paper_stand"
+	countingStandOnce.Do(func() {
+		err := comptest.RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
+			countingStandBuilt.Add(1)
+			return comptest.BuildStand("paper_stand", reg, h)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	return name
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// TestExploreReusesStands: one exploration runs every candidate walk,
+// pin check, oracle run and shrink probe on its Runner's pooled
+// stands, and pooling leaves the pinned corpus unchanged. GC is off
+// for the test because a collection empties the sync.Pool the stands
+// wait in, and one P keeps a released stand in the slot the next unit
+// takes it from.
+func TestExploreReusesStands(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := pinnedFingerprints(t)["1"]
+	for _, par := range []int{1, 2} {
+		opts := interiorOpts()
+		opts.Stand, opts.Parallelism = countingStand(t), par
+		before := countingStandBuilt.Load()
+		res := runExploration(t, paper.Workbook, opts)
+		built := countingStandBuilt.Load() - before
+		if par == 1 && built > 2 && !raceEnabled {
+			t.Errorf("parallelism 1: %d stands built for %d executions, want at most 2", built, res.Executions)
+		}
+		if got := fingerprintSum(t, res); got != want {
+			t.Errorf("parallelism %d: fingerprint sha256 %s, pinned %s", par, got, want)
+		}
+	}
+}
+
+// TestDuplicateOracles: naming an oracle twice neither runs it twice
+// nor lists its kill twice.
+func TestDuplicateOracles(t *testing.T) {
+	unique := runExploration(t, paper.Workbook, interiorOpts())
+	opts := interiorOpts()
+	opts.Oracle = []string{"only_fl", "only_fl"}
+	dup := runExploration(t, paper.Workbook, opts)
+	if a, b := fingerprintSum(t, unique), fingerprintSum(t, dup); a != b {
+		t.Errorf("duplicated oracle changed the corpus fingerprint: %s, want %s", b, a)
+	}
+	if dup.Executions != unique.Executions || dup.Candidates != unique.Candidates {
+		t.Errorf("duplicated oracle: %d executions, %d candidates; want %d, %d",
+			dup.Executions, dup.Candidates, unique.Executions, unique.Candidates)
+	}
+	if !reflect.DeepEqual(dup.Exploration(), unique.Exploration()) {
+		t.Errorf("duplicated oracle changed the exploration record")
 	}
 }

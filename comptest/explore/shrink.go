@@ -54,7 +54,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 		if !containsAll(ks, novel) {
 			return false
 		}
-		if len(kills) > 0 && !e.killsAll(ctx, p.Script, kills) {
+		if len(e.kills(ctx, p.Script, kills)) < len(kills) {
 			return false
 		}
 		best, bestPromo, bestKeys = cand, p, ks
@@ -100,7 +100,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 	// The shrunk promotion must uphold the green-baseline contract; if
 	// the final verification fails, fall back to the already-verified
 	// original.
-	if !e.runPasses(ctx, bestPromo.Script, e.clean) {
+	if !e.runPasses(ctx, bestPromo.Script) {
 		return promo, keys
 	}
 	return bestPromo, bestKeys

@@ -26,11 +26,12 @@ func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 }
 
 // standKey returns the pool key under which a unit's stand can be
-// reused, or "" when the unit must not share a stand: per-unit DUT
-// factories and observers bind state to one run, and a Runner-default
-// DUT factory makes the DUT identity unnameable.
+// reused, or "" when the unit must not share a stand: a per-unit DUT
+// factory binds its DUT to one run, and a Runner-default DUT factory
+// makes the DUT identity unnameable. Observers and faults are attached
+// per run (runUnit), so they do not split the key.
 func (r *Runner) standKey(u Unit) string {
-	if r.noPool || u.Factory != nil || u.Observer != nil {
+	if r.noPool || u.Factory != nil {
 		return ""
 	}
 	dut := u.DUT

@@ -6,12 +6,19 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/method"
 	"repro/internal/paper"
 	"repro/internal/report"
+	"repro/internal/stand"
 )
 
 func itoa(n int) string { return strconv.Itoa(n) }
@@ -33,13 +40,13 @@ func traceUnits(t testing.TB) []Unit {
 
 // runTraced executes the units with an attached Tracer and returns the
 // NDJSON trace bytes.
-func runTraced(t testing.TB, parallel int, units []Unit) []byte {
+func runTraced(t testing.TB, parallel int, units []Unit, opts ...Option) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := report.NewSpanWriter(&buf)
 	tr := NewTracer(sw)
 	tr.Attach(units)
-	r, err := NewRunner(WithParallelism(parallel), WithSink(tr))
+	r, err := NewRunner(append(opts, WithParallelism(parallel), WithSink(tr))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +88,67 @@ func TestTraceGolden(t *testing.T) {
 	b := runTraced(t, 1, traceUnits(t))
 	if got, want := fmt.Sprintf("%x", sha256.Sum256(b)), strings.TrimSpace(string(raw)); got != want {
 		t.Errorf("trace sha256 %s, golden %s\ntrace:\n%s", got, want, b)
+	}
+}
+
+// countingStand registers paper_stand under another name, counting the
+// stands built from it.
+var (
+	countingStandOnce  sync.Once
+	countingStandBuilt atomic.Int64
+)
+
+func countingStand(t *testing.T) string {
+	t.Helper()
+	const name = "counting_paper_stand"
+	countingStandOnce.Do(func() {
+		err := RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
+			countingStandBuilt.Add(1)
+			return BuildStand("paper_stand", reg, h)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	return name
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// TestTracePooledStands: traced units share one pooled stand, and the
+// spans are byte-identical to those of freshly built stands. GC is off
+// for the test because a collection empties the pool, and one P keeps
+// a released stand in the slot the next unit takes it from.
+func TestTracePooledStands(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	suite, err := LoadSuiteString(paper.Workbook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scripts, err := suite.GenerateScripts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := func() []Unit {
+		return Cross(slices.Repeat(scripts[:1], 4), []string{countingStand(t)}, "interior_light")
+	}
+	built := func(opts ...Option) ([]byte, int64) {
+		before := countingStandBuilt.Load()
+		b := runTraced(t, 1, units(), opts...)
+		return b, countingStandBuilt.Load() - before
+	}
+	pooled, n := built()
+	if n != 1 && !raceEnabled {
+		t.Errorf("pooled campaign built %d stands, want 1", n)
+	}
+	fresh, n := built(WithoutStandPool())
+	if n != 4 {
+		t.Errorf("unpooled campaign built %d stands, want 4", n)
+	}
+	if !bytes.Equal(pooled, fresh) {
+		t.Errorf("pooled trace differs from fresh stands:\n--- pooled ---\n%s--- fresh ---\n%s", pooled, fresh)
 	}
 }
 

@@ -123,7 +123,10 @@ func DecodeJSON(data []byte) (*Report, error) {
 	}
 	r := &Report{Script: x.Script, Stand: x.Stand, DUT: x.DUT, FatalErr: x.Fatal}
 	for _, js := range x.Steps {
-		s := StepResult{Nr: js.Nr, Dt: js.Dt, Remark: js.Remark, Applied: js.Applied}
+		s := StepResult{Nr: js.Nr, Dt: js.Dt, Remark: js.Remark}
+		if len(js.Applied) > 0 { // "applied":[] decodes as omitted, as encoded
+			s.Applied = js.Applied
+		}
 		for _, jc := range js.Checks {
 			v, err := ParseVerdict(jc.Verdict)
 			if err != nil {

@@ -133,3 +133,33 @@ func TestJSONDecodeErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeJSON feeds arbitrary bytes to the worker result parser.
+// It must never panic, and any line it accepts must re-encode and
+// decode to an equal Report. The seed corpus in
+// testdata/fuzz/FuzzDecodeJSON holds EncodeJSON lines of the builtin
+// workbooks' reports on their default stands, clean and faulted.
+func FuzzDecodeJSON(f *testing.F) {
+	b, err := EncodeJSON(sample())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Fuzz(func(t *testing.T, line []byte) {
+		r, err := DecodeJSON(line)
+		if err != nil {
+			return
+		}
+		b, err := EncodeJSON(r)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-encode it: %v", line, err)
+		}
+		back, err := DecodeJSON(b)
+		if err != nil {
+			t.Fatalf("re-encoded %q does not decode: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("round trip of %q changed the report:\n got %#v\nwant %#v", line, back, r)
+		}
+	})
+}

@@ -47,6 +47,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 		return rep
 	}
 	s.resetRun()
+	s.runStart = s.sched.Now()
 	if s.obs != nil {
 		s.obs.RunStarted(sc, s.cfg.UbattVolts)
 		defer func() { s.obs.RunFinished(rep) }()
@@ -60,7 +61,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	}
 	s.advanceTo(s.sched.Now()+s.cfg.SettleTime, true)
 	if s.obs != nil {
-		s.obs.OutputsSampled(s.sched.Now(), -1, s.observeOutputs(sc))
+		s.obs.OutputsSampled(s.sched.Now()-s.runStart, -1, s.observeOutputs(sc))
 	}
 
 	for i := range c.Steps {

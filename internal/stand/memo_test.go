@@ -3,8 +3,11 @@ package stand
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/canbus"
 	"repro/internal/ecu"
@@ -197,5 +200,57 @@ func TestExpectationByContent(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { s.expectation(a) }); got != 0 {
 		t.Errorf("warm expectation allocates %v times, want 0", got)
+	}
+}
+
+// recorder is an Observer that records every callback.
+type recorder struct{ calls []string }
+
+func (r *recorder) RunStarted(sc *script.Script, ubattVolts float64) {
+	r.calls = append(r.calls, fmt.Sprintf("start %s %g", sc.Name, ubattVolts))
+}
+
+func (r *recorder) OutputsSampled(now time.Duration, step int, outputs []OutputState) {
+	r.calls = append(r.calls, fmt.Sprintf("sample %v %d %v", now, step, outputs))
+}
+
+func (r *recorder) StepFinished(step *script.Step, now time.Duration, outputs []OutputState) {
+	r.calls = append(r.calls, fmt.Sprintf("step %d %v %v", step.Nr, now, outputs))
+}
+
+func (r *recorder) RunFinished(rep *report.Report) {
+	r.calls = append(r.calls, "finished "+rep.Script)
+}
+
+// TestPooledObservedRun: an observed run on a stand that has already
+// run another script sees the same callbacks, at the same run-relative
+// times, and yields the same report as on a fresh stand.
+func TestPooledObservedRun(t *testing.T) {
+	observed := func(s *Stand) ([]string, []byte) {
+		rec := &recorder{}
+		s.SetObserver(rec)
+		rep := s.RunContext(context.Background(), paperScript(t))
+		s.SetObserver(nil)
+		return rec.calls, encode(t, rep)
+	}
+	freshCalls, freshRep := observed(paperStand(t))
+
+	pooled := paperStand(t)
+	pooled.RunContext(context.Background(), dropStep(t, 2))
+	pooled.AlignForReuse()
+	if pooled.sched.Now() == 0 {
+		t.Fatal("pooled stand did not advance its clock")
+	}
+	calls, rep := observed(pooled)
+	if !bytes.Equal(rep, freshRep) {
+		t.Fatalf("pooled report differs from a fresh stand:\n%s\n%s", rep, freshRep)
+	}
+	if !slices.Equal(calls, freshCalls) {
+		for i := range min(len(calls), len(freshCalls)) {
+			if calls[i] != freshCalls[i] {
+				t.Fatalf("callback %d on the pooled stand:\n%s\nfresh:\n%s", i, calls[i], freshCalls[i])
+			}
+		}
+		t.Fatalf("pooled stand made %d callbacks, fresh %d", len(calls), len(freshCalls))
 	}
 }

@@ -87,6 +87,9 @@ type Stand struct {
 	trace     *event.Periodic
 	traceSc   *script.Script
 	traceStep int
+	// runStart is when the current run started: observer times are
+	// relative to it, so a pooled stand reports what a fresh one does.
+	runStart time.Duration
 
 	// held maps lower signal name → persistent stimulus state.
 	held map[string]heldStimulus
@@ -460,7 +463,7 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 		sam.stop()
 	}
 	if s.obs != nil {
-		s.obs.StepFinished(step, s.sched.Now(), s.observeOutputs(sc))
+		s.obs.StepFinished(step, s.sched.Now()-s.runStart, s.observeOutputs(sc))
 	}
 
 	if allocErr != nil {
@@ -568,9 +571,10 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 	}
 	plan, err := s.replayStep(rs, res)
 	if err == nil && !bound && ckey != nil {
-		// Pointer-keyed, so a stand fed generated scripts forever
-		// (explore) would grow the index without bound — flush instead.
-		if len(s.routes) >= 1<<12 {
+		// Pointer-keyed, so every binding retains its script: a
+		// workbook binds a few dozen steps, and one-shot scripts
+		// (script mutants, explore's walks) must not pile up.
+		if len(s.routes) >= 1<<8 {
 			clear(s.routes)
 		}
 		s.routes[ckey] = rs

@@ -40,8 +40,10 @@ type OutputState struct {
 // Observer receives behavioural events while RunContext executes a
 // script. All callbacks run on the executing goroutine, in simulated
 // time order; an observer attached to one Stand never sees concurrent
-// calls. The coverage-guided exploration engine (comptest/explore)
-// records output/CAN transitions through this hook.
+// calls. Every callback time is relative to the start of the run, so a
+// pooled stand reports the same times as a freshly built one. The
+// coverage-guided exploration engine (comptest/explore) records
+// output/CAN transitions through this hook.
 type Observer interface {
 	// RunStarted is called once per run, after validation and reset,
 	// before the init block is applied.
@@ -175,7 +177,7 @@ func (s *Stand) startTrace(sc *script.Script, step *script.Step) {
 	}
 	s.traceSc, s.traceStep = sc, step.Nr
 	s.trace = s.sched.Periodic(TracePeriod, func() {
-		s.obs.OutputsSampled(s.sched.Now(), s.traceStep, s.observeOutputs(s.traceSc))
+		s.obs.OutputsSampled(s.sched.Now()-s.runStart, s.traceStep, s.observeOutputs(s.traceSc))
 	})
 }
 
@@ -202,6 +204,6 @@ func (s *Stand) replayTrace() {
 		if outputs == nil {
 			outputs = s.observeOutputs(s.traceSc)
 		}
-		s.obs.OutputsSampled(t, s.traceStep, outputs)
+		s.obs.OutputsSampled(t-s.runStart, s.traceStep, outputs)
 	}
 }
