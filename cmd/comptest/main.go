@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -822,7 +823,7 @@ func cmdExplore(args []string, out io.Writer) error {
 	if *durations != "" {
 		for _, d := range strings.Split(*durations, ",") {
 			f, err := strconv.ParseFloat(strings.TrimSpace(d), 64)
-			if err != nil || f <= 0 {
+			if err != nil || !(f > 0 && f <= math.MaxFloat64) {
 				return fmt.Errorf("explore: malformed duration %q", d)
 			}
 			pool = append(pool, f)

@@ -342,6 +342,30 @@ func TestExploreErrors(t *testing.T) {
 	if _, err := runCLI(t, "explore", "-oracle", "ghost_fault", "-budget", "1"); err == nil {
 		t.Error("unknown oracle fault accepted")
 	}
+	for _, d := range []string{"NaN,1", "INF,1", "1,+Inf"} {
+		if _, err := runCLI(t, "explore", "-durations", d, "-budget", "1"); err == nil {
+			t.Errorf("-durations %s accepted", d)
+		}
+	}
+}
+
+// TestRunNonFiniteDt: a workbook step whose dt is INF or NaN is
+// rejected with an error instead of reaching the stand's clock.
+func TestRunNonFiniteDt(t *testing.T) {
+	for _, dt := range []string{"INF", "NaN"} {
+		wb := strings.Replace(paper.Workbook, "\n7;280;", "\n7;"+dt+";", 1)
+		if wb == paper.Workbook {
+			t.Fatal("paper workbook lacks step 7's row")
+		}
+		path := filepath.Join(t.TempDir(), "wb.csw")
+		if err := os.WriteFile(path, []byte(wb), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := runCLI(t, "run", "-workbook", path)
+		if err == nil || !strings.Contains(err.Error(), "non-finite dt") {
+			t.Errorf("dt %s: err %v\n%s", dt, err, out)
+		}
+	}
 }
 
 // TestExitCodes pins the process surface: an unknown subcommand (or

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,13 +74,11 @@ func (c *Coverage) Keys() []string {
 // statuses its promotion pinned.
 func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 	set := map[string]struct{}{}
-	add := func(format string, args ...any) {
-		set[fmt.Sprintf(format, args...)] = struct{}{}
-	}
+	add := func(key string) { set[key] = struct{}{} }
 
 	for _, step := range tc.Steps {
 		for _, a := range step.Assign {
-			add("stim/%s=%s", strings.ToLower(a.Signal), strings.ToLower(a.Status))
+			add("stim/" + strings.ToLower(a.Signal) + "=" + strings.ToLower(a.Status))
 		}
 	}
 
@@ -108,14 +105,14 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 			// A repeated level adds no key: it was added when the
 			// signal first reached it.
 			if !st.seeded || level != st.level {
-				add("out/%s=%s", o.Signal, level)
+				add("out/" + o.Signal + "=" + level)
 			}
 			if st.seeded {
 				if st.high {
 					st.highTime += s.Now - st.at
 				}
 				if level != st.level {
-					add("trans/%s:%s->%s", o.Signal, st.level, level)
+					add("trans/" + o.Signal + ":" + st.level + "->" + level)
 				}
 			}
 			st.seeded, st.level, st.high, st.at = true, level, !o.CAN && o.High, s.Now
@@ -123,7 +120,7 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 	}
 	for sig, st := range states {
 		for k, span := 0, time.Second; span <= st.highTime; k, span = k+1, span*2 {
-			add("duty/%s:%ds", sig, 1<<k)
+			add("duty/" + sig + ":" + strconv.Itoa(1<<k) + "s")
 		}
 	}
 
@@ -131,7 +128,7 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 		for _, step := range promo.Test.Steps {
 			for _, a := range step.Assign {
 				if promo.IsCheck(a) {
-					add("check/%s=%s", strings.ToLower(a.Signal), strings.ToLower(a.Status))
+					add("check/" + strings.ToLower(a.Signal) + "=" + strings.ToLower(a.Status))
 				}
 			}
 		}

@@ -42,6 +42,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -127,6 +128,9 @@ type Explorer struct {
 	opts  Options
 	gen   *Generator
 	pin   *pinner
+	// scripts generates every walk and shrink candidate against the
+	// suite's status table, so their statements are built once.
+	scripts *script.Generator
 
 	// runner executes every stand run of the exploration, so its pooled
 	// stands outlive single batches. Its one sink is record.
@@ -170,6 +174,11 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 	if opts.MaxSteps < opts.MinSteps {
 		return nil, fmt.Errorf("explore: MaxSteps %d below MinSteps %d", opts.MaxSteps, opts.MinSteps)
 	}
+	for _, d := range opts.Durations {
+		if !(d > 0 && d <= math.MaxFloat64) {
+			return nil, fmt.Errorf("explore: duration %v is not finite and positive", d)
+		}
+	}
 
 	// Validate the DUT and every oracle fault up front.
 	oracles := slices.Compact(slices.Sorted(slices.Values(opts.Oracle)))
@@ -191,6 +200,7 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 		opts:    opts,
 		gen:     gen,
 		pin:     pin,
+		scripts: script.NewGenerator(suite.Signals, suite.Statuses),
 		oracles: oracles,
 		cov:     NewCoverage(),
 		corpus:  &Corpus{},
@@ -218,7 +228,7 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 		units := make([]comptest.Unit, n)
 		for i := range cands {
 			tc := e.gen.Next()
-			sc, err := script.Generate(tc, e.suite.Signals, e.suite.Statuses)
+			sc, err := e.scripts.Generate(tc)
 			if err != nil {
 				return nil, fmt.Errorf("explore: generated walk invalid: %v", err)
 			}

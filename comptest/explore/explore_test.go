@@ -5,11 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -382,6 +381,13 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(suite, Options{DUT: "interior_light", MinSteps: 8, MaxSteps: 2}); err == nil {
 		t.Error("MaxSteps below MinSteps accepted")
 	}
+	// A non-finite hold would reach the stand's clock as a step
+	// duration; New rejects it before any walk runs.
+	for _, d := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		if _, err := New(suite, Options{DUT: "interior_light", Durations: []float64{d, 1}}); err == nil {
+			t.Errorf("duration %v accepted", d)
+		}
+	}
 }
 
 // TestExploreCancellation: a cancelled context stops the run and
@@ -490,18 +496,10 @@ func countingStand(t *testing.T) string {
 	return name
 }
 
-// raceEnabled is set by race_test.go.
-var raceEnabled bool
-
 // TestExploreReusesStands: one exploration runs every candidate walk,
 // pin check, oracle run and shrink probe on its Runner's pooled
-// stands, and pooling leaves the pinned corpus unchanged. GC is off
-// for the test because a collection empties the sync.Pool the stands
-// wait in, and one P keeps a released stand in the slot the next unit
-// takes it from.
+// stands, and pooling leaves the pinned corpus unchanged.
 func TestExploreReusesStands(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want := pinnedFingerprints(t)["1"]
 	for _, par := range []int{1, 2} {
 		opts := interiorOpts()
@@ -509,7 +507,7 @@ func TestExploreReusesStands(t *testing.T) {
 		before := countingStandBuilt.Load()
 		res := runExploration(t, paper.Workbook, opts)
 		built := countingStandBuilt.Load() - before
-		if par == 1 && built > 2 && !raceEnabled {
+		if par == 1 && built > 2 {
 			t.Errorf("parallelism 1: %d stands built for %d executions, want at most 2", built, res.Executions)
 		}
 		if got := fingerprintSum(t, res); got != want {

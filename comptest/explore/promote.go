@@ -47,9 +47,13 @@ func (p *Promotion) IsCheck(a testdef.Assignment) bool {
 // All pinning happens on the exploration goroutine — the pinner needs
 // no locking.
 type pinner struct {
-	suite *comptest.Suite
-	tbl   *status.Table
-	added []*status.Status
+	suite   *comptest.Suite
+	tbl     *status.Table
+	scripts *script.Generator // generates against tbl as it grows
+	added   []*status.Status
+	// limits memoises each get_u status' limits, evaluated at one
+	// supply voltage.
+	limits map[limitKey]limitVal
 	// byLevel caches synthesised status names: "u/<volts>" for
 	// electrical levels, "b/<signal>/<value>" for CAN payloads.
 	byLevel map[string]string
@@ -66,7 +70,18 @@ func newPinner(suite *comptest.Suite) (*pinner, error) {
 			return nil, err
 		}
 	}
-	return &pinner{suite: suite, tbl: tbl, byLevel: map[string]string{}}, nil
+	return &pinner{suite: suite, tbl: tbl, scripts: script.NewGenerator(suite.Signals, tbl),
+		limits: map[limitKey]limitVal{}, byLevel: map[string]string{}}, nil
+}
+
+type limitKey struct {
+	st    *status.Status
+	ubatt float64
+}
+
+type limitVal struct {
+	lo, hi float64
+	err    error
 }
 
 // pin converts a stimulus walk and its trace into a Promotion: for
@@ -106,7 +121,7 @@ func (p *pinner) pin(tc *testdef.TestCase, tr *Trace) (*Promotion, error) {
 			}
 		}
 	}
-	sc, err := script.Generate(clone, p.suite.Signals, p.tbl)
+	sc, err := p.scripts.Generate(clone)
 	if err != nil {
 		return nil, err
 	}
@@ -141,11 +156,16 @@ func (p *pinner) statusFor(sig *sigdef.Signal, o stand.OutputState, ubatt float6
 		if st.Method != "get_u" {
 			continue
 		}
-		lo, hi, err := st.EvalLimits(expr.MapEnv{"ubatt": ubatt})
-		if err != nil {
+		k := limitKey{st, ubatt}
+		l, ok := p.limits[k]
+		if !ok {
+			l.lo, l.hi, l.err = st.EvalLimits(expr.MapEnv{"ubatt": ubatt})
+			p.limits[k] = l
+		}
+		if l.err != nil {
 			continue
 		}
-		if o.Volts >= lo && o.Volts <= hi {
+		if o.Volts >= l.lo && o.Volts <= l.hi {
 			return name, nil
 		}
 	}

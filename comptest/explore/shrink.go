@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 
-	"repro/internal/script"
 	"repro/internal/testdef"
 )
 
@@ -38,7 +37,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 			return false
 		}
 		budget -= cost
-		sc, err := script.Generate(cand, e.suite.Signals, e.suite.Statuses)
+		sc, err := e.scripts.Generate(cand)
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,6 @@ package comptest
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -60,12 +59,14 @@ func (r *Runner) takeStand(key string) *stand.Stand {
 		return nil
 	}
 	r.poolMu.Lock()
-	p := r.pools[key]
-	r.poolMu.Unlock()
-	if p == nil {
+	defer r.poolMu.Unlock()
+	free := r.pools[key]
+	if len(free) == 0 {
 		return nil
 	}
-	st, _ := p.Get().(*stand.Stand)
+	st := free[len(free)-1]
+	free[len(free)-1] = nil
+	r.pools[key] = free[:len(free)-1]
 	return st
 }
 
@@ -86,11 +87,6 @@ func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 	}
 	st.AlignForReuse()
 	r.poolMu.Lock()
-	p := r.pools[key]
-	if p == nil {
-		p = &sync.Pool{}
-		r.pools[key] = p
-	}
+	r.pools[key] = append(r.pools[key], st)
 	r.poolMu.Unlock()
-	p.Put(st)
 }

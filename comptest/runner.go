@@ -41,7 +41,9 @@ type Runner struct {
 	compiled  map[*script.Script]*script.Compiled // nil value: compile failed
 
 	poolMu sync.Mutex
-	pools  map[string]*sync.Pool // reusable stands by configuration key
+	// pools holds the idle stands by configuration key. A Runner never
+	// holds more stands than it ran at once, so the lists need no cap.
+	pools map[string][]*stand.Stand
 
 	emitMu sync.Mutex // serialises sink emission across workers
 	sinks  []Sink
@@ -55,7 +57,7 @@ func NewRunner(opts ...Option) (*Runner, error) {
 		standName: "paper_stand",
 		parallel:  1,
 		compiled:  map[*script.Script]*script.Compiled{},
-		pools:     map[string]*sync.Pool{},
+		pools:     map[string][]*stand.Stand{},
 	}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {

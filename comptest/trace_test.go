@@ -6,8 +6,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -113,16 +111,9 @@ func countingStand(t *testing.T) string {
 	return name
 }
 
-// raceEnabled is set by race_test.go.
-var raceEnabled bool
-
 // TestTracePooledStands: traced units share one pooled stand, and the
-// spans are byte-identical to those of freshly built stands. GC is off
-// for the test because a collection empties the pool, and one P keeps
-// a released stand in the slot the next unit takes it from.
+// spans are byte-identical to those of freshly built stands.
 func TestTracePooledStands(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	suite, err := LoadSuiteString(paper.Workbook)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +131,7 @@ func TestTracePooledStands(t *testing.T) {
 		return b, countingStandBuilt.Load() - before
 	}
 	pooled, n := built()
-	if n != 1 && !raceEnabled {
+	if n != 1 {
 		t.Errorf("pooled campaign built %d stands, want 1", n)
 	}
 	fresh, n := built(WithoutStandPool())

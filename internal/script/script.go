@@ -19,6 +19,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,6 +156,10 @@ type Header struct {
 }
 
 // Script is a complete XML test script.
+//
+// A generated script is read-only: scripts from one Generator share
+// their declarations, init block and statements. Copy before editing
+// (Fold does).
 type Script struct {
 	XMLName xml.Name      `xml:"testscript"`
 	Name    string        `xml:"name,attr"`
@@ -210,15 +215,108 @@ func (sc *Script) UsedMethods() []string {
 // stand". All signal and status information is resolved against the
 // sheets; statuses become method statements.
 func Generate(tc *testdef.TestCase, sigs *sigdef.List, tbl *status.Table) (*Script, error) {
-	if err := tc.Validate(sigs, tbl); err != nil {
+	return NewGenerator(sigs, tbl).Generate(tc)
+}
+
+// GenerateAll generates one script per test case against shared sheets.
+func GenerateAll(cases []*testdef.TestCase, sigs *sigdef.List, tbl *status.Table) ([]*Script, error) {
+	g := NewGenerator(sigs, tbl)
+	out := make([]*Script, 0, len(cases))
+	for _, tc := range cases {
+		sc, err := g.Generate(tc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sc)
+	}
+	return out, nil
+}
+
+// Generator generates scripts against one signal list and status table,
+// building every piece once: the declarations and the init block on the
+// first script, and each (signal, status) statement on its first use.
+// In the paper a script is generated from the sheets once and any stand
+// runs it; a Generator extends that to the many scripts of a campaign,
+// a mutation plan or an exploration, which share most statements.
+//
+// The signal list must not change once a Generator has generated from
+// it. The status table may grow: rows never change once added, so the
+// statements memoised for them stay valid. A Generator is not safe for
+// concurrent use.
+type Generator struct {
+	sigs *sigdef.List
+	tbl  *status.Table
+
+	built bool // decls and init are set
+	decls []*SignalDecl
+	init  []*SignalStmt
+
+	stmts map[stmtKey]stmtResult
+}
+
+type stmtKey struct {
+	sig *sigdef.Signal
+	st  *status.Status
+}
+
+type stmtResult struct {
+	stmt *SignalStmt
+	err  error
+}
+
+// NewGenerator returns a Generator for the sheets.
+func NewGenerator(sigs *sigdef.List, tbl *status.Table) *Generator {
+	return &Generator{sigs: sigs, tbl: tbl, stmts: map[stmtKey]stmtResult{}}
+}
+
+// Generate builds the XML script for one test case. Its declarations,
+// init block and statements are shared with the Generator's other
+// scripts (see Script).
+func (g *Generator) Generate(tc *testdef.TestCase) (*Script, error) {
+	if err := tc.Validate(g.sigs, g.tbl); err != nil {
 		return nil, fmt.Errorf("script: %v", err)
+	}
+	if !g.built {
+		if err := g.build(); err != nil {
+			return nil, err
+		}
 	}
 	sc := &Script{
 		Name:    tc.Name,
 		Version: Version,
 		Header:  Header{Generator: "comptest"},
+		Decls:   g.decls[:len(g.decls):len(g.decls)],
+		Init:    g.init[:len(g.init):len(g.init)],
+		Steps:   make([]*Step, 0, len(tc.Steps)),
 	}
-	for _, sig := range sigs.Signals() {
+	for _, step := range tc.Steps {
+		out := &Step{Nr: step.Index, Dt: step.Dt, Remark: step.Remark}
+		if len(step.Assign) > 0 {
+			out.Signals = make([]*SignalStmt, 0, len(step.Assign))
+		}
+		for _, a := range step.Assign {
+			sig, _ := g.sigs.Lookup(a.Signal)
+			st, ok := g.tbl.Lookup(a.Status)
+			if !ok {
+				return nil, fmt.Errorf("script: step %d: unknown status %q", step.Index, a.Status)
+			}
+			stmt, err := g.stmt(sig, st)
+			if err != nil {
+				return nil, fmt.Errorf("script: step %d: %v", step.Index, err)
+			}
+			out.Signals = append(out.Signals, stmt)
+		}
+		sc.Steps = append(sc.Steps, out)
+	}
+	return sc, nil
+}
+
+// build generates the declarations and the init block. A failure is
+// not kept: the table may yet gain the missing status.
+func (g *Generator) build() error {
+	var decls []*SignalDecl
+	var init []*SignalStmt
+	for _, sig := range g.sigs.Signals() {
 		decl := &SignalDecl{
 			Name:      canonical(sig.Name),
 			Direction: sig.Direction.String(),
@@ -232,7 +330,7 @@ func Generate(tc *testdef.TestCase, sigs *sigdef.List, tbl *status.Table) (*Scri
 		if sig.Class == sigdef.CANSignal && sig.ByteOrder == canbus.Motorola {
 			decl.ByteOrder = sig.ByteOrder.String()
 		}
-		sc.Decls = append(sc.Decls, decl)
+		decls = append(decls, decl)
 		// The init block realises the signal definition sheet's "status of
 		// these signals before starting the test itself". Only stimuli are
 		// applied before step 0; initial measurement statuses document the
@@ -241,49 +339,32 @@ func Generate(tc *testdef.TestCase, sigs *sigdef.List, tbl *status.Table) (*Scri
 		if strings.TrimSpace(sig.Init) == "" {
 			continue
 		}
-		st, ok := tbl.Lookup(sig.Init)
+		st, ok := g.tbl.Lookup(sig.Init)
 		if !ok {
-			return nil, fmt.Errorf("script: signal %q: unknown initial status %q", sig.Name, sig.Init)
+			return fmt.Errorf("script: signal %q: unknown initial status %q", sig.Name, sig.Init)
 		}
 		if !st.Desc.IsStimulus() {
 			continue
 		}
-		stmt, err := stmtFor(sig, st)
+		stmt, err := g.stmt(sig, st)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sc.Init = append(sc.Init, stmt)
+		init = append(init, stmt)
 	}
-	for _, step := range tc.Steps {
-		out := &Step{Nr: step.Index, Dt: step.Dt, Remark: step.Remark}
-		for _, a := range step.Assign {
-			sig, _ := sigs.Lookup(a.Signal)
-			st, ok := tbl.Lookup(a.Status)
-			if !ok {
-				return nil, fmt.Errorf("script: step %d: unknown status %q", step.Index, a.Status)
-			}
-			stmt, err := stmtFor(sig, st)
-			if err != nil {
-				return nil, fmt.Errorf("script: step %d: %v", step.Index, err)
-			}
-			out.Signals = append(out.Signals, stmt)
-		}
-		sc.Steps = append(sc.Steps, out)
-	}
-	return sc, nil
+	g.decls, g.init, g.built = decls, init, true
+	return nil
 }
 
-// GenerateAll generates one script per test case against shared sheets.
-func GenerateAll(cases []*testdef.TestCase, sigs *sigdef.List, tbl *status.Table) ([]*Script, error) {
-	out := make([]*Script, 0, len(cases))
-	for _, tc := range cases {
-		sc, err := Generate(tc, sigs, tbl)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
+// stmt returns the memoised statement, or error, for sig in status st.
+func (g *Generator) stmt(sig *sigdef.Signal, st *status.Status) (*SignalStmt, error) {
+	k := stmtKey{sig, st}
+	r, ok := g.stmts[k]
+	if !ok {
+		r.stmt, r.err = stmtFor(sig, st)
+		g.stmts[k] = r
 	}
-	return out, nil
+	return r.stmt, r.err
 }
 
 func stmtFor(sig *sigdef.Signal, st *status.Status) (*SignalStmt, error) {
@@ -383,6 +464,7 @@ func Validate(sc *Script, reg *method.Registry) error {
 			return fmt.Errorf("script %q: signal %q: %v", sc.Name, d.Name, err)
 		}
 	}
+	runTime := 0.0 // step durations plus numeric waits, in seconds
 	check := func(where string, st *SignalStmt) error {
 		if sc.Decl(st.Name) == nil {
 			return fmt.Errorf("script %q: %s: undeclared signal %q", sc.Name, where, st.Name)
@@ -400,7 +482,16 @@ func Validate(sc *Script, reg *method.Registry) error {
 			if !present || a.Kind != method.Numeric {
 				continue
 			}
-			if _, ok := unit.Number(v); ok {
+			if f, ok := unit.Number(v); ok {
+				// A control statement's number is a wait the stand adds to
+				// the step; the clock only runs forward.
+				if d.Kind == method.Control {
+					if !(f >= 0 && f <= math.MaxFloat64) {
+						return fmt.Errorf("script %q: %s: signal %q: attribute %s: %v is negative or not finite",
+							sc.Name, where, st.Name, a.Name, f)
+					}
+					runTime += f
+				}
 				continue
 			}
 			if _, err := expr.Compile(v); err != nil {
@@ -418,6 +509,10 @@ func Validate(sc *Script, reg *method.Registry) error {
 		if step.Dt <= 0 {
 			return fmt.Errorf("script %q: step %d: non-positive dt %v", sc.Name, step.Nr, step.Dt)
 		}
+		if !(step.Dt <= math.MaxFloat64) {
+			return fmt.Errorf("script %q: step %d: non-finite dt %v", sc.Name, step.Nr, step.Dt)
+		}
+		runTime += step.Dt
 		where := "step " + strconv.Itoa(step.Nr)
 		for _, st := range step.Signals {
 			if err := check(where, st); err != nil {
@@ -425,5 +520,13 @@ func Validate(sc *Script, reg *method.Registry) error {
 			}
 		}
 	}
+	if runTime > maxRunTime {
+		return fmt.Errorf("script %q: runs %vs, longer than the %vs a stand clock can hold", sc.Name, runTime, maxRunTime)
+	}
 	return nil
 }
+
+// maxRunTime bounds the simulated seconds of one script: its step
+// durations plus its numeric waits. It keeps every step end of a run
+// well inside the nanosecond clock of a stand (about 292 years).
+const maxRunTime = 100 * 365 * 24 * 3600.0

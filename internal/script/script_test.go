@@ -1,6 +1,7 @@
 package script
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -211,6 +212,36 @@ func TestValidateCatchesProblems(t *testing.T) {
 	sc.Steps[0].Dt = 0
 	if err := Validate(sc, reg); err == nil || !strings.Contains(err.Error(), "dt") {
 		t.Errorf("bad dt: %v", err)
+	}
+
+	for _, dt := range []float64{math.NaN(), math.Inf(1)} {
+		sc = fresh()
+		sc.Steps[0].Dt = dt
+		if err := Validate(sc, reg); err == nil || !strings.Contains(err.Error(), "non-finite dt") {
+			t.Errorf("dt %v: %v", dt, err)
+		}
+	}
+
+	for _, wait := range []string{"-5", "INF", "NaN", "-INF"} {
+		sc = fresh()
+		sc.Steps[0].Signals = append(sc.Steps[0].Signals, &SignalStmt{Name: "ds_fl",
+			Call: MethodCall{Method: "wait", Attrs: map[string]string{"t": wait}}})
+		if err := Validate(sc, reg); err == nil || !strings.Contains(err.Error(), "negative or not finite") {
+			t.Errorf("wait t=%s: %v", wait, err)
+		}
+	}
+
+	// Finite steps and waits whose sum overflows a stand's clock.
+	sc = fresh()
+	sc.Steps[0].Dt = 1e300
+	if err := Validate(sc, reg); err == nil || !strings.Contains(err.Error(), "stand clock") {
+		t.Errorf("dt 1e300: %v", err)
+	}
+	sc = fresh()
+	sc.Steps[0].Signals = append(sc.Steps[0].Signals, &SignalStmt{Name: "ds_fl",
+		Call: MethodCall{Method: "wait", Attrs: map[string]string{"t": "1e10"}}})
+	if err := Validate(sc, reg); err == nil || !strings.Contains(err.Error(), "stand clock") {
+		t.Errorf("wait 1e10: %v", err)
 	}
 
 	sc = fresh()

@@ -147,7 +147,8 @@ func (s *Signal) Pins() []string {
 
 // List is a parsed signal definition sheet.
 type List struct {
-	byName map[string]*Signal
+	byName map[string]*Signal // by lower-cased name
+	exact  map[string]*Signal // by the name as added
 	order  []string
 
 	// SheetName is the name of the sheet the list was parsed from
@@ -156,7 +157,7 @@ type List struct {
 }
 
 // NewList returns an empty signal list.
-func NewList() *List { return &List{byName: map[string]*Signal{}} }
+func NewList() *List { return &List{byName: map[string]*Signal{}, exact: map[string]*Signal{}} }
 
 // Add validates the signal and inserts it.
 func (l *List) Add(s *Signal) error {
@@ -184,12 +185,17 @@ func (l *List) Add(s *Signal) error {
 		}
 	}
 	l.byName[key] = s
+	l.exact[name] = s
 	l.order = append(l.order, name)
 	return nil
 }
 
-// Lookup finds a signal by name (case-insensitive).
+// Lookup finds a signal by name (case-insensitive). The spelling the
+// signal was added with is found without lower-casing.
 func (l *List) Lookup(name string) (*Signal, bool) {
+	if s, ok := l.exact[name]; ok {
+		return s, true
+	}
 	s, ok := l.byName[strings.ToLower(strings.TrimSpace(name))]
 	return s, ok
 }
@@ -205,7 +211,7 @@ func (l *List) Names() []string {
 func (l *List) Signals() []*Signal {
 	out := make([]*Signal, 0, len(l.order))
 	for _, n := range l.order {
-		out = append(out, l.byName[strings.ToLower(n)])
+		out = append(out, l.exact[n])
 	}
 	return out
 }

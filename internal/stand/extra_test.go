@@ -2,6 +2,7 @@ package stand
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -121,11 +122,13 @@ func TestWaitExtendsStep(t *testing.T) {
 				Call: script.MethodCall{Method: "wait", Attrs: map[string]string{"t": "310"}},
 			})
 			// The lamp is now OFF at the end of this step (timeout passed
-			// during the wait), so expect Lo instead of Ho.
-			for _, st := range step.Signals {
+			// during the wait), so expect Lo instead of Ho. Generated
+			// statements are shared with other steps, so the check is
+			// replaced rather than edited.
+			for i, st := range step.Signals {
 				if st.Call.Method == "get_u" {
-					st.Call.Attrs["u_min"] = "0"
-					st.Call.Attrs["u_max"] = "(0.3*ubatt)"
+					step.Signals[i] = &script.SignalStmt{Name: st.Name, Call: script.MethodCall{
+						Method: "get_u", Attrs: map[string]string{"u_min": "0", "u_max": "(0.3*ubatt)"}}}
 				}
 			}
 		}
@@ -311,5 +314,39 @@ func TestMotorolaSignalEndToEnd(t *testing.T) {
 	f, ok := mon.Last(def.ID)
 	if !ok || f.Data[0] != 0xAB || f.Data[1] != 0xC0 {
 		t.Errorf("wire bytes = % X, want AB C0", f.Data[:2])
+	}
+}
+
+// TestNonFiniteTimingRejected: script XML carrying a step duration or
+// a wait the stand's clock cannot advance by is rejected with a
+// FatalErr before any step runs, instead of panicking the scheduler.
+func TestNonFiniteTimingRejected(t *testing.T) {
+	base, err := script.EncodeString(paperScript(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := `<signal name="ds_fl"><wait t="%s"></wait></signal></step>`
+	cases := map[string]string{
+		"dt NaN":   strings.Replace(base, `dt="0.5"`, `dt="NaN"`, 1),
+		"dt INF":   strings.Replace(base, `dt="0.5"`, `dt="+Inf"`, 1),
+		"wait -5":  strings.Replace(base, "</step>", fmt.Sprintf(wait, "-5"), 1),
+		"wait INF": strings.Replace(base, "</step>", fmt.Sprintf(wait, "INF"), 1),
+		"wait NaN": strings.Replace(base, "</step>", fmt.Sprintf(wait, "NaN"), 1),
+		// Finite, but beyond the nanosecond clock.
+		"dt 1e300":  strings.Replace(base, `dt="0.5"`, `dt="1e300"`, 1),
+		"wait 1e10": strings.Replace(base, "</step>", fmt.Sprintf(wait, "1e10"), 1),
+	}
+	for name, xml := range cases {
+		if xml == base {
+			t.Fatalf("%s: edit did not apply", name)
+		}
+		sc, err := script.DecodeString(xml)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep := paperStand(t).RunContext(context.Background(), sc)
+		if rep.FatalErr == "" || len(rep.Steps) != 0 {
+			t.Errorf("%s: FatalErr %q, %d steps; want a rejection", name, rep.FatalErr, len(rep.Steps))
+		}
 	}
 }

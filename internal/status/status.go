@@ -60,7 +60,8 @@ type Status struct {
 
 // Table is the parsed status definition sheet.
 type Table struct {
-	byName map[string]*Status
+	byName map[string]*Status // by lower-cased name
+	exact  map[string]*Status // by the name as added
 	order  []string
 	reg    *method.Registry
 
@@ -71,7 +72,7 @@ type Table struct {
 
 // NewTable returns an empty table bound to a method registry.
 func NewTable(reg *method.Registry) *Table {
-	return &Table{byName: map[string]*Status{}, reg: reg}
+	return &Table{byName: map[string]*Status{}, exact: map[string]*Status{}, reg: reg}
 }
 
 // Add validates a status row against the method registry and inserts it.
@@ -95,6 +96,7 @@ func (t *Table) Add(s *Status) error {
 		return err
 	}
 	t.byName[key] = s
+	t.exact[name] = s
 	t.order = append(t.order, name)
 	return nil
 }
@@ -159,8 +161,12 @@ func (t *Table) validate(s *Status) error {
 	return nil
 }
 
-// Lookup finds a status by name (case-insensitive).
+// Lookup finds a status by name (case-insensitive). The spelling the
+// status was added with is found without lower-casing.
 func (t *Table) Lookup(name string) (*Status, bool) {
+	if s, ok := t.exact[name]; ok {
+		return s, true
+	}
 	s, ok := t.byName[strings.ToLower(strings.TrimSpace(name))]
 	return s, ok
 }
@@ -402,7 +408,7 @@ func (t *Table) ToSheet(name string) *sheet.Sheet {
 	s := sheet.NewSheet(name)
 	s.AppendRow("status", "method", "attribut", "var (x)", "nom", "min", "max", "D 1", "D 2", "D 3")
 	for _, n := range t.order {
-		st := t.byName[strings.ToLower(n)]
+		st := t.exact[n]
 		s.AppendRow(st.Name, st.Method, st.Attr, st.Var, st.Nom, st.Min, st.Max, st.D[0], st.D[1], st.D[2])
 	}
 	return s
@@ -412,7 +418,7 @@ func (t *Table) ToSheet(name string) *sheet.Sheet {
 func (t *Table) Statuses() []*Status {
 	out := make([]*Status, 0, len(t.order))
 	for _, n := range t.order {
-		out = append(out, t.byName[strings.ToLower(n)])
+		out = append(out, t.exact[n])
 	}
 	return out
 }

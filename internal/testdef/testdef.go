@@ -18,6 +18,7 @@ package testdef
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -116,7 +117,8 @@ func (tc *TestCase) UsedStatuses() []string {
 
 // Validate cross-checks the test case against the signal list and status
 // table: every column signal exists, every assignment is legal for the
-// signal's class and direction, and step durations are positive.
+// signal's class and direction, and step durations are finite and
+// positive.
 func (tc *TestCase) Validate(sigs *sigdef.List, tbl *status.Table) error {
 	if len(tc.Steps) == 0 {
 		return fmt.Errorf("testdef %q: no steps", tc.Name)
@@ -129,6 +131,9 @@ func (tc *TestCase) Validate(sigs *sigdef.List, tbl *status.Table) error {
 	for _, step := range tc.Steps {
 		if step.Dt <= 0 {
 			return fmt.Errorf("testdef %q step %d: non-positive dt %v", tc.Name, step.Index, step.Dt)
+		}
+		if !(step.Dt <= math.MaxFloat64) {
+			return fmt.Errorf("testdef %q step %d: non-finite dt %v", tc.Name, step.Index, step.Dt)
 		}
 		for _, a := range step.Assign {
 			sig, ok := sigs.Lookup(a.Signal)

@@ -138,6 +138,12 @@ func TestValidateErrors(t *testing.T) {
 			Steps: []Step{{Dt: 1}}}, "unknown signal"},
 		{"bad dt", &TestCase{Name: "X", Signals: []string{"DS_FL"},
 			Steps: []Step{{Dt: 0}}}, "non-positive dt"},
+		{"NaN dt", &TestCase{Name: "X", Signals: []string{"DS_FL"},
+			Steps: []Step{{Dt: math.NaN()}}}, "non-finite dt"},
+		{"INF dt", &TestCase{Name: "X", Signals: []string{"DS_FL"},
+			Steps: []Step{{Dt: math.Inf(1)}}}, "non-finite dt"},
+		{"-INF dt", &TestCase{Name: "X", Signals: []string{"DS_FL"},
+			Steps: []Step{{Dt: math.Inf(-1)}}}, "non-positive dt"},
 		{"unknown assigned signal", &TestCase{Name: "X", Signals: []string{"DS_FL"},
 			Steps: []Step{{Dt: 1, Assign: []Assignment{{Signal: "GHOST", Status: "Open"}}}}}, "unknown signal"},
 		{"unknown status", &TestCase{Name: "X", Signals: []string{"DS_FL"},
