@@ -101,8 +101,11 @@ func (c *Collector) Results() []Result {
 // (0, 1, 2, …) regardless of completion order, buffering early
 // arrivals. Units a campaign never emits (a Group's Stop, cancellation)
 // are reported to the wrapper by the Runner, so the sink sees exactly
-// the executed units, in Seq order. Use one Ordered wrapper per
-// campaign: Seq restarts at 0 for every Campaign call.
+// the executed units, in Seq order. The Runner reports them only to a
+// wrapper it holds itself, through WithSink or as a call sink of
+// Campaign; a wrapper reached through another sink waits forever for
+// them. Use one Ordered wrapper per campaign, passed as a call sink to
+// a long-lived Runner: Seq restarts at 0 for every Campaign call.
 func Ordered(s Sink) Sink {
 	return &orderedSink{report.NewSequencer(0, func(r Result) error {
 		s.Emit(r)
@@ -162,8 +165,12 @@ type Group struct {
 }
 
 // Campaign fans the units out over a bounded worker pool
-// (WithParallelism) and streams every Result to the Runner's sinks the
-// moment it completes, instead of returning one slice at the end. Units
+// (WithParallelism) and streams every Result to the Runner's sinks, and
+// then to this call's sinks, the moment it completes, instead of
+// returning one slice at the end. Call sinks serve this campaign only:
+// they get the same serialised Emit, and an Ordered call sink the same
+// notices of units never emitted, as the Runner's own sinks, so one
+// long-lived Runner can stream each campaign somewhere else. Units
 // never share mutable state — each run exclusively owns its stand and
 // DUT — so execution order cannot change verdicts.
 //
@@ -171,19 +178,20 @@ type Group struct {
 // dropped (counted as Skipped, never emitted), running scripts stop at
 // the next step boundary (stand.RunCompiled), and Campaign returns
 // ctx.Err() alongside the partial Summary.
-func (r *Runner) Campaign(ctx context.Context, units []Unit) (Summary, error) {
+func (r *Runner) Campaign(ctx context.Context, units []Unit, sinks ...Sink) (Summary, error) {
 	groups := make([]Group, len(units))
 	for i := range units {
 		groups[i].Units = units[i : i+1]
 	}
-	return r.CampaignGroups(ctx, groups)
+	return r.CampaignGroups(ctx, groups, sinks...)
 }
 
 // CampaignGroups is Campaign over unit groups: groups are dispatched to
 // the worker pool, the units within one group run sequentially (in
 // Result.Seq terms the units are numbered by their position in the
-// flattened group list). See Group for the short-circuit semantics.
-func (r *Runner) CampaignGroups(ctx context.Context, groups []Group) (Summary, error) {
+// flattened group list). See Group for the short-circuit semantics and
+// Campaign for the call sinks.
+func (r *Runner) CampaignGroups(ctx context.Context, groups []Group, sinks ...Sink) (Summary, error) {
 	var sum Summary
 	base := make([]int, len(groups)) // first Seq of each group
 	for i, g := range groups {
@@ -216,14 +224,14 @@ func (r *Runner) CampaignGroups(ctx context.Context, groups []Group) (Summary, e
 			sum.Failed++
 		}
 		mu.Unlock()
-		r.emit(res)
+		r.emit(res, sinks)
 	}
 	// skip accounts Seqs [from, to) as never emitted.
 	skip := func(from, to int) {
 		mu.Lock()
 		sum.Skipped += to - from
 		mu.Unlock()
-		r.skip(from, to)
+		r.skip(from, to, sinks)
 	}
 
 	for w := 0; w < workers; w++ {
@@ -284,8 +292,7 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		res.Err = fmt.Errorf("comptest: unit %d has no script", seq)
 		return res
 	}
-	key := r.standKey(u)
-	st := r.takeStand(key)
+	free, st := r.takeStand(u)
 	if st == nil {
 		var err error
 		st, err = r.newStand(u.Stand, u.DUT, u.Factory, u.Script)
@@ -313,6 +320,6 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 	}
 	res.Report = r.runOn(ctx, st, u.Script, u.Compiled, stand.RunOptions{StopOnFail: u.StopOnFail})
 	st.SetObserver(nil)
-	r.releaseStand(key, st, faulted)
+	r.releaseStand(free, st, faulted)
 	return res
 }

@@ -369,12 +369,9 @@ func TestCampaignSinkOrderingUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestCampaignGroupsStopOrdered: an Ordered sink over a campaign whose
-// groups short-circuit must see exactly the units that ran, in Seq
-// order — a stopped group's skipped Seqs must not hold back the units
-// after them.
-func TestCampaignGroupsStopOrdered(t *testing.T) {
-	units := matrixUnits(t)
+// stopGroups splits units into groups of three, every other one
+// stopping after its first unit, and returns the Seqs that execute.
+func stopGroups(units []Unit) ([]Group, []int) {
 	var (
 		groups []Group
 		want   []int
@@ -393,6 +390,16 @@ func TestCampaignGroupsStopOrdered(t *testing.T) {
 		}
 		groups = append(groups, g)
 	}
+	return groups, want
+}
+
+// TestCampaignGroupsStopOrdered: an Ordered sink over a campaign whose
+// groups short-circuit must see exactly the units that ran, in Seq
+// order — a stopped group's skipped Seqs must not hold back the units
+// after them.
+func TestCampaignGroupsStopOrdered(t *testing.T) {
+	units := matrixUnits(t)
+	groups, want := stopGroups(units)
 	var seqs []int
 	sink := Ordered(SinkFunc(func(res Result) {
 		seqs = append(seqs, res.Seq) // serialised by the runner: no lock needed
@@ -410,6 +417,36 @@ func TestCampaignGroupsStopOrdered(t *testing.T) {
 	}
 	if !slices.Equal(seqs, want) {
 		t.Errorf("ordered sink saw %d results %v,\nwant the %d executed units %v", len(seqs), seqs, len(want), want)
+	}
+}
+
+// TestCampaignCallSinks: an Ordered call sink gets the same skip
+// notices as a Runner sink, so it streams exactly the executed units in
+// Seq order; it serves its own call only, while the Runner's sinks see
+// every call.
+func TestCampaignCallSinks(t *testing.T) {
+	units := matrixUnits(t)
+	groups, want := stopGroups(units)
+	var all int
+	r, err := NewRunner(WithParallelism(4), WithSink(SinkFunc(func(Result) { all++ })))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := make([][]int, 3)
+	for i := range calls {
+		sink := Ordered(SinkFunc(func(res Result) { calls[i] = append(calls[i], res.Seq) }))
+		if _, err := r.CampaignGroups(context.Background(), groups, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, seqs := range calls {
+		if !slices.Equal(seqs, want) {
+			t.Errorf("call %d: ordered call sink saw %d results %v,\nwant the %d executed units %v",
+				i, len(seqs), seqs, len(want), want)
+		}
+	}
+	if all != len(calls)*len(want) {
+		t.Errorf("runner sink saw %d results, want %d", all, len(calls)*len(want))
 	}
 }
 

@@ -33,8 +33,10 @@
 //
 // A Runner executes single scripts (RunScript), whole plans (RunPlan)
 // or a Campaign: M scripts × N stand configs fanned out over a bounded
-// worker pool, each result streamed to the configured sinks the moment
-// it completes. context.Context is honoured throughout; cancellation
+// worker pool, each result streamed to the configured sinks, and to
+// the sinks passed to that Campaign call, the moment it completes. A
+// Runner outlives its campaigns: its compiled scripts and pooled stands
+// serve every later one. context.Context is honoured throughout; cancellation
 // takes effect at the next step boundary (see stand.RunContext).
 //
 // Stands and DUT models are looked up in process-wide registries

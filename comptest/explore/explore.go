@@ -133,11 +133,11 @@ type Explorer struct {
 	scripts *script.Generator
 
 	// runner executes every stand run of the exploration, so its pooled
-	// stands outlive single batches. Its one sink is record.
+	// stands outlive single batches. Its one sink is record; each batch
+	// passes its Ordered wrapper of Options.Sink as a call sink.
 	runner  *comptest.Runner
 	oracles []string // sorted, unique fault names
 	reps    []*report.Report
-	ordered comptest.Sink
 
 	cov    *Coverage
 	corpus *Corpus
@@ -312,26 +312,21 @@ func (e *Explorer) unit(sc *script.Script, obs stand.Observer) comptest.Unit {
 // reports in unit order (nil where the execution could not be built).
 // Every completed run counts toward Executions.
 func (e *Explorer) campaign(ctx context.Context, units []comptest.Unit) ([]*report.Report, error) {
-	e.reps, e.ordered = make([]*report.Report, len(units)), nil
+	e.reps = make([]*report.Report, len(units))
+	var sinks []comptest.Sink
 	if e.opts.Sink != nil {
-		e.ordered = comptest.Ordered(e.opts.Sink)
+		sinks = []comptest.Sink{comptest.Ordered(e.opts.Sink)}
 	}
-	_, err := e.runner.Campaign(ctx, units)
+	_, err := e.runner.Campaign(ctx, units, sinks...)
 	return e.reps, err
 }
 
 // record is the Runner's sink: it keeps the current batch's reports by
-// Seq and forwards each result to the batch's Ordered wrapper of
-// Options.Sink. Campaign dispatches single-unit groups in order, so the
-// units it skips on cancellation are a trailing range the wrapper never
-// waits for.
+// Seq.
 func (e *Explorer) record(r comptest.Result) {
 	e.executions++
 	if r.Err == nil {
 		e.reps[r.Seq] = r.Report
-	}
-	if e.ordered != nil {
-		e.ordered.Emit(r)
 	}
 }
 

@@ -119,9 +119,16 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := suite.GenerateScripts()
-	if err != nil {
-		return nil, err
+	// One Generator serves the baseline and the drop and flip mutants,
+	// so their scripts share declarations, init blocks and statements.
+	g := script.NewGenerator(suite.Signals, suite.Statuses)
+	baseline := make([]*script.Script, 0, len(suite.Tests))
+	for _, tc := range suite.Tests {
+		sc, err := g.Generate(tc)
+		if err != nil {
+			return nil, err
+		}
+		baseline = append(baseline, sc)
 	}
 	p := &Plan{DUT: dut, Stand: standName, Suite: suite, Baseline: baseline}
 	for _, f := range faults {
@@ -135,7 +142,7 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 		})
 	}
 
-	scriptMuts, err := scriptMutants(suite)
+	scriptMuts, err := scriptMutants(suite, g.Generate)
 	if err != nil {
 		return nil, err
 	}

@@ -18,13 +18,24 @@ import (
 // transformation clones the artefact it touches — the suite itself is
 // never modified — and regenerates only the scripts the change affects.
 
-// scriptMutants derives all workbook-level mutants of the suite.
-func scriptMutants(suite *comptest.Suite) ([]Mutant, error) {
-	var out []Mutant
-	for _, gen := range []func(*comptest.Suite) ([]Mutant, error){
-		widenMutants, dropStepMutants, flipStimulusMutants,
+// generate builds the script of a transformed test case against the
+// suite's own sheets.
+type generate func(*testdef.TestCase) (*script.Script, error)
+
+// scriptMutants derives all workbook-level mutants of the suite. Drop
+// and flip mutants keep the suite's sheets, so gen (Enumerate passes
+// the suite's one script.Generator) lets their scripts share its
+// statements; widen mutants change a status and generate against their
+// own table.
+func scriptMutants(suite *comptest.Suite, gen generate) ([]Mutant, error) {
+	out, err := widenMutants(suite)
+	if err != nil {
+		return nil, err
+	}
+	for _, mutants := range []func(*comptest.Suite, generate) ([]Mutant, error){
+		dropStepMutants, flipStimulusMutants,
 	} {
-		ms, err := gen(suite)
+		ms, err := mutants(suite, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +93,7 @@ func widenMutants(suite *comptest.Suite) ([]Mutant, error) {
 // dropStepMutants removes one step at a time from every test case with
 // more than one step. A surviving drop mutant marks a step the suite's
 // verdict does not depend on.
-func dropStepMutants(suite *comptest.Suite) ([]Mutant, error) {
+func dropStepMutants(suite *comptest.Suite, gen generate) ([]Mutant, error) {
 	var out []Mutant
 	for _, tc := range suite.Tests {
 		if len(tc.Steps) < 2 {
@@ -92,7 +103,7 @@ func dropStepMutants(suite *comptest.Suite) ([]Mutant, error) {
 			clone := cloneTest(tc)
 			dropped := clone.Steps[i]
 			clone.Steps = append(clone.Steps[:i:i], clone.Steps[i+1:]...)
-			sc, err := script.Generate(clone, suite.Signals, suite.Statuses)
+			sc, err := gen(clone)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +130,7 @@ func dropStepMutants(suite *comptest.Suite) ([]Mutant, error) {
 // method, and for CAN payloads one that fits the signal's bit length).
 // A surviving flip mutant marks a stimulus the suite never observes the
 // DUT reacting to.
-func flipStimulusMutants(suite *comptest.Suite) ([]Mutant, error) {
+func flipStimulusMutants(suite *comptest.Suite, gen generate) ([]Mutant, error) {
 	var out []Mutant
 	for _, tc := range suite.Tests {
 		for si := range tc.Steps {
@@ -134,7 +145,7 @@ func flipStimulusMutants(suite *comptest.Suite) ([]Mutant, error) {
 				}
 				clone := cloneTest(tc)
 				clone.Steps[si].Assign[ai].Status = alt
-				sc, err := script.Generate(clone, suite.Signals, suite.Statuses)
+				sc, err := gen(clone)
 				if err != nil {
 					return nil, err
 				}

@@ -1,8 +1,6 @@
 package comptest
 
 import (
-	"strings"
-
 	"repro/internal/script"
 	"repro/internal/stand"
 )
@@ -24,19 +22,23 @@ func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 	return c
 }
 
-// standKey returns the pool key under which a unit's stand can be
-// reused, or "" when the unit must not share a stand: a per-unit DUT
-// factory binds its DUT to one run, and a Runner-default DUT factory
-// makes the DUT identity unnameable. Observers and faults are attached
-// per run (runUnit), so they do not split the key.
-func (r *Runner) standKey(u Unit) string {
+// appendStandKey appends the pool key under which a unit's stand can be
+// reused to b, or reports false when the unit must not share a stand: a
+// per-unit DUT factory binds its DUT to one run, and a Runner-default
+// DUT factory makes the DUT identity unnameable. Observers and faults
+// are attached per run (runUnit), so they do not split the key.
+//
+// The key is the stand, the DUT and the script's harness (the distinct
+// forward pins, then the distinct return pins, in declaration order; see
+// stand.HarnessFromScript).
+func (r *Runner) appendStandKey(b []byte, u Unit) ([]byte, bool) {
 	if r.noPool || u.Factory != nil {
-		return ""
+		return b, false
 	}
 	dut := u.DUT
 	if dut == "" {
 		if r.dutFactory != nil {
-			return ""
+			return b, false
 		}
 		dut = r.dutName
 	}
@@ -48,34 +50,72 @@ func (r *Runner) standKey(u Unit) string {
 			standPart = r.standName
 		}
 	}
-	h := stand.HarnessFromScript(u.Script)
-	return standPart + "\x00" + dut + "\x00" +
-		strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
+	b = append(b, standPart...)
+	b = append(b, 0)
+	b = append(b, dut...)
+	b = append(b, 0)
+	b = appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.Pin })
+	b = append(b, '|')
+	return appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.PinRet }), true
 }
 
-// takeStand pops a pooled stand for the key, or nil.
-func (r *Runner) takeStand(key string) *stand.Stand {
-	if key == "" {
-		return nil
+// appendPins appends the distinct non-empty pins of decls, comma
+// separated, in first-declaration order.
+func appendPins(b []byte, decls []*script.SignalDecl, pin func(*script.SignalDecl) string) []byte {
+	first := true
+next:
+	for i, d := range decls {
+		p := pin(d)
+		if p == "" {
+			continue
+		}
+		for _, prev := range decls[:i] {
+			if pin(prev) == p {
+				continue next
+			}
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+		first = false
+	}
+	return b
+}
+
+// takeStand returns the idle stands of the unit's configuration and
+// pops one of them, or nil. The list is nil when the unit must not
+// share a stand. The key is built in a stack buffer, so a configuration
+// the Runner has seen costs no allocation.
+func (r *Runner) takeStand(u Unit) (*[]*stand.Stand, *stand.Stand) {
+	var buf [256]byte
+	key, ok := r.appendStandKey(buf[:0], u)
+	if !ok {
+		return nil, nil
 	}
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
-	free := r.pools[key]
-	if len(free) == 0 {
-		return nil
+	free := r.pools[string(key)]
+	if free == nil {
+		free = new([]*stand.Stand)
+		r.pools[string(key)] = free
 	}
-	st := free[len(free)-1]
-	free[len(free)-1] = nil
-	r.pools[key] = free[:len(free)-1]
-	return st
+	n := len(*free)
+	if n == 0 {
+		return free, nil
+	}
+	st := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return free, st
 }
 
-// releaseStand returns a stand to its pool after a run, re-aligned so
-// the next run is byte-identical to one on a fresh stand (see
+// releaseStand returns a stand to its idle list after a run, re-aligned
+// so the next run is byte-identical to one on a fresh stand (see
 // stand.AlignForReuse). A stand whose DUT carries injected faults that
 // cannot be cleared is dropped rather than pooled.
-func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
-	if key == "" {
+func (r *Runner) releaseStand(free *[]*stand.Stand, st *stand.Stand, faulted bool) {
+	if free == nil {
 		return
 	}
 	if faulted {
@@ -87,6 +127,6 @@ func (r *Runner) releaseStand(key string, st *stand.Stand, faulted bool) {
 	}
 	st.AlignForReuse()
 	r.poolMu.Lock()
-	r.pools[key] = append(r.pools[key], st)
+	*free = append(*free, st)
 	r.poolMu.Unlock()
 }

@@ -43,7 +43,7 @@ type Runner struct {
 	poolMu sync.Mutex
 	// pools holds the idle stands by configuration key. A Runner never
 	// holds more stands than it ran at once, so the lists need no cap.
-	pools map[string][]*stand.Stand
+	pools map[string]*[]*stand.Stand
 
 	emitMu sync.Mutex // serialises sink emission across workers
 	sinks  []Sink
@@ -57,7 +57,7 @@ func NewRunner(opts ...Option) (*Runner, error) {
 		standName: "paper_stand",
 		parallel:  1,
 		compiled:  map[*script.Script]*script.Compiled{},
-		pools:     map[string][]*stand.Stand{},
+		pools:     map[string]*[]*stand.Stand{},
 	}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
@@ -182,14 +182,15 @@ func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, err
 		c := plan.Compiled(sc)
 		rep := r.runOn(ctx, st, sc, c, stand.RunOptions{})
 		reps = append(reps, rep)
-		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep})
+		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep}, nil)
 	}
 	return reps, ctx.Err()
 }
 
-// emit streams one result to every sink, serialised.
-func (r *Runner) emit(res Result) {
-	if len(r.sinks) == 0 {
+// emit streams one result to the Runner's sinks, then to the call's
+// sinks, serialised.
+func (r *Runner) emit(res Result, call []Sink) {
+	if len(r.sinks) == 0 && len(call) == 0 {
 		return
 	}
 	r.emitMu.Lock()
@@ -197,19 +198,24 @@ func (r *Runner) emit(res Result) {
 	for _, s := range r.sinks {
 		s.Emit(res)
 	}
+	for _, s := range call {
+		s.Emit(res)
+	}
 }
 
-// skip tells every Ordered sink that Seqs [from, to) will never be
-// emitted. Empty ranges are no-ops.
-func (r *Runner) skip(from, to int) {
+// skip tells every Ordered sink, the Runner's and the call's, that Seqs
+// [from, to) will never be emitted. Empty ranges are no-ops.
+func (r *Runner) skip(from, to int, call []Sink) {
 	if from >= to {
 		return
 	}
 	r.emitMu.Lock()
 	defer r.emitMu.Unlock()
-	for _, s := range r.sinks {
-		if o, ok := s.(*orderedSink); ok {
-			o.skip(from, to)
+	for _, sinks := range [2][]Sink{r.sinks, call} {
+		for _, s := range sinks {
+			if o, ok := s.(*orderedSink); ok {
+				o.skip(from, to)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/comptest"
 	"repro/comptest/api"
+	"repro/comptest/mutation"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/script"
@@ -282,28 +285,33 @@ func TestExploreJob(t *testing.T) {
 	}
 }
 
+// rawStream submits spec and returns its NDJSON stream once the job is
+// done.
+func (ts *testServer) rawStream(t *testing.T, spec string) []byte {
+	t.Helper()
+	st := ts.submit(t, spec)
+	resp, err := http.Get(ts.url + "/v1/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := ts.status(t, st.ID); final.State != StateDone {
+		t.Fatalf("%s: final = %s (%s)", spec, final.State, final.Error)
+	}
+	return body
+}
+
 // TestJobStreamsStableAcrossParallelism: mutate and explore jobs
 // stream in unit order, so the raw NDJSON is byte-identical at every
 // parallelism — the property that lets a distributed coordinator dedup
 // a requeued job's stream by line position.
 func TestJobStreamsStableAcrossParallelism(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 3})
-	raw := func(spec string) []byte {
-		st := ts.submit(t, spec)
-		resp, err := http.Get(ts.url + "/v1/jobs/" + st.ID + "/stream")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final := ts.status(t, st.ID); final.State != StateDone {
-			t.Fatalf("%s: final = %s (%s)", spec, final.State, final.Error)
-		}
-		return body
-	}
+	raw := func(spec string) []byte { return ts.rawStream(t, spec) }
 	for _, spec := range []string{
 		`{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":%d}`,
 		`{"kind":"explore","budget":6,"seed":1,"parallelism":%d}`,
@@ -318,6 +326,42 @@ func TestJobStreamsStableAcrossParallelism(t *testing.T) {
 					fmt.Sprintf(spec, par), par, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestMutateStreamsEveryExecutedUnit: a mutate job streams one line per
+// executed unit — baseline runs plus every mutant run before its first
+// kill — the same bytes as the in-process mutation.Run.
+func TestMutateStreamsEveryExecutedUnit(t *testing.T) {
+	wb, err := comptest.BuiltinWorkbook("central_locking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := comptest.LoadSuiteString(wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mutation.Enumerate("central_locking", "", suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	mat, err := mutation.Run(context.Background(), plan, mutation.Options{
+		Parallelism: 4, Sink: comptest.Ordered(comptest.NDJSON(&want))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := len(plan.Baseline)
+	for _, o := range mat.Outcomes {
+		executed += o.Runs
+	}
+	ts := newTestServer(t, Options{Workers: 2})
+	got := ts.rawStream(t, `{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":4}`)
+	if lines := bytes.Count(got, []byte("\n")); lines != executed {
+		t.Errorf("mutate job streamed %d lines, want one per executed unit: %d", lines, executed)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("mutate job stream (%d bytes) differs from the in-process run (%d bytes)", len(got), want.Len())
 	}
 }
 

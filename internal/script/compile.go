@@ -42,8 +42,18 @@ func Compile(sc *Script, reg *method.Registry) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Script: sc, Steps: make([]CompiledStep, len(sc.Steps))}
+	// The steps' partitions share one backing array, stimuli in its
+	// first half and measures in its second, so a script costs one
+	// allocation however many steps it has.
+	n := 0
+	for _, step := range sc.Steps {
+		n += len(step.Signals)
+	}
+	buf := make([]*SignalStmt, 2*n)
+	stim, meas := buf[:0:n], buf[n:n]
 	for i, step := range sc.Steps {
 		cs := CompiledStep{Step: step}
+		s0, m0 := len(stim), len(meas)
 		for _, st := range step.Signals {
 			d, ok := reg.Lookup(st.Call.Method)
 			if !ok {
@@ -51,9 +61,9 @@ func Compile(sc *Script, reg *method.Registry) (*Compiled, error) {
 			}
 			switch d.Kind {
 			case method.Stimulus:
-				cs.Stimuli = append(cs.Stimuli, st)
+				stim = append(stim, st)
 			case method.Measure:
-				cs.Measures = append(cs.Measures, st)
+				meas = append(meas, st)
 			case method.Control:
 				if t, ok := st.Call.Attr("t"); ok {
 					if f, ok := unit.Number(t); ok {
@@ -62,7 +72,16 @@ func Compile(sc *Script, reg *method.Registry) (*Compiled, error) {
 				}
 			}
 		}
+		cs.Stimuli, cs.Measures = since(stim, s0), since(meas, m0)
 		c.Steps[i] = cs
 	}
 	return c, nil
+}
+
+// since returns s[from:] capped at its length, or nil when empty.
+func since(s []*SignalStmt, from int) []*SignalStmt {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }

@@ -261,7 +261,13 @@ func WriteWorkbook(w io.Writer, wb *Workbook) error {
 			for j, c := range row {
 				cells[j] = quoteCell(c)
 			}
-			if _, err := fmt.Fprintln(bw, strings.Join(cells, ";")); err != nil {
+			line := strings.Join(cells, ";")
+			if len(row) == 1 && row[0] == "" {
+				// A blank line reads as no row; a quoted empty cell
+				// reads back as this row of one empty cell.
+				line = `""`
+			}
+			if _, err := fmt.Fprintln(bw, line); err != nil {
 				return err
 			}
 		}
@@ -347,7 +353,8 @@ func quoteCell(c string) string {
 	}
 	needs := strings.ContainsAny(c, ";\"") ||
 		c != strings.TrimSpace(c) ||
-		strings.HasPrefix(c, "#")
+		strings.HasPrefix(c, "#") ||
+		strings.HasPrefix(c, "==") // would read as a sheet header
 	if !needs {
 		return c
 	}
