@@ -451,7 +451,7 @@ func cmdRun(args []string, out io.Writer) error {
 	if *fault != "" {
 		faults = []string{*fault}
 	}
-	if _, err := comptest.FaultedFactory(*dutName, faults...); err != nil {
+	if err := comptest.CheckFaults(*dutName, faults...); err != nil {
 		return err
 	}
 	// Reports are streamed in script order even when -parallel reorders

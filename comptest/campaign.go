@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/report"
 	"repro/internal/script"
@@ -23,17 +24,10 @@ type Unit struct {
 	Compiled *script.Compiled
 	Stand    string // registered stand profile, "" = Runner default
 	DUT      string // registered DUT model, "" = Runner default
-	// Factory, when non-nil, builds this unit's DUT instance directly,
-	// overriding both DUT and the Runner's default. Campaign calls it
-	// once per unit, so mutated models (see FaultedFactory) never share
-	// state across concurrent executions. Units with a Factory never
-	// share pooled stands.
-	Factory DUTFactory
 	// Faults are injected into the unit's DUT (ecu.ECU.InjectFault)
-	// before the run and cleared afterwards. Unlike a FaultedFactory
-	// DUT, a unit with Faults and a registered DUT name can reuse a
-	// pooled stand — the mutation engine runs its fault mutants this
-	// way.
+	// before the run and cleared afterwards, so a faulted unit reuses a
+	// pooled stand like any other (see CheckFaults to validate the names
+	// up front). The mutation engine runs its fault mutants this way.
 	Faults []string
 	// StopOnFail stops the run after the first step with a failing or
 	// erroring check; the remaining steps are reported as SKIP
@@ -60,6 +54,12 @@ type Result struct {
 	Unit   Unit
 	Report *report.Report
 	Err    error
+	// Elapsed is the unit's wall-clock execution time, from taking its
+	// stand (pooled or freshly built) to the finished report; RunPlan,
+	// which runs every script on one stand, times each run alone. It is
+	// set on every Result that has a Report. Reports carry no wall-clock
+	// time, so per-unit latency is read from here.
+	Elapsed time.Duration
 }
 
 // Sink consumes campaign results. The Runner serialises Emit calls —
@@ -292,10 +292,11 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		res.Err = fmt.Errorf("comptest: unit %d has no script", seq)
 		return res
 	}
+	start := time.Now()
 	free, st := r.takeStand(u)
 	if st == nil {
 		var err error
-		st, err = r.newStand(u.Stand, u.DUT, u.Factory, u.Script)
+		st, err = r.newStand(u.Stand, u.DUT, u.Script)
 		if err != nil {
 			res.Err = err
 			return res
@@ -319,6 +320,7 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		}
 	}
 	res.Report = r.runOn(ctx, st, u.Script, u.Compiled, stand.RunOptions{StopOnFail: u.StopOnFail})
+	res.Elapsed = time.Since(start)
 	st.SetObserver(nil)
 	r.releaseStand(free, st, faulted)
 	return res

@@ -5,9 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/ecu"
 	"repro/internal/paper"
 	"repro/internal/script"
@@ -34,8 +32,6 @@ func TestOptionPlumbing(t *testing.T) {
 	r, err := NewRunner(
 		WithStand("hil_rack"),
 		WithDUT("window_lifter"),
-		WithAllocStrategy(alloc.Greedy),
-		WithSettleTime(250*time.Millisecond),
 		WithParallelism(3),
 		WithSink(sink),
 	)
@@ -45,36 +41,24 @@ func TestOptionPlumbing(t *testing.T) {
 	if r.Parallelism() != 3 {
 		t.Errorf("Parallelism() = %d, want 3", r.Parallelism())
 	}
-	cfg, err := r.standConfig("", paperScript(t))
+	rep, err := r.RunScript(context.Background(), paperScript(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Name != "hil_rack" {
-		t.Errorf("stand = %q, want hil_rack", cfg.Name)
+	if rep.Stand != "hil_rack" {
+		t.Errorf("stand = %q, want hil_rack", rep.Stand)
 	}
-	if cfg.Strategy != alloc.Greedy {
-		t.Errorf("strategy = %v, want greedy", cfg.Strategy)
-	}
-	if cfg.SettleTime != 250*time.Millisecond {
-		t.Errorf("settle = %v, want 250ms", cfg.SettleTime)
-	}
-	dut, err := r.newDUT("", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dut == nil || dut.Name() != ecu.NewWindowLifter().Name() {
-		t.Errorf("default DUT = %v, want window lifter", dut)
+	if want := ecu.NewWindowLifter().Name(); rep.DUT != want {
+		t.Errorf("default DUT = %q, want %q", rep.DUT, want)
 	}
 }
 
 func TestOptionErrors(t *testing.T) {
 	cases := map[string]Option{
-		"unknown stand":      WithStand("warp_core"),
-		"unknown DUT":        WithDUT("flux_capacitor"),
-		"zero parallelism":   WithParallelism(0),
-		"negative settle":    WithSettleTime(-time.Second),
-		"nil sink":           WithSink(nil),
-		"empty stand config": WithStandConfig(stand.Config{}),
+		"unknown stand":    WithStand("warp_core"),
+		"unknown DUT":      WithDUT("flux_capacitor"),
+		"zero parallelism": WithParallelism(0),
+		"nil sink":         WithSink(nil),
 	}
 	for name, opt := range cases {
 		if _, err := NewRunner(opt); err == nil {
@@ -88,12 +72,15 @@ func TestDefaultRunnerUsesPaperStand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := r.standConfig("", paperScript(t))
+	rep, err := r.RunScript(context.Background(), paperScript(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Name != "paper_stand" {
-		t.Errorf("default stand = %q, want paper_stand", cfg.Name)
+	if rep.Stand != "paper_stand" {
+		t.Errorf("default stand = %q, want paper_stand", rep.Stand)
+	}
+	if rep.DUT != "" {
+		t.Errorf("default DUT = %q, want none", rep.DUT)
 	}
 }
 
@@ -493,6 +480,52 @@ func TestCampaignReportsBadUnits(t *testing.T) {
 	}
 	if sum.Errored != 3 {
 		t.Errorf("bad units: %s, want 3 errored", sum)
+	}
+}
+
+// TestResultsCarryElapsed: every Result with a Report carries the
+// unit's measured wall-clock time — campaign units on fresh and pooled
+// stands, faulted units and RunPlan's scripts alike — and a unit that
+// could not be built carries none.
+func TestResultsCarryElapsed(t *testing.T) {
+	collector := &Collector{}
+	r, err := NewRunner(WithDUT("interior_light"), WithParallelism(2), WithSink(collector))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := paperScript(t)
+	units := []Unit{
+		{Script: sc}, {Script: sc}, {Script: sc, Faults: []string{"only_fl"}},
+		{Script: sc, Stand: "full_lab"}, {Script: sc, Stand: "ghost_stand"},
+	}
+	if _, err := r.Campaign(context.Background(), units); err != nil {
+		t.Fatal(err)
+	}
+	suite, err := LoadSuiteString(paper.Workbook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunPlan(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	results := collector.Results()
+	if len(results) != len(units)+len(plan.Scripts) {
+		t.Fatalf("sink saw %d results, want %d", len(results), len(units)+len(plan.Scripts))
+	}
+	for _, res := range results {
+		if (res.Report == nil) != (res.Unit.Stand == "ghost_stand") {
+			t.Fatalf("unit %d (%s): report %v, err %v", res.Seq, res.Unit.Stand, res.Report != nil, res.Err)
+		}
+		switch {
+		case res.Report != nil && res.Elapsed <= 0:
+			t.Errorf("unit %d (%s): Elapsed = %v with a report, want > 0", res.Seq, res.Unit.Stand, res.Elapsed)
+		case res.Report == nil && res.Elapsed != 0:
+			t.Errorf("unit %d (%s): Elapsed = %v without a report, want 0", res.Seq, res.Unit.Stand, res.Elapsed)
+		}
 	}
 }
 

@@ -43,14 +43,16 @@
 // (RegisterStand, RegisterDUT) keyed by name — the four built-in stand
 // profiles (paper_stand, full_lab, mini_bench, hil_rack) and the four
 // built-in ECU models (interior_light, central_locking, window_lifter,
-// exterior_light) are pre-registered. FaultedFactory builds mutated
-// instances of a registered model; the comptest/mutation subpackage
-// uses it to run full mutation-testing campaigns (mutant enumeration,
-// kill matrix, test-strength reports) on top of Campaign, and the
-// comptest/explore subpackage searches the stimulus space for
-// scenarios that kill the mutants mutation leaves alive — campaign
-// units carry an optional stand.Observer (Unit.Observer) through which
-// exploration records behavioural traces.
+// exterior_light) are pre-registered. A unit names its stand and DUT
+// and carries injected faults by name (Unit.Faults, validated with
+// CheckFaults), so faulted units pool stands like clean ones. The
+// comptest/mutation subpackage runs full mutation-testing campaigns
+// this way (mutant enumeration, kill matrix, test-strength reports) on
+// top of Campaign, and the comptest/explore subpackage searches the
+// stimulus space for scenarios that kill the mutants mutation leaves
+// alive — campaign units carry an optional stand.Observer
+// (Unit.Observer) through which exploration records behavioural
+// traces.
 //
 // Results stream to pluggable sinks (Sink, SinkFunc, Collector,
 // Ordered); NDJSON writes each result as one report.Report JSON line,

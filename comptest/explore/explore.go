@@ -182,7 +182,7 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 
 	// Validate the DUT and every oracle fault up front.
 	oracles := slices.Compact(slices.Sorted(slices.Values(opts.Oracle)))
-	if _, err := comptest.FaultedFactory(opts.DUT, oracles...); err != nil {
+	if err := comptest.CheckFaults(opts.DUT, oracles...); err != nil {
 		return nil, err
 	}
 

@@ -1,13 +1,6 @@
 package comptest
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/alloc"
-	"repro/internal/ecu"
-	"repro/internal/stand"
-)
+import "fmt"
 
 // Option configures a Runner. Options are applied in order by
 // NewRunner; the first failing option aborts construction.
@@ -22,67 +15,18 @@ func WithStand(name string) Option {
 			return fmt.Errorf("comptest: unknown stand %q (have %v)", name, StandNames())
 		}
 		r.standName = name
-		r.standCfg = nil
-		return nil
-	}
-}
-
-// WithStandConfig supplies an explicit stand configuration, bypassing
-// the registry. The configuration is rebuilt per execution unit, so it
-// must be safe to reuse (the built stands own all mutable state).
-func WithStandConfig(cfg stand.Config) Option {
-	return func(r *Runner) error {
-		if cfg.Catalog == nil || cfg.Matrix == nil {
-			return fmt.Errorf("comptest: WithStandConfig needs a catalog and a matrix")
-		}
-		c := cfg
-		r.standCfg = &c
-		r.standName = ""
 		return nil
 	}
 }
 
 // WithDUT selects a registered ECU model by name as the Runner's
-// default DUT. Each execution unit gets a fresh instance.
+// default DUT. Each execution unit gets an exclusively owned instance.
 func WithDUT(name string) Option {
 	return func(r *Runner) error {
 		if !dutRegistered(name) {
 			return fmt.Errorf("comptest: unknown DUT %q (have %v)", name, DUTNames())
 		}
 		r.dutName = name
-		r.dutFactory = nil
-		return nil
-	}
-}
-
-// WithDUTFactory supplies an unregistered DUT model. The factory is
-// called once per execution unit. A nil factory means "no DUT" — the
-// stand runs against an empty socket.
-func WithDUTFactory(f func() ecu.ECU) Option {
-	return func(r *Runner) error {
-		r.dutFactory = DUTFactory(f)
-		r.dutName = ""
-		return nil
-	}
-}
-
-// WithAllocStrategy overrides the resource-allocation strategy of every
-// stand the Runner builds.
-func WithAllocStrategy(s alloc.Strategy) Option {
-	return func(r *Runner) error {
-		r.strategy = &s
-		return nil
-	}
-}
-
-// WithSettleTime overrides the init-block settle time of every stand
-// the Runner builds.
-func WithSettleTime(d time.Duration) Option {
-	return func(r *Runner) error {
-		if d <= 0 {
-			return fmt.Errorf("comptest: settle time must be positive, got %v", d)
-		}
-		r.settle = d
 		return nil
 	}
 }

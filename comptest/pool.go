@@ -23,40 +23,21 @@ func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 }
 
 // appendStandKey appends the pool key under which a unit's stand can be
-// reused to b, or reports false when the unit must not share a stand: a
-// per-unit DUT factory binds its DUT to one run, and a Runner-default
-// DUT factory makes the DUT identity unnameable. Observers and faults
-// are attached per run (runUnit), so they do not split the key.
+// reused to b. Observers and faults are attached per run (runUnit), so
+// they do not split the key.
 //
 // The key is the stand, the DUT and the script's harness (the distinct
 // forward pins, then the distinct return pins, in declaration order; see
 // stand.HarnessFromScript).
-func (r *Runner) appendStandKey(b []byte, u Unit) ([]byte, bool) {
-	if r.noPool || u.Factory != nil {
-		return b, false
-	}
-	dut := u.DUT
-	if dut == "" {
-		if r.dutFactory != nil {
-			return b, false
-		}
-		dut = r.dutName
-	}
-	standPart := u.Stand
-	if standPart == "" {
-		if r.standCfg != nil {
-			standPart = "\x01cfg"
-		} else {
-			standPart = r.standName
-		}
-	}
-	b = append(b, standPart...)
+func (r *Runner) appendStandKey(b []byte, u Unit) []byte {
+	standName, dut := r.names(u.Stand, u.DUT)
+	b = append(b, standName...)
 	b = append(b, 0)
 	b = append(b, dut...)
 	b = append(b, 0)
 	b = appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.Pin })
 	b = append(b, '|')
-	return appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.PinRet }), true
+	return appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.PinRet })
 }
 
 // appendPins appends the distinct non-empty pins of decls, comma
@@ -84,15 +65,15 @@ next:
 }
 
 // takeStand returns the idle stands of the unit's configuration and
-// pops one of them, or nil. The list is nil when the unit must not
-// share a stand. The key is built in a stack buffer, so a configuration
-// the Runner has seen costs no allocation.
+// pops one of them, or nil. The list is nil when pooling is off
+// (WithoutStandPool). The key is built in a stack buffer, so a
+// configuration the Runner has seen costs no allocation.
 func (r *Runner) takeStand(u Unit) (*[]*stand.Stand, *stand.Stand) {
-	var buf [256]byte
-	key, ok := r.appendStandKey(buf[:0], u)
-	if !ok {
+	if r.noPool {
 		return nil, nil
 	}
+	var buf [256]byte
+	key := r.appendStandKey(buf[:0], u)
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
 	free := r.pools[string(key)]

@@ -55,8 +55,7 @@ func TestStandKeyMatchesHarness(t *testing.T) {
 			h := stand.HarnessFromScript(sc)
 			want := standPart + "\x00" + dut + "\x00" +
 				strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
-			key, ok := r.appendStandKey(nil, u)
-			if got := string(key); !ok || got != want {
+			if got := string(r.appendStandKey(nil, u)); got != want {
 				t.Errorf("%s on %q: key %q, want %q", sc.Name, u.Stand, got, want)
 			}
 		}

@@ -17,9 +17,9 @@ import (
 // paper's Table 3+4 stand — may ignore the harness.
 type StandBuilder func(reg *method.Registry, h stand.Harness) (stand.Config, error)
 
-// DUTFactory produces a fresh instance of an ECU model. Campaign calls
-// it once per execution unit, so models never share state across
-// concurrent runs.
+// DUTFactory produces a fresh instance of a registered ECU model
+// (RegisterDUT). A Runner calls it once per stand it builds, so models
+// never share state across concurrent runs.
 type DUTFactory func() ecu.ECU
 
 type registries struct {
@@ -152,31 +152,22 @@ func NewDUT(name string) (ecu.ECU, error) {
 	return e.factory(), nil
 }
 
-// FaultedFactory returns a DUTFactory that produces fresh instances of
-// a registered ECU model with the named faults injected. The model and
-// fault names are validated once, up front, on a probe instance; the
-// returned factory then builds an independently faulted instance per
-// execution unit, so concurrent campaign units never share a mutant.
-func FaultedFactory(name string, faults ...string) (DUTFactory, error) {
-	probe, err := NewDUT(name)
+// CheckFaults reports whether dut names a registered ECU model that
+// supports every named fault, with the error NewDUT or InjectFault
+// gives for the first name that does not. Units carry faults by name
+// (Unit.Faults), so callers validate them once, up front, and a typo
+// fails the submission instead of erroring every unit.
+func CheckFaults(dut string, faults ...string) error {
+	probe, err := NewDUT(dut)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range faults {
 		if err := probe.InjectFault(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	injected := append([]string(nil), faults...)
-	return func() ecu.ECU {
-		// Name and faults were validated above; the registry has no
-		// deregistration, so these calls cannot fail.
-		dut, _ := NewDUT(name)
-		for _, f := range injected {
-			_ = dut.InjectFault(f)
-		}
-		return dut
-	}, nil
+	return nil
 }
 
 // DUTFaults lists the fault injections a registered ECU model supports,

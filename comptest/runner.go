@@ -5,8 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/alloc"
-	"repro/internal/ecu"
 	"repro/internal/method"
 	"repro/internal/report"
 	"repro/internal/script"
@@ -27,15 +25,10 @@ import (
 type Runner struct {
 	methods *method.Registry
 
-	standName  string        // registered profile, used when standCfg == nil
-	standCfg   *stand.Config // explicit configuration
-	dutName    string        // registered model, used when dutFactory == nil
-	dutFactory DUTFactory
-
-	strategy *alloc.Strategy // nil = leave the profile's default
-	settle   time.Duration   // 0 = leave the profile's default
-	parallel int
-	noPool   bool
+	standName string // registered profile of units that name none
+	dutName   string // registered model of units that name none, "" = no DUT
+	parallel  int
+	noPool    bool
 
 	compileMu sync.RWMutex
 	compiled  map[*script.Script]*script.Compiled // nil value: compile failed
@@ -73,52 +66,25 @@ func (r *Runner) Methods() *method.Registry { return r.methods }
 // Parallelism returns the configured worker-pool bound.
 func (r *Runner) Parallelism() int { return r.parallel }
 
-// standConfig resolves the stand configuration for one script: the
-// explicit config or the named profile built for the script's harness,
-// with the Runner's strategy/settle overrides applied.
-func (r *Runner) standConfig(standName string, sc *script.Script) (stand.Config, error) {
-	var cfg stand.Config
-	var err error
-	switch {
-	case standName != "":
-		cfg, err = BuildStand(standName, r.methods, stand.HarnessFromScript(sc))
-	case r.standCfg != nil:
-		cfg = *r.standCfg
-	default:
-		cfg, err = BuildStand(r.standName, r.methods, stand.HarnessFromScript(sc))
+// names resolves a unit's stand and DUT names: empty ones fall back to
+// the Runner's defaults.
+func (r *Runner) names(standName, dutName string) (string, string) {
+	if standName == "" {
+		standName = r.standName
 	}
-	if err != nil {
-		return stand.Config{}, err
+	if dutName == "" {
+		dutName = r.dutName
 	}
-	if r.strategy != nil {
-		cfg.Strategy = *r.strategy
-	}
-	if r.settle > 0 {
-		cfg.SettleTime = r.settle
-	}
-	return cfg, nil
+	return standName, dutName
 }
 
-// newDUT instantiates the DUT for one execution unit: the unit's
-// factory, the unit's named model, or the Runner's default. nil means
-// "no DUT".
-func (r *Runner) newDUT(dutName string, factory DUTFactory) (ecu.ECU, error) {
-	switch {
-	case factory != nil:
-		return factory(), nil
-	case dutName != "":
-		return NewDUT(dutName)
-	case r.dutFactory != nil:
-		return r.dutFactory(), nil
-	case r.dutName != "":
-		return NewDUT(r.dutName)
-	}
-	return nil, nil
-}
-
-// newStand builds and populates a stand for one execution unit.
-func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *script.Script) (*stand.Stand, error) {
-	cfg, err := r.standConfig(standName, sc)
+// newStand builds and populates a stand for one execution unit: the
+// named profile (or the Runner's default) built for the script's
+// harness, with a fresh instance of the named DUT model (or the
+// Runner's default) attached. No DUT name at all means an empty socket.
+func (r *Runner) newStand(standName, dutName string, sc *script.Script) (*stand.Stand, error) {
+	standName, dutName = r.names(standName, dutName)
+	cfg, err := BuildStand(standName, r.methods, stand.HarnessFromScript(sc))
 	if err != nil {
 		return nil, err
 	}
@@ -126,14 +92,15 @@ func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *scr
 	if err != nil {
 		return nil, err
 	}
-	dut, err := r.newDUT(dutName, factory)
+	if dutName == "" {
+		return st, nil
+	}
+	dut, err := NewDUT(dutName)
 	if err != nil {
 		return nil, err
 	}
-	if dut != nil {
-		if err := st.AttachDUT(dut); err != nil {
-			return nil, err
-		}
+	if err := st.AttachDUT(dut); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -141,7 +108,7 @@ func (r *Runner) newStand(standName, dutName string, factory DUTFactory, sc *scr
 // RunScript executes one script on a freshly built default stand and
 // returns its report. The context is honoured between steps.
 func (r *Runner) RunScript(ctx context.Context, sc *script.Script) (*report.Report, error) {
-	st, err := r.newStand("", "", nil, sc)
+	st, err := r.newStand("", "", sc)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +137,7 @@ func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, err
 	if len(plan.Scripts) == 0 {
 		return nil, nil
 	}
-	st, err := r.newStand("", "", nil, plan.Scripts[0])
+	st, err := r.newStand("", "", plan.Scripts[0])
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +147,10 @@ func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, err
 			return reps, err
 		}
 		c := plan.Compiled(sc)
+		start := time.Now()
 		rep := r.runOn(ctx, st, sc, c, stand.RunOptions{})
 		reps = append(reps, rep)
-		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep}, nil)
+		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep, Elapsed: time.Since(start)}, nil)
 	}
 	return reps, ctx.Err()
 }

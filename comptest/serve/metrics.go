@@ -39,9 +39,10 @@ var unitRateBounds = []float64{1, 5, 25, 100, 500, 2500}
 // server this is microseconds; a saturated queue reaches seconds.
 var queueWaitBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2, 10, 60}
 
-// unitSecondsBounds buckets one unit's wall-clock execution, from DUT
-// construction to its result reaching the sinks. The paper's units
-// simulate in single-digit milliseconds.
+// unitSecondsBounds buckets one unit's wall-clock execution, from the
+// Runner taking its stand to the finished report (Result.Elapsed), for
+// every job kind that runs units. The paper's units simulate in
+// single-digit milliseconds.
 var unitSecondsBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2, 10, 60}
 
 // registerMetrics wires the server's telemetry into reg. Everything
@@ -69,7 +70,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.jobSeconds = reg.Histogram(MetricJobSeconds, "wall-clock duration of finished jobs", jobSecondsBounds)
 	s.unitRate = reg.Histogram(MetricUnitRate, "result lines per second of finished jobs", unitRateBounds)
 	s.queueWait = reg.Histogram(MetricQueueWait, "seconds jobs waited between acceptance and start", queueWaitBounds)
-	s.unitSeconds = reg.Histogram(MetricUnitSeconds, "wall-clock execution seconds of campaign units", unitSecondsBounds)
+	s.unitSeconds = reg.Histogram(MetricUnitSeconds, "wall-clock seconds of executed units, from taking the stand to the finished report", unitSecondsBounds)
 	s.mQuotaRejected = reg.Counter(MetricQuotaRejected, "submissions rejected by per-tenant quota (429)")
 	reg.GaugeFunc(MetricTenantsActive, "tenants with at least one queued or running job",
 		func() float64 { return float64(s.quota.activeTenants()) })

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -92,11 +93,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		return c
 	}
-	// Every clock read advances the fake by 5 s, and the reads between
-	// the job's start and finish stamps are exactly the per-unit pair
-	// (factory + result emit) — so the measured wall time is
-	// deterministic: (1 + 2*units) ticks.
-	elapsed := 5 * float64(1+2*reports)
+	// Every clock read advances the fake by 5 s, and the server reads
+	// its clock only at the job's start and finish stamps, so the
+	// measured wall time is deterministic: exactly one tick.
+	const elapsed = 5.0
 	if durs := cell(MetricJobSeconds); durs.Count != 1 || durs.Sum != elapsed {
 		t.Errorf("%s count=%d sum=%v, want 1 job of exactly %vs (fake clock)",
 			MetricJobSeconds, durs.Count, durs.Sum, elapsed)
@@ -109,10 +109,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	if qw := cell(MetricQueueWait); qw.Count != 1 || qw.Sum != 5 {
 		t.Errorf("%s count=%d sum=%v, want 1 wait of exactly 5s", MetricQueueWait, qw.Count, qw.Sum)
 	}
-	// Each unit's factory→emit window is one tick: 5 s per unit.
-	if us := cell(MetricUnitSeconds); us.Count != int64(reports) || us.Sum != 5*float64(reports) {
-		t.Errorf("%s count=%d sum=%v, want %d units of exactly 5s each",
-			MetricUnitSeconds, us.Count, us.Sum, reports)
+	// Units are timed by the Runner on the real clock (Result.Elapsed):
+	// one observation per unit, each well inside the job's fake tick.
+	if us := cell(MetricUnitSeconds); us.Count != int64(reports) || !(us.Sum > 0 && us.Sum < elapsed) {
+		t.Errorf("%s count=%d sum=%v, want %d units with 0 < sum < %vs",
+			MetricUnitSeconds, us.Count, us.Sum, reports, elapsed)
+	}
+}
+
+// TestUnitSecondsEveryKind: mutate and explore jobs observe every
+// unit they stream in comptest_unit_seconds, as campaign jobs do.
+func TestUnitSecondsEveryKind(t *testing.T) {
+	ts := newTestServer(t, Options{Workers: 1})
+	lines := 0
+	for _, spec := range []string{
+		`{"kind":"mutate","dut":"interior_light","parallelism":2}`,
+		`{"kind":"explore","budget":4,"seed":1,"parallelism":2}`,
+	} {
+		lines += bytes.Count(ts.rawStream(t, spec), []byte("\n"))
+	}
+	_, raw := getBody(t, ts.url+"/metrics?format=json")
+	snap, err := obs.ParseJSON(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := int64(-1)
+	for _, f := range snap.Families {
+		if f.Name == MetricUnitSeconds {
+			count = f.Cells[0].Count
+		}
+	}
+	if lines == 0 || count != int64(lines) {
+		t.Errorf("%s count = %d, want one per streamed line: %d", MetricUnitSeconds, count, lines)
 	}
 }
 

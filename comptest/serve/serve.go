@@ -16,7 +16,6 @@ import (
 	"repro/comptest/api"
 	"repro/comptest/explore"
 	"repro/comptest/mutation"
-	"repro/internal/ecu"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -354,12 +353,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", trimPrefix(err))
 		return
 	}
-	if _, err := comptest.FaultedFactory(spec.DUT, spec.Faults...); err != nil {
+	if err := comptest.CheckFaults(spec.DUT, spec.Faults...); err != nil {
 		writeError(w, http.StatusBadRequest, "%s", trimPrefix(err))
 		return
 	}
 	for _, f := range spec.Oracle {
-		if _, err := comptest.FaultedFactory(spec.DUT, f); err != nil {
+		if err := comptest.CheckFaults(spec.DUT, f); err != nil {
 			writeError(w, http.StatusBadRequest, "oracle: %s", trimPrefix(err))
 			return
 		}
@@ -745,36 +744,28 @@ func (s *Server) ExecuteLocal(ctx context.Context, ex Execution) (string, error)
 // runCampaign fans the cached scripts over one stand as a single
 // Campaign, streaming every report to the job log in unit order.
 func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) {
-	factory, err := comptest.FaultedFactory(ex.Spec.DUT, ex.Spec.Faults...)
-	if err != nil {
+	// Checked here too, not only at submission: ExecuteLocal also runs
+	// restored jobs and other callers' executions, and an unknown fault
+	// must fail the job rather than error every unit.
+	if err := comptest.CheckFaults(ex.Spec.DUT, ex.Spec.Faults...); err != nil {
 		return "", err
 	}
 	scripts, err := ex.Art.Select(ex.Spec.Scripts)
 	if err != nil {
 		return "", err
 	}
-	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, "")
+	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, ex.Spec.DUT)
 	// The tracer rides the same per-unit Observer seam as the server's
 	// test hook; MultiObserver composes the two when both are present.
 	var tracer *comptest.Tracer
 	if ex.Trace != nil {
 		tracer = comptest.NewTracer(report.NewSpanWriter(ex.Trace))
 	}
-	// Per-unit wall latency is measured from DUT construction (the
-	// factory call, the first thing a unit's goroutine does) to the
-	// result reaching the sinks — without attaching a stand observer,
-	// whose solver-sampling cost the Trace flag documents. starts[i] is
-	// written and read on unit i's own goroutine.
-	starts := make([]time.Time, len(units))
 	for i := range units {
-		i := i
 		if ex.Art.Plan != nil {
 			units[i].Compiled = ex.Art.Plan.Compiled(units[i].Script)
 		}
-		units[i].Factory = func() ecu.ECU {
-			starts[i] = s.now()
-			return factory()
-		}
+		units[i].Faults = ex.Spec.Faults
 		if ex.Observer != nil {
 			units[i].Observer = ex.Observer(i)
 		}
@@ -783,9 +774,7 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 		}
 	}
 	watch := comptest.SinkFunc(func(res comptest.Result) {
-		if res.Seq >= 0 && res.Seq < len(starts) && !starts[res.Seq].IsZero() {
-			s.unitSeconds.Observe(s.now().Sub(starts[res.Seq]).Seconds())
-		}
+		s.observeUnit(res)
 		if ex.Logger == nil {
 			return
 		}
@@ -827,6 +816,26 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 	return "red", nil
 }
 
+// observeUnit records one executed unit's wall-clock time, measured by
+// the Runner (Result.Elapsed), in comptest_unit_seconds.
+func (s *Server) observeUnit(res comptest.Result) {
+	if res.Report != nil {
+		s.unitSeconds.Observe(res.Elapsed.Seconds())
+	}
+}
+
+// timedNDJSON is an NDJSON sink over w that first observes every unit
+// in comptest_unit_seconds. Callers that order the stream wrap it
+// in comptest.Ordered themselves, outermost, so the Runner's notices
+// of units never emitted reach the wrapper.
+func (s *Server) timedNDJSON(w io.Writer) comptest.Sink {
+	sink := comptest.NDJSON(w)
+	return comptest.SinkFunc(func(res comptest.Result) {
+		s.observeUnit(res)
+		sink.Emit(res)
+	})
+}
+
 // runMutate executes the kill matrix of the job's suite, streaming
 // baseline and mutant reports in unit order — the same bytes at every
 // parallelism, so a distributed requeue can dedup them by position.
@@ -837,7 +846,7 @@ func (s *Server) runMutate(ctx context.Context, ex Execution) (string, error) {
 	}
 	mat, err := mutation.Run(ctx, plan, mutation.Options{
 		Parallelism: ex.Spec.Parallelism,
-		Sink:        comptest.Ordered(comptest.NDJSON(ex.Log)),
+		Sink:        comptest.Ordered(s.timedNDJSON(ex.Log)),
 	})
 	if err != nil {
 		return "", err
@@ -917,7 +926,7 @@ func (s *Server) runExplore(ctx context.Context, ex Execution) (string, error) {
 		Budget:      ex.Spec.Budget,
 		Parallelism: ex.Spec.Parallelism,
 		Oracle:      ex.Spec.Oracle,
-		Sink:        comptest.NDJSON(ex.Log),
+		Sink:        s.timedNDJSON(ex.Log),
 	})
 	if err != nil {
 		return "", err

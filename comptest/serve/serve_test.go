@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/comptest"
 	"repro/comptest/api"
 	"repro/comptest/mutation"
+	"repro/internal/method"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/script"
@@ -182,6 +184,77 @@ func TestFaultedCampaignIsRed(t *testing.T) {
 	}
 	if c := final.Campaign; c == nil || c.Failed != 1 {
 		t.Errorf("campaign summary: %+v", c)
+	}
+}
+
+// countingStand registers, once per test binary, a stand profile with
+// full_lab's wiring that counts the stands built from it.
+var (
+	countingStandOnce   sync.Once
+	countingStandBuilds atomic.Int64
+)
+
+func countingStand(t *testing.T) string {
+	t.Helper()
+	const name = "counting_full_lab"
+	countingStandOnce.Do(func() {
+		err := comptest.RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
+			countingStandBuilds.Add(1)
+			return stand.FullLab(reg, h)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	return name
+}
+
+// TestServedCampaignPoolsStands: a served campaign's units name their
+// stand and DUT, so the job's Runner reuses one pooled stand for all
+// four sequential central_locking units instead of building one each.
+func TestServedCampaignPoolsStands(t *testing.T) {
+	name := countingStand(t)
+	ts := newTestServer(t, Options{Workers: 1})
+	before := countingStandBuilds.Load()
+	st := ts.submit(t, `{"workbook_name":"central_locking","stand":"`+name+`","parallelism":1}`)
+	final := ts.wait(t, st.ID)
+	if final.State != StateDone || final.Reports != 4 {
+		t.Fatalf("final = %s with %d reports (%s), want done with 4", final.State, final.Reports, final.Error)
+	}
+	if built := countingStandBuilds.Load() - before; built != 1 {
+		t.Errorf("4-unit campaign built %d stands, want 1", built)
+	}
+}
+
+// TestServedFaultsMatchLocalRunner: a faulted campaign job streams the
+// same bytes as a local Runner campaign whose units carry the faults by
+// name (Unit.Faults).
+func TestServedFaultsMatchLocalRunner(t *testing.T) {
+	suite, err := comptest.LoadSuiteString(paper.Workbook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := comptest.Compile(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standName := mutation.DefaultStand("interior_light")
+	units := plan.Units([]string{standName}, "interior_light")
+	for i := range units {
+		units[i].Faults = []string{"stuck_off"}
+	}
+	var want bytes.Buffer
+	r, err := comptest.NewRunner(comptest.WithStand(standName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Campaign(context.Background(), units, comptest.Ordered(comptest.NDJSON(&want))); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Options{})
+	got := ts.rawStream(t, `{"faults":["stuck_off"]}`)
+	if want.Len() == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("faulted job stream (%d bytes) differs from the local run (%d bytes)", len(got), want.Len())
 	}
 }
 
@@ -528,31 +601,34 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// badSpecs are job specs the submit endpoint rejects with 400, one per
+// validation path. FuzzNormalizeSpec seeds its corpus with them.
+var badSpecs = []struct {
+	name, spec string
+}{
+	{"malformed JSON", `{`},
+	{"unknown field", `{"kindd":"campaign"}`},
+	{"unknown kind", `{"kind":"bake"}`},
+	{"workbook and workbook_name", `{"workbook":"x","workbook_name":"interior_light"}`},
+	{"unknown DUT", `{"dut":"toaster"}`},
+	{"unknown stand", `{"stand":"garage"}`},
+	{"unknown fault", `{"faults":["bogus"]}`},
+	{"faults on mutate", `{"kind":"mutate","faults":["stuck_off"]}`},
+	{"oracle on campaign", `{"kind":"campaign","oracle":["only_fl"]}`},
+	{"unknown oracle", `{"kind":"explore","oracle":["ghost"]}`},
+	{"budget on campaign", `{"kind":"campaign","budget":512}`},
+	{"seed on mutate", `{"kind":"mutate","seed":7}`},
+	{"unknown workbook name", `{"workbook_name":"toaster"}`},
+	{"negative parallelism", `{"parallelism":-1}`},
+	{"garbage workbook", `{"workbook":"not a workbook"}`},
+	{"scripts on mutate", `{"kind":"mutate","scripts":["InteriorIllumination"]}`},
+	{"unknown script in shard selector", `{"kind":"campaign","scripts":["Ghost"]}`},
+}
+
 // TestSubmitValidation exercises every 400 path.
 func TestSubmitValidation(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	cases := []struct {
-		name, spec string
-	}{
-		{"malformed JSON", `{`},
-		{"unknown field", `{"kindd":"campaign"}`},
-		{"unknown kind", `{"kind":"bake"}`},
-		{"workbook and workbook_name", `{"workbook":"x","workbook_name":"interior_light"}`},
-		{"unknown DUT", `{"dut":"toaster"}`},
-		{"unknown stand", `{"stand":"garage"}`},
-		{"unknown fault", `{"faults":["bogus"]}`},
-		{"faults on mutate", `{"kind":"mutate","faults":["stuck_off"]}`},
-		{"oracle on campaign", `{"kind":"campaign","oracle":["only_fl"]}`},
-		{"unknown oracle", `{"kind":"explore","oracle":["ghost"]}`},
-		{"budget on campaign", `{"kind":"campaign","budget":512}`},
-		{"seed on mutate", `{"kind":"mutate","seed":7}`},
-		{"unknown workbook name", `{"workbook_name":"toaster"}`},
-		{"negative parallelism", `{"parallelism":-1}`},
-		{"garbage workbook", `{"workbook":"not a workbook"}`},
-		{"scripts on mutate", `{"kind":"mutate","scripts":["InteriorIllumination"]}`},
-		{"unknown script in shard selector", `{"kind":"campaign","scripts":["Ghost"]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSpecs {
 		if _, code := ts.submitRaw(t, tc.spec); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}

@@ -113,7 +113,9 @@ func (s *Suite) GenerateScript(name string) (*script.Script, error) {
 }
 
 // LoadStandConfig parses a stand workbook ("Resources" + "Connections"
-// sheets) into a stand configuration.
+// sheets) into a stand configuration. Runners name stands only through
+// the registry, so a loaded stand runs scripts once a RegisterStand
+// builder returns it.
 func LoadStandConfig(wb *sheet.Workbook, name string, ubattVolts float64) (stand.Config, error) {
 	reg := method.Builtin()
 	resSheet := wb.Sheet("Resources")

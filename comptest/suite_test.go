@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/comptest"
-	"repro/internal/method"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/sheet"
@@ -99,14 +98,10 @@ func TestLoadStandConfig(t *testing.T) {
 }
 
 func TestRunPlanWithExplicitStandConfig(t *testing.T) {
-	// The complete paper pipeline against an explicit (non-registry)
-	// stand configuration — the WithStandConfig path end to end.
-	cfg, err := stand.PaperConfig(method.Builtin())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The complete paper pipeline on the paper's stand, named
+	// explicitly: a stand is always named through the registry.
 	r, err := comptest.NewRunner(
-		comptest.WithStandConfig(cfg),
+		comptest.WithStand("paper_stand"),
 		comptest.WithDUT("interior_light"),
 	)
 	if err != nil {
@@ -223,20 +218,23 @@ func TestBuiltinFaultsAreDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fault := range faults {
-			factory, err := comptest.FaultedFactory(dut, fault)
-			if err != nil {
+			if err := comptest.CheckFaults(dut, fault); err != nil {
 				t.Fatalf("%s/%s: %v", dut, fault, err)
 			}
 			collector := &comptest.Collector{}
 			r, err := comptest.NewRunner(
 				comptest.WithStand("full_lab"),
-				comptest.WithDUTFactory(factory),
+				comptest.WithDUT(dut),
 				comptest.WithSink(collector),
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Campaign(context.Background(), comptest.Cross(scripts, []string{"full_lab"}, "")); err != nil {
+			units := comptest.Cross(scripts, []string{"full_lab"}, "")
+			for i := range units {
+				units[i].Faults = []string{fault}
+			}
+			if _, err := r.Campaign(context.Background(), units); err != nil {
 				t.Fatal(err)
 			}
 			detected := false
