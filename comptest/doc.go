@@ -45,7 +45,10 @@
 // built-in ECU models (interior_light, central_locking, window_lifter,
 // exterior_light) are pre-registered. A unit names its stand and DUT
 // and carries injected faults by name (Unit.Faults, validated with
-// CheckFaults), so faulted units pool stands like clean ones. The
+// CheckFaults), so faulted units pool stands like clean ones. Each
+// (stand name, harness) pair is built once per process into a shared
+// stand.Profile, so the routing of a script onto a stand outlives
+// every Runner. The
 // comptest/mutation subpackage runs full mutation-testing campaigns
 // this way (mutant enumeration, kill matrix, test-strength reports) on
 // top of Campaign, and the comptest/explore subpackage searches the

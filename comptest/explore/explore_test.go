@@ -17,9 +17,8 @@ import (
 
 	"repro/comptest"
 	"repro/comptest/mutation"
-	"repro/internal/method"
+	"repro/internal/ecu"
 	"repro/internal/paper"
-	"repro/internal/stand"
 	"repro/internal/workbooks"
 )
 
@@ -474,21 +473,26 @@ func TestCoverageSet(t *testing.T) {
 	}
 }
 
-// countingStand is paper_stand under another name, counting the stands
-// built from it.
+// countingDUT is interior_light under another name, counting the
+// stands its instances are attached to: one per stand instance built.
+// (Oracle validation instantiates the model too, but never attaches it.)
 var (
-	countingStandOnce  sync.Once
-	countingStandBuilt atomic.Int64
+	countingDUTOnce     sync.Once
+	countingDUTAttached atomic.Int64
 )
 
-func countingStand(t *testing.T) string {
+type countedLight struct{ *ecu.InteriorLight }
+
+func (l countedLight) Attach(env *ecu.Env) error {
+	countingDUTAttached.Add(1)
+	return l.InteriorLight.Attach(env)
+}
+
+func countingDUT(t *testing.T) string {
 	t.Helper()
-	const name = "counting_paper_stand"
-	countingStandOnce.Do(func() {
-		err := comptest.RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
-			countingStandBuilt.Add(1)
-			return comptest.BuildStand("paper_stand", reg, h)
-		})
+	const name = "counting_interior_light"
+	countingDUTOnce.Do(func() {
+		err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLight{ecu.NewInteriorLight()} }, paper.Workbook)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,12 +507,15 @@ func TestExploreReusesStands(t *testing.T) {
 	want := pinnedFingerprints(t)["1"]
 	for _, par := range []int{1, 2} {
 		opts := interiorOpts()
-		opts.Stand, opts.Parallelism = countingStand(t), par
-		before := countingStandBuilt.Load()
+		opts.DUT, opts.Stand, opts.Parallelism = countingDUT(t), "paper_stand", par
+		before := countingDUTAttached.Load()
 		res := runExploration(t, paper.Workbook, opts)
-		built := countingStandBuilt.Load() - before
+		built := countingDUTAttached.Load() - before
 		if par == 1 && built > 2 {
 			t.Errorf("parallelism 1: %d stands built for %d executions, want at most 2", built, res.Executions)
+		}
+		if built == 0 {
+			t.Errorf("parallelism %d: no stand built from the counting DUT", par)
 		}
 		if got := fingerprintSum(t, res); got != want {
 			t.Errorf("parallelism %d: fingerprint sha256 %s, pinned %s", par, got, want)

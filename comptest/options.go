@@ -11,8 +11,8 @@ type Option func(*Runner) error
 // construction rather than at run time.
 func WithStand(name string) Option {
 	return func(r *Runner) error {
-		if !standRegistered(name) {
-			return fmt.Errorf("comptest: unknown stand %q (have %v)", name, StandNames())
+		if err := CheckStand(name); err != nil {
+			return err
 		}
 		r.standName = name
 		return nil

@@ -1,6 +1,8 @@
 package comptest
 
 import (
+	"sync"
+
 	"repro/internal/script"
 	"repro/internal/stand"
 )
@@ -26,18 +28,24 @@ func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
 // reused to b. Observers and faults are attached per run (runUnit), so
 // they do not split the key.
 //
-// The key is the stand, the DUT and the script's harness (the distinct
-// forward pins, then the distinct return pins, in declaration order; see
-// stand.HarnessFromScript).
+// The key is the stand, the DUT and the script's harness (see
+// appendHarness).
 func (r *Runner) appendStandKey(b []byte, u Unit) []byte {
 	standName, dut := r.names(u.Stand, u.DUT)
 	b = append(b, standName...)
 	b = append(b, 0)
 	b = append(b, dut...)
 	b = append(b, 0)
-	b = appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.Pin })
+	return appendHarness(b, u.Script)
+}
+
+// appendHarness appends the script's harness: the distinct forward
+// pins, then the distinct return pins, in declaration order (see
+// stand.HarnessFromScript).
+func appendHarness(b []byte, sc *script.Script) []byte {
+	b = appendPins(b, sc.Decls, func(d *script.SignalDecl) string { return d.Pin })
 	b = append(b, '|')
-	return appendPins(b, u.Script.Decls, func(d *script.SignalDecl) string { return d.PinRet })
+	return appendPins(b, sc.Decls, func(d *script.SignalDecl) string { return d.PinRet })
 }
 
 // appendPins appends the distinct non-empty pins of decls, comma
@@ -110,4 +118,48 @@ func (r *Runner) releaseStand(free *[]*stand.Stand, st *stand.Stand, faulted boo
 	r.poolMu.Lock()
 	*free = append(*free, st)
 	r.poolMu.Unlock()
+}
+
+// profiles shares one stand profile per (stand name, harness) across
+// every Runner in the process, so the script-to-stand binding — routing,
+// expectations, attribute values — is computed once, not once per
+// Runner, job or shard. Sound because RegisterStand refuses duplicate
+// names and every Runner interprets method.Builtin(); a profile keeps
+// the registry of the Runner that built it. Bounded like the memos it
+// holds: a full map is flushed.
+var profiles = struct {
+	mu sync.RWMutex
+	m  map[string]*stand.Profile
+}{m: map[string]*stand.Profile{}}
+
+const maxProfiles = 256
+
+// profileFor returns the shared profile of the named stand built for
+// sc's harness, building it on first use.
+func (r *Runner) profileFor(standName string, sc *script.Script) (*stand.Profile, error) {
+	var buf [256]byte
+	key := appendHarness(append(append(buf[:0], standName...), 0), sc)
+	profiles.mu.RLock()
+	p := profiles.m[string(key)]
+	profiles.mu.RUnlock()
+	if p != nil {
+		return p, nil
+	}
+	cfg, err := BuildStand(standName, r.methods, stand.HarnessFromScript(sc))
+	if err != nil {
+		return nil, err
+	}
+	if p, err = stand.NewProfile(cfg, r.methods); err != nil {
+		return nil, err
+	}
+	profiles.mu.Lock()
+	defer profiles.mu.Unlock()
+	if prev := profiles.m[string(key)]; prev != nil {
+		return prev, nil
+	}
+	if len(profiles.m) >= maxProfiles {
+		clear(profiles.m)
+	}
+	profiles.m[string(key)] = p
+	return p, nil
 }

@@ -84,12 +84,17 @@ func StandNames() []string {
 	return names
 }
 
-// standRegistered reports whether a stand profile name is registered.
-func standRegistered(name string) bool {
+// CheckStand reports whether name is a registered stand profile, with
+// the error WithStand gives when it is not. It is a registry lookup, so
+// callers validate a stand name without building a Runner.
+func CheckStand(name string) error {
 	reg.mu.RLock()
-	defer reg.mu.RUnlock()
 	_, ok := reg.stands[name]
-	return ok
+	reg.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("comptest: unknown stand %q (have %v)", name, StandNames())
+	}
+	return nil
 }
 
 // dutRegistered reports whether a DUT model name is registered.

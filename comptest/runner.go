@@ -21,7 +21,9 @@ import (
 // output byte: scripts are compiled (validated and classified) once per
 // Runner and executed through stand.RunCompiled, and stands of
 // equivalent configuration are pooled across units instead of being
-// rebuilt per run (see WithoutStandPool).
+// rebuilt per run (see WithoutStandPool). Below both, the stand profile
+// a stand is built from — its routing, expectation and attribute memos
+// — is shared by every Runner in the process (profileFor).
 type Runner struct {
 	methods *method.Registry
 
@@ -78,20 +80,18 @@ func (r *Runner) names(standName, dutName string) (string, string) {
 	return standName, dutName
 }
 
-// newStand builds and populates a stand for one execution unit: the
-// named profile (or the Runner's default) built for the script's
-// harness, with a fresh instance of the named DUT model (or the
-// Runner's default) attached. No DUT name at all means an empty socket.
+// newStand builds and populates a stand for one execution unit: an
+// instance of the named profile (or the Runner's default) for the
+// script's harness, shared process-wide (profileFor), with a fresh
+// instance of the named DUT model (or the Runner's default) attached.
+// No DUT name at all means an empty socket.
 func (r *Runner) newStand(standName, dutName string, sc *script.Script) (*stand.Stand, error) {
 	standName, dutName = r.names(standName, dutName)
-	cfg, err := BuildStand(standName, r.methods, stand.HarnessFromScript(sc))
+	p, err := r.profileFor(standName, sc)
 	if err != nil {
 		return nil, err
 	}
-	st, err := stand.New(cfg, r.methods)
-	if err != nil {
-		return nil, err
-	}
+	st := p.New()
 	if dutName == "" {
 		return st, nil
 	}

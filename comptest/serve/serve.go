@@ -349,7 +349,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Validate the execution targets up front so a typo fails the
 	// submission, not the job: stand profile, DUT model, fault and
 	// oracle names.
-	if _, err := comptest.NewRunner(comptest.WithStand(spec.Stand)); err != nil {
+	if err := comptest.CheckStand(spec.Stand); err != nil {
 		writeError(w, http.StatusBadRequest, "%s", trimPrefix(err))
 		return
 	}

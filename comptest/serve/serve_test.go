@@ -18,11 +18,12 @@ import (
 	"repro/comptest"
 	"repro/comptest/api"
 	"repro/comptest/mutation"
-	"repro/internal/method"
+	"repro/internal/ecu"
 	"repro/internal/paper"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/stand"
+	"repro/internal/workbooks"
 )
 
 // testServer couples a Server with its httptest front end.
@@ -187,21 +188,27 @@ func TestFaultedCampaignIsRed(t *testing.T) {
 	}
 }
 
-// countingStand registers, once per test binary, a stand profile with
-// full_lab's wiring that counts the stands built from it.
+// countingDUT registers, once per test binary, central_locking under
+// another name, counting the stands its instances are attached to: one
+// per stand instance built. (Submission validation instantiates the
+// model too, but never attaches it.)
 var (
-	countingStandOnce   sync.Once
-	countingStandBuilds atomic.Int64
+	countingDUTOnce     sync.Once
+	countingDUTAttached atomic.Int64
 )
 
-func countingStand(t *testing.T) string {
+type countedLocking struct{ *ecu.CentralLocking }
+
+func (l countedLocking) Attach(env *ecu.Env) error {
+	countingDUTAttached.Add(1)
+	return l.CentralLocking.Attach(env)
+}
+
+func countingDUT(t *testing.T) string {
 	t.Helper()
-	const name = "counting_full_lab"
-	countingStandOnce.Do(func() {
-		err := comptest.RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
-			countingStandBuilds.Add(1)
-			return stand.FullLab(reg, h)
-		})
+	const name = "counting_central_locking"
+	countingDUTOnce.Do(func() {
+		err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLocking{ecu.NewCentralLocking()} }, workbooks.CentralLocking)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,15 +220,15 @@ func countingStand(t *testing.T) string {
 // stand and DUT, so the job's Runner reuses one pooled stand for all
 // four sequential central_locking units instead of building one each.
 func TestServedCampaignPoolsStands(t *testing.T) {
-	name := countingStand(t)
+	name := countingDUT(t)
 	ts := newTestServer(t, Options{Workers: 1})
-	before := countingStandBuilds.Load()
-	st := ts.submit(t, `{"workbook_name":"central_locking","stand":"`+name+`","parallelism":1}`)
+	before := countingDUTAttached.Load()
+	st := ts.submit(t, `{"workbook_name":"central_locking","dut":"`+name+`","stand":"full_lab","parallelism":1}`)
 	final := ts.wait(t, st.ID)
 	if final.State != StateDone || final.Reports != 4 {
 		t.Fatalf("final = %s with %d reports (%s), want done with 4", final.State, final.Reports, final.Error)
 	}
-	if built := countingStandBuilds.Load() - before; built != 1 {
+	if built := countingDUTAttached.Load() - before; built != 1 {
 		t.Errorf("4-unit campaign built %d stands, want 1", built)
 	}
 }
@@ -632,6 +639,25 @@ func TestSubmitValidation(t *testing.T) {
 		if _, code := ts.submitRaw(t, tc.spec); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
+	}
+}
+
+// TestUnknownStandBody: an unknown stand is rejected with the registry's
+// error text, listing the registered stands.
+func TestUnknownStandBody(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.url+"/v1/jobs", "application/json", strings.NewReader(`{"stand":"garage"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("unknown stand %q (have %v)", "garage", comptest.StandNames())
+	if resp.StatusCode != http.StatusBadRequest || len(body) != 1 || body["error"] != want {
+		t.Errorf("status %d, body %v; want 400 with error %q", resp.StatusCode, body, want)
 	}
 }
 

@@ -13,10 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/method"
+	"repro/internal/ecu"
 	"repro/internal/paper"
 	"repro/internal/report"
-	"repro/internal/stand"
 )
 
 func itoa(n int) string { return strconv.Itoa(n) }
@@ -89,21 +88,27 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
-// countingStand registers paper_stand under another name, counting the
-// stands built from it.
+// countingDUT registers interior_light under another name, counting
+// the stands its instances are attached to: one per stand instance
+// built. Stand profiles are shared process-wide, so a counting stand
+// builder would count profiles, not instances.
 var (
-	countingStandOnce  sync.Once
-	countingStandBuilt atomic.Int64
+	countingDUTOnce     sync.Once
+	countingDUTAttached atomic.Int64
 )
 
-func countingStand(t *testing.T) string {
+type countedLight struct{ *ecu.InteriorLight }
+
+func (l countedLight) Attach(env *ecu.Env) error {
+	countingDUTAttached.Add(1)
+	return l.InteriorLight.Attach(env)
+}
+
+func countingDUT(t *testing.T) string {
 	t.Helper()
-	const name = "counting_paper_stand"
-	countingStandOnce.Do(func() {
-		err := RegisterStand(name, func(reg *method.Registry, h stand.Harness) (stand.Config, error) {
-			countingStandBuilt.Add(1)
-			return BuildStand("paper_stand", reg, h)
-		})
+	const name = "counting_interior_light"
+	countingDUTOnce.Do(func() {
+		err := RegisterDUT(name, func() ecu.ECU { return countedLight{ecu.NewInteriorLight()} }, paper.Workbook)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,12 +128,12 @@ func TestTracePooledStands(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := func() []Unit {
-		return Cross(slices.Repeat(scripts[:1], 4), []string{countingStand(t)}, "interior_light")
+		return Cross(slices.Repeat(scripts[:1], 4), []string{"paper_stand"}, countingDUT(t))
 	}
 	built := func(opts ...Option) ([]byte, int64) {
-		before := countingStandBuilt.Load()
+		before := countingDUTAttached.Load()
 		b := runTraced(t, 1, units(), opts...)
-		return b, countingStandBuilt.Load() - before
+		return b, countingDUTAttached.Load() - before
 	}
 	pooled, n := built()
 	if n != 1 {

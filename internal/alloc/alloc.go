@@ -174,7 +174,9 @@ func (al *Allocator) Allocate(reqs []Request, prefer map[string]string) (*Plan, 
 	}
 
 	plan := &Plan{}
-	var chosen []Assignment
+	// Every search path holds at most one assignment per request, so
+	// the plan is built in place, at its final size.
+	chosen := make([]Assignment, 0, len(reqs))
 
 	feasible := func(a Assignment) bool {
 		for _, prev := range chosen {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/resource"
 	"repro/internal/topology"
 )
 
@@ -12,7 +13,7 @@ import (
 // the paper's stand and verifies that every returned plan respects the
 // physical constraints:
 //
-//  1. a non-shareable resource serves at most one signal,
+//  1. a resource other than a CAN adapter serves at most one signal,
 //  2. no two closed entries fight over one multiplexer group,
 //  3. every electrical assignment has exactly one entry per pin, and
 //  4. disconnects carry neither resource nor entries.
@@ -73,7 +74,8 @@ func checkPlanInvariants(t *testing.T, iter int, plan *Plan) {
 			continue
 		}
 		key := strings.ToLower(a.Resource.ID)
-		if prev, taken := seenRes[key]; taken && !strings.EqualFold(prev, a.Request.Signal) {
+		if prev, taken := seenRes[key]; taken && !strings.EqualFold(prev, a.Request.Signal) &&
+			a.Resource.Kind != resource.CANAdapter {
 			t.Fatalf("iter %d: resource %s serves %s and %s", iter, a.Resource.ID, prev, a.Request.Signal)
 		}
 		seenRes[key] = a.Request.Signal

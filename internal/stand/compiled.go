@@ -35,7 +35,7 @@ var errEarlyStop = errors.New("not executed: an earlier step already failed")
 // (see RunContext for the cancellation semantics).
 func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOptions) *report.Report {
 	sc := c.Script
-	rep := &report.Report{Script: sc.Name, Stand: s.cfg.Name,
+	rep := &report.Report{Script: sc.Name, Stand: s.prof.cfg.Name,
 		Steps: make([]report.StepResult, 0, len(sc.Steps))}
 	if s.dut != nil {
 		rep.DUT = s.dut.Name()
@@ -49,7 +49,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	s.resetRun()
 	s.runStart = s.sched.Now()
 	if s.obs != nil {
-		s.obs.RunStarted(sc, s.cfg.UbattVolts)
+		s.obs.RunStarted(sc, s.prof.cfg.UbattVolts)
 		defer func() { s.obs.RunFinished(rep) }()
 	}
 
@@ -59,7 +59,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 			return rep
 		}
 	}
-	s.advanceTo(s.sched.Now()+s.cfg.SettleTime, true)
+	s.advanceTo(s.sched.Now()+s.prof.cfg.SettleTime, true)
 	if s.obs != nil {
 		s.obs.OutputsSampled(s.sched.Now()-s.runStart, -1, s.observeOutputs(sc))
 	}

@@ -142,7 +142,7 @@ func TestWaitExtendsStep(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := paperStand(t)
 	_ = s.RunContext(context.Background(), paperScript(t))
-	if s.Allocations == 0 {
+	if s.Profile().Allocations() == 0 {
 		t.Error("Allocations counter not incremented")
 	}
 	if s.Solves == 0 {

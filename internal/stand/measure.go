@@ -40,7 +40,7 @@ func (sm *sampler) sample() {
 	sm.stand.Solves++
 	now := sm.stand.sched.Now()
 	v := sol.VoltageBetween(sm.inst.nodes[0], sm.inst.nodes[1])
-	high := v > 0.5*sm.stand.cfg.UbattVolts
+	high := v > 0.5*sm.stand.prof.cfg.UbattVolts
 	if sm.seeded {
 		if sm.prevHigh {
 			sm.highTime += now - sm.lastAt

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestContentMemoAcrossScripts(t *testing.T) {
 	if fresh := run(paperStand(t), paperScript(t), ""); !bytes.Equal(base, fresh) {
 		t.Fatalf("baseline differs from a fresh stand:\n%s\n%s", base, fresh)
 	}
-	calls := pooled.Allocations
+	calls := pooled.Profile().Allocations()
 
 	// Dropping step 2 (ds_fl closes, ds_fr opens) changes the held state
 	// seen by step 3 (ds_fl still open, ds_fr never opened) and step 4
@@ -76,10 +77,10 @@ func TestContentMemoAcrossScripts(t *testing.T) {
 	if fresh := run(paperStand(t), dropStep(t, 2), ""); !bytes.Equal(mutant, fresh) {
 		t.Fatalf("drop-step mutant differs from a fresh stand:\n%s\n%s", mutant, fresh)
 	}
-	if got := pooled.Allocations - calls; got != 1 {
+	if got := pooled.Profile().Allocations() - calls; got != 1 {
 		t.Errorf("drop-step mutant called the allocator %d times, want 1", got)
 	}
-	calls = pooled.Allocations
+	calls = pooled.Profile().Allocations()
 
 	// A fault mutant runs the baseline's content against a faulty DUT:
 	// every step's allocator input is one the stand has already seen.
@@ -90,7 +91,7 @@ func TestContentMemoAcrossScripts(t *testing.T) {
 	if bytes.Equal(faulty, base) {
 		t.Fatal("fault mutant produced the baseline report")
 	}
-	if got := pooled.Allocations - calls; got != 0 {
+	if got := pooled.Profile().Allocations() - calls; got != 0 {
 		t.Errorf("fault mutant called the allocator %d times, want 0", got)
 	}
 }
@@ -125,20 +126,12 @@ func TestPreferenceIsContent(t *testing.T) {
 	}
 }
 
-// TestAllocationFailureNotMemoised: a step the allocator cannot serve
-// reaches it again on every run and fails with the same diagnostic.
-func TestAllocationFailureNotMemoised(t *testing.T) {
+// TestAllocationFailureMemoised: a step the allocator cannot serve
+// fails with the same diagnostic on every run, and only its first run
+// reaches the allocator: the profile memoises the failure by content.
+func TestAllocationFailureMemoised(t *testing.T) {
 	s := paperStand(t)
-	threeDoors := func() *script.Script {
-		sc := paperScript(t)
-		bad := &script.Step{Nr: 99, Dt: 0.5}
-		for _, sig := range []string{"ds_fl", "ds_fr", "ds_rl"} {
-			bad.Signals = append(bad.Signals, &script.SignalStmt{Name: sig,
-				Call: script.MethodCall{Method: "put_r", Attrs: map[string]string{"r": "5000"}}})
-		}
-		sc.Steps = append(sc.Steps, bad)
-		return sc
-	}
+	threeDoors := func() *script.Script { return threeDoorScript(t) }
 	detail := func(rep *report.Report) string {
 		last := rep.Steps[len(rep.Steps)-1]
 		if len(last.Checks) == 0 || last.Checks[0].Verdict != report.Error {
@@ -149,14 +142,80 @@ func TestAllocationFailureNotMemoised(t *testing.T) {
 	sc := threeDoors()
 	first := detail(s.RunContext(context.Background(), sc))
 	for _, again := range []*script.Script{sc, threeDoors()} {
-		calls := s.Allocations
+		calls := s.Profile().Allocations()
 		s.AlignForReuse()
 		if got := detail(s.RunContext(context.Background(), again)); got != first {
 			t.Errorf("repeat failure = %q, want %q", got, first)
 		}
-		if got := s.Allocations - calls; got != 1 {
-			t.Errorf("repeat run called the allocator %d times, want 1 (the failing step)", got)
+		if got := s.Profile().Allocations() - calls; got != 0 {
+			t.Errorf("repeat run called the allocator %d times, want 0", got)
 		}
+	}
+}
+
+// threeDoorScript is the paper script plus a final step stimulating
+// three doors at once, which the paper stand's two decades cannot serve.
+func threeDoorScript(t testing.TB) *script.Script {
+	t.Helper()
+	sc := paperScript(t)
+	bad := &script.Step{Nr: 99, Dt: 0.5}
+	for _, sig := range []string{"ds_fl", "ds_fr", "ds_rl"} {
+		bad.Signals = append(bad.Signals, &script.SignalStmt{Name: sig,
+			Call: script.MethodCall{Method: "put_r", Attrs: map[string]string{"r": "5000"}}})
+	}
+	sc.Steps = append(sc.Steps, bad)
+	return sc
+}
+
+// TestProfileSharedAcrossInstances: instances of one cold profile,
+// running concurrently, share its memos — routing, a failing
+// allocation, expectations, attribute values — and each produces the
+// reports a stand with a profile of its own produces. Run it with -race.
+func TestProfileSharedAcrossInstances(t *testing.T) {
+	scripts := func() []*script.Script {
+		return []*script.Script{paperScript(t), dropStep(t, 2), threeDoorScript(t), paperScript(t)}
+	}
+	runAll := func(s *Stand, scs []*script.Script) []byte {
+		var out []byte
+		for _, sc := range scs {
+			b, err := report.EncodeJSON(s.RunContext(context.Background(), sc))
+			if err != nil {
+				panic(err)
+			}
+			out = append(out, b...)
+			s.AlignForReuse()
+		}
+		return out
+	}
+	want := runAll(paperStand(t), scripts())
+
+	const n = 4
+	p := paperStand(t).Profile()
+	inputs := make([][]*script.Script, n)
+	got := make([][]byte, n)
+	for i := range inputs {
+		inputs[i] = scripts()
+	}
+	var wg sync.WaitGroup
+	for i := range got {
+		s := p.New()
+		if err := s.AttachDUT(ecu.NewInteriorLight()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = runAll(s, inputs[i])
+		}()
+	}
+	wg.Wait()
+	for i, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("instance %d: reports differ from a stand of its own:\n%s\nwant:\n%s", i, b, want)
+		}
+	}
+	if p.Allocations() == 0 {
+		t.Error("shared profile never reached the allocator")
 	}
 }
 
@@ -191,8 +250,8 @@ func TestExpectationByContent(t *testing.T) {
 	if ea != "[8.4, 13.2] V" || eb != ea {
 		t.Errorf("expectations = %q, %q, want both %q", ea, eb, "[8.4, 13.2] V")
 	}
-	if len(s.expect) != 1 {
-		t.Errorf("memo holds %d entries, want 1", len(s.expect))
+	if n := len(s.Profile().expect); n != 1 {
+		t.Errorf("memo holds %d entries, want 1", n)
 	}
 	b.Call.Attrs["u_min"] = "0"
 	if got := s.expectation(b); got != "[0, 13.2] V" {

@@ -53,28 +53,29 @@ type Config struct {
 	// Catalog and Matrix are the stand's resources and wiring.
 	Catalog *resource.Catalog
 	Matrix  *topology.Matrix
-	// Strategy selects the allocator (default Backtracking).
+	// Strategy selects the allocator. The zero value is alloc.Greedy,
+	// and no built-in profile sets it, so production stands allocate
+	// greedily; only the ablations select alloc.Backtracking.
 	Strategy alloc.Strategy
 	// SettleTime is the pause after applying the init block before step 0
 	// (default 100 ms).
 	SettleTime time.Duration
 }
 
-// Stand is a built test stand with an attached DUT.
+// Stand is one instance of a stand profile with an attached DUT: the
+// simulated instruments, network, bus and held state of one execution
+// at a time. Everything immutable lives in the shared Profile.
 type Stand struct {
-	cfg   Config
-	reg   *method.Registry
+	prof  *Profile
 	sched *event.Scheduler
 	net   *analog.Network
 	bus   *canbus.Bus
 	db    *canbus.DB
-	env   expr.MapEnv
 
 	instruments map[*resource.Resource]*instrument
 	switches    map[string]*analog.Switch // by element name
 	monitor     *canbus.Monitor
 	tx          *canbus.TxGroup
-	alloc       *alloc.Allocator
 
 	dut    ecu.ECU
 	ticker *ecu.Ticker
@@ -105,22 +106,8 @@ type Stand struct {
 	stepKey      []byte
 	expectKey    []byte
 
-	// Content memos: attribute evaluation, expectation rendering and
-	// allocation are pure functions of their input and the stand (ubatt,
-	// catalog and matrix never change after New), so their results are
-	// shared by every step, run and script on the stand.
-	attrVals map[string]float64
-	attrErrs map[string]error
-	// expect maps a statement's method and sorted attributes (see
-	// appendAttrs) to its rendered expected value.
-	expect map[string]string
-	// plans maps the encoded allocator input of a step (see
-	// appendReqKey) to its immutable routing outcome; failures are
-	// never stored.
-	plans map[string]*stepPlan
-
 	// routes binds a step (its *script.Step, or the *script.Script for
-	// the init block) to its shared plan and its own statements, so a
+	// the init block) to its profile's plan and its own statements, so a
 	// pooled stand re-running a script skips the merge and the key.
 	routes map[any]routedStep
 
@@ -128,10 +115,8 @@ type Stand struct {
 	// disable it to compare against ground-truth tick-by-tick execution.
 	ff bool
 
-	// stats for benchmarking/EXPERIMENTS. Allocations counts allocator
-	// calls: steps whose allocator input the stand had not seen yet.
-	Allocations uint64
-	Solves      uint64
+	// Solves counts network solves (benchmarking/EXPERIMENTS).
+	Solves uint64
 }
 
 type heldStimulus struct {
@@ -218,35 +203,33 @@ func (p *pwmDrive) Stop() {
 // DVMInputOhms is the simulated meter input impedance.
 const DVMInputOhms = 10e6
 
-// New builds a stand from its configuration. The method registry defines
-// the interpretable language.
+// New builds a stand from its configuration: NewProfile, then one
+// instance of it. The method registry defines the interpretable
+// language.
 func New(cfg Config, reg *method.Registry) (*Stand, error) {
-	if cfg.Catalog == nil || cfg.Matrix == nil {
-		return nil, fmt.Errorf("stand %q: needs catalog and matrix", cfg.Name)
+	p, err := NewProfile(cfg, reg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.UbattVolts <= 0 {
-		return nil, fmt.Errorf("stand %q: implausible supply voltage %v", cfg.Name, cfg.UbattVolts)
-	}
-	if cfg.SettleTime <= 0 {
-		cfg.SettleTime = 100 * time.Millisecond
-	}
+	return p.New(), nil
+}
+
+// New builds an instance of the profile: instruments wired through the
+// connection matrix, network, bus and event clock of its own, with the
+// routing, expectation and attribute memos shared.
+func (p *Profile) New() *Stand {
+	cfg := p.cfg
 	s := &Stand{
-		cfg:          cfg,
-		reg:          reg,
+		prof:         p,
 		sched:        &event.Scheduler{},
 		net:          analog.NewNetwork(),
 		db:           canbus.NewDB(),
-		env:          expr.MapEnv{"ubatt": cfg.UbattVolts},
 		instruments:  map[*resource.Resource]*instrument{},
 		switches:     map[string]*analog.Switch{},
 		held:         map[string]heldStimulus{},
 		merged:       map[string]*script.SignalStmt{},
 		stimulusKeys: map[string]bool{},
 		prefer:       map[string]string{},
-		attrVals:     map[string]float64{},
-		attrErrs:     map[string]error{},
-		expect:       map[string]string{},
-		plans:        map[string]*stepPlan{},
 		routes:       map[any]routedStep{},
 		ff:           true,
 	}
@@ -283,15 +266,10 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		s.instruments[res] = inst
 	}
 
+	// NewProfile checked that every entry names an electrical resource.
 	for _, e := range cfg.Matrix.Entries() {
 		res, _ := cfg.Catalog.Lookup(e.Resource)
-		inst, ok := s.instruments[res]
-		if !ok {
-			return nil, fmt.Errorf("stand %q: connection matrix references unknown resource %q", cfg.Name, e.Resource)
-		}
-		if !inst.res.Electrical() {
-			return nil, fmt.Errorf("stand %q: CAN adapter %q cannot appear in the connection matrix", cfg.Name, e.Resource)
-		}
+		inst := s.instruments[res]
 		term := alloc.TerminalOf(inst.res, e) - 1
 		if term >= len(inst.nodes) {
 			term = 0
@@ -299,14 +277,14 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 		sw := s.net.AddSwitch(e.Elem.Name, inst.nodes[term], s.net.Node(e.Pin))
 		s.switches[e.Elem.Name] = sw
 	}
-
-	s.alloc = &alloc.Allocator{Catalog: cfg.Catalog, Matrix: cfg.Matrix,
-		Eval: s.evalAttr, Strategy: cfg.Strategy}
-	return s, nil
+	return s
 }
 
+// Profile returns the shared profile the stand was built from.
+func (s *Stand) Profile() *Profile { return s.prof }
+
 // Name returns the stand name.
-func (s *Stand) Name() string { return s.cfg.Name }
+func (s *Stand) Name() string { return s.prof.cfg.Name }
 
 // Scheduler exposes the simulated clock (examples use it for timing).
 func (s *Stand) Scheduler() *event.Scheduler { return s.sched }
@@ -315,17 +293,18 @@ func (s *Stand) Scheduler() *event.Scheduler { return s.sched }
 // listeners.
 func (s *Stand) Bus() *canbus.Bus { return s.bus }
 
-// Env returns the stand variable environment (ubatt …).
-func (s *Stand) Env() expr.MapEnv { return s.env }
+// Env returns the stand variable environment (ubatt …). It is shared
+// by every instance of the profile and must not be modified.
+func (s *Stand) Env() expr.MapEnv { return s.prof.env }
 
 // AttachDUT wires a DUT model into the stand and starts its task ticker.
 func (s *Stand) AttachDUT(dut ecu.ECU) error {
 	if s.dut != nil {
-		return fmt.Errorf("stand %q: a DUT is already attached", s.cfg.Name)
+		return fmt.Errorf("stand %q: a DUT is already attached", s.prof.cfg.Name)
 	}
 	env := &ecu.Env{
 		Net: s.net, Sched: s.sched, Bus: s.bus, DB: s.db,
-		UbattVolts: s.cfg.UbattVolts, UbattNode: s.net.Node("ubatt"),
+		UbattVolts: s.prof.cfg.UbattVolts, UbattNode: s.net.Node("ubatt"),
 	}
 	if err := dut.Attach(env); err != nil {
 		return err
@@ -343,16 +322,16 @@ func (s *Stand) DUT() ecu.ECU { return s.dut }
 // static portion of the paper's portability claim; reuse.Analyze builds
 // on it.
 func (s *Stand) CanRun(sc *script.Script) error {
-	if err := script.Validate(sc, s.reg); err != nil {
+	if err := script.Validate(sc, s.prof.reg); err != nil {
 		return err
 	}
 	for _, m := range sc.UsedMethods() {
-		d, _ := s.reg.Lookup(m)
+		d, _ := s.prof.reg.Lookup(m)
 		if d.Kind == method.Control {
 			continue
 		}
-		if len(s.cfg.Catalog.Candidates(m)) == 0 {
-			return fmt.Errorf("stand %q: no resource supports method %s", s.cfg.Name, m)
+		if len(s.prof.cfg.Catalog.Candidates(m)) == 0 {
+			return fmt.Errorf("stand %q: no resource supports method %s", s.prof.cfg.Name, m)
 		}
 	}
 	return nil
@@ -370,9 +349,9 @@ func (s *Stand) CanRun(sc *script.Script) error {
 // not compile is rejected with its validation error as FatalErr, no
 // steps and no observer callbacks.
 func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Report {
-	c, err := script.Compile(sc, s.reg)
+	c, err := script.Compile(sc, s.prof.reg)
 	if err != nil {
-		rep := &report.Report{Script: sc.Name, Stand: s.cfg.Name,
+		rep := &report.Report{Script: sc.Name, Stand: s.prof.cfg.Name,
 			Steps: []report.StepResult{}, FatalErr: err.Error()}
 		if s.dut != nil {
 			rep.DUT = s.dut.Name()
@@ -485,16 +464,18 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	return res
 }
 
-// stepPlan is the routing outcome of one step's allocator input on this
-// stand: the plan, the switch closures, the resources in use (PWM
-// keep-alive) and the report's Applied line per assignment ("" = none).
-// It is a pure function of that input — the stand's catalog, matrix and
-// variables are fixed — so every script reaching the same input shares
-// one entry. Immutable once stored in Stand.plans.
+// stepPlan is the routing outcome of one step's allocator input on a
+// profile: the plan, the switch closures and the report's Applied line
+// per assignment ("" = none), or the allocation failure. It is a pure
+// function of that input — the profile's catalog, matrix and variables
+// are fixed — so every script reaching the same input, on any instance,
+// shares one entry. Immutable once stored in Profile.plans, where it
+// lives as long as the process: it holds slices, not maps, so the memo
+// stays small for the garbage collector to scan.
 type stepPlan struct {
+	err     *allocError // non-nil: the allocator failed, and nothing else is set
 	plan    *alloc.Plan
-	want    map[string]bool // by switch element name
-	inUse   map[*resource.Resource]bool
+	want    []string // element names of the switches to close
 	applied []string
 	lines   int // non-empty entries of applied
 }
@@ -522,13 +503,16 @@ type routedAsg struct {
 // lines and held-state updates, in assignment order.
 func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, error) {
 	sp := rs.plan
+	if sp.err != nil {
+		return nil, sp.err
+	}
 	for name, sw := range s.switches {
-		sw.SetClosed(sp.want[name])
+		sw.SetClosed(slices.Contains(sp.want, name))
 	}
 	// Released PWM generators stop toggling (their switch is open anyway,
 	// but a running waveform would needlessly dirty the network).
 	for r, inst := range s.instruments {
-		if inst.pwm != nil && inst.pwm.running && !sp.inUse[r] {
+		if inst.pwm != nil && inst.pwm.running && !sp.uses(r) {
 			inst.pwm.Stop()
 		}
 	}
@@ -559,8 +543,9 @@ func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, 
 //
 // ckey, when non-nil, identifies the step (its *script.Step, or the
 // *script.Script for the init block) for the routes binding: the first
-// execution routes and binds, repeats replay. Failed applications are
-// never bound.
+// execution routes and binds, repeats replay. A step whose routing
+// fails validation is never bound; one the allocator cannot serve is,
+// and replays its failure.
 func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalStmt, res *report.StepResult, ckey any) (*alloc.Plan, error) {
 	rs, bound := s.routes[ckey]
 	if !bound {
@@ -570,7 +555,7 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 		}
 	}
 	plan, err := s.replayStep(rs, res)
-	if err == nil && !bound && ckey != nil {
+	if !bound && ckey != nil {
 		// Pointer-keyed, so every binding retains its script: a
 		// workbook binds a few dozen steps, and one-shot scripts
 		// (script mutants, explore's walks) must not pile up.
@@ -583,9 +568,9 @@ func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalS
 }
 
 // route merges the step's demand, validates it and binds it to the
-// stepPlan for its allocator input, calling the allocator only when the
-// stand has not seen that input before. New stimuli override held ones
-// per signal.
+// stepPlan for its allocator input, calling the allocator only when no
+// instance of the profile has routed that input before. New stimuli
+// override held ones per signal.
 func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt) (routedStep, error) {
 	merged, stimulusKeys, prefer := s.merged, s.stimulusKeys, s.prefer
 	clear(merged)
@@ -625,7 +610,7 @@ func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt)
 		if decl == nil {
 			return routedStep{}, fmt.Errorf("undeclared signal %q", st.Name)
 		}
-		if _, ok := s.reg.Lookup(st.Call.Method); !ok {
+		if _, ok := s.prof.reg.Lookup(st.Call.Method); !ok {
 			return routedStep{}, fmt.Errorf("unknown method %q", st.Call.Method)
 		}
 		h, held := s.held[key]
@@ -638,16 +623,9 @@ func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt)
 	}
 	s.decls, s.stepKey = decls, k
 
-	sp, ok := s.plans[string(k)]
-	if !ok {
-		var err error
-		if sp, err = s.allocate(order, decls); err != nil {
-			return routedStep{}, err
-		}
-		if len(s.plans) >= 1<<12 {
-			clear(s.plans)
-		}
-		s.plans[string(k)] = sp
+	sp := s.prof.plan(k)
+	if sp == nil {
+		sp = s.prof.storePlan(k, s.allocate(order, decls))
 	}
 	// The allocator answers in request order (alloc's order contract), so
 	// assignment i belongs to order[i].
@@ -659,39 +637,53 @@ func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt)
 }
 
 // allocate calls the allocator on the merged demand and renders its
-// stepPlan.
-func (s *Stand) allocate(order []string, decls []*script.SignalDecl) (*stepPlan, error) {
+// stepPlan, or its failure.
+func (s *Stand) allocate(order []string, decls []*script.SignalDecl) *stepPlan {
 	reqs := s.reqs[:0]
 	for i, key := range order {
 		st := s.merged[key]
-		d, _ := s.reg.Lookup(st.Call.Method)
+		d, _ := s.prof.reg.Lookup(st.Call.Method)
 		reqs = append(reqs, alloc.Request{
 			Signal: st.Name, Method: d, Attrs: st.Call.Attrs, Pins: declPins(decls[i]),
 		})
 	}
 	s.reqs = reqs
 
-	s.Allocations++
-	plan, err := s.alloc.Allocate(reqs, s.prefer)
+	s.prof.allocations.Add(1)
+	plan, err := s.prof.alloc.Allocate(reqs, s.prefer)
 	if err != nil {
-		return nil, err
+		return &stepPlan{err: &allocError{err: err, text: err.Error()}}
 	}
-	sp := &stepPlan{plan: plan, want: map[string]bool{}, inUse: map[*resource.Resource]bool{},
-		applied: make([]string, len(plan.Assignments))}
+	n := 0
+	for i := range plan.Assignments {
+		n += len(plan.Assignments[i].Entries)
+	}
+	sp := &stepPlan{plan: plan, want: make([]string, 0, n), applied: make([]string, len(plan.Assignments))}
 	for i := range plan.Assignments {
 		a := &plan.Assignments[i]
 		for _, e := range a.Entries {
-			sp.want[e.Elem.Name] = true
-		}
-		if a.Resource != nil {
-			sp.inUse[a.Resource] = true
+			sp.want = append(sp.want, e.Elem.Name)
 		}
 		if via := viaOf(a); via != "" {
 			sp.applied[i] = appliedLine(s.merged[order[i]], via)
 			sp.lines++
 		}
+		// Replay and measurement read only the signal of a request, so
+		// the stored plan drops its attributes and pins: the entry then
+		// pins no script's statements, and the collector scans less.
+		a.Request = alloc.Request{Signal: a.Request.Signal}
 	}
-	return sp, nil
+	return sp
+}
+
+// uses reports whether the plan assigns r (PWM keep-alive).
+func (sp *stepPlan) uses(r *resource.Resource) bool {
+	for i := range sp.plan.Assignments {
+		if sp.plan.Assignments[i].Resource == r {
+			return true
+		}
+	}
+	return false
 }
 
 func resID(r *resource.Resource) string {
@@ -750,7 +742,7 @@ func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *s
 		if err != nil {
 			return err
 		}
-		return inst.pwm.Start(s.cfg.UbattVolts, freq, duty)
+		return inst.pwm.Start(s.prof.cfg.UbattVolts, freq, duty)
 	case resource.CANAdapter:
 		if st.Call.Method == "put_can" {
 			if decl == nil {
@@ -823,26 +815,9 @@ func parseClass(c string) (classKind, error) {
 	return classElectrical, fmt.Errorf("unknown class %q", c)
 }
 
-// evalAttr evaluates a numeric attribute value (number or expression).
-// The result is memoised per attribute string: the stand environment is
-// fixed for the stand's lifetime, so limit expressions like (1.1*ubatt)
-// — which recur across steps, scripts and runs — parse and evaluate once.
-// It is also the allocator's range-check evaluator.
-func (s *Stand) evalAttr(v string) (float64, error) {
-	if f, ok := s.attrVals[v]; ok {
-		return f, nil
-	}
-	if err, ok := s.attrErrs[v]; ok {
-		return 0, err
-	}
-	f, err := resource.EvalNumber(v, s.env)
-	if err != nil {
-		s.attrErrs[v] = err
-	} else {
-		s.attrVals[v] = f
-	}
-	return f, err
-}
+// evalAttr evaluates a numeric attribute value through the profile's
+// memo (Profile.evalAttr).
+func (s *Stand) evalAttr(v string) (float64, error) { return s.prof.evalAttr(v) }
 
 // expectation renders the expected value of a statement for reports,
 // memoised by content: the rendering reads only the method and the
@@ -850,29 +825,19 @@ func (s *Stand) evalAttr(v string) (float64, error) {
 func (s *Stand) expectation(st *script.SignalStmt) string {
 	k := appendAttrs(appendField(s.expectKey[:0], st.Call.Method), st.Call.Attrs)
 	s.expectKey = k
-	if e, ok := s.expect[string(k)]; ok {
-		return e
-	}
-	// A stand fed generated scripts forever (explore) would grow the
-	// memo without bound — flush it instead.
-	if len(s.expect) >= 1<<13 {
-		clear(s.expect)
-	}
-	e := s.expectationUncached(st)
-	s.expect[string(k)] = e
-	return e
+	return s.prof.expectation(k, st)
 }
 
-func (s *Stand) expectationUncached(st *script.SignalStmt) string {
-	d, ok := s.reg.Lookup(st.Call.Method)
+func (p *Profile) expectationUncached(st *script.SignalStmt) string {
+	d, ok := p.reg.Lookup(st.Call.Method)
 	if !ok {
 		return attrString(st.Call.Attrs)
 	}
 	lo, hasLo := st.Call.Attrs[d.RangeAttr+"_min"]
 	hi, hasHi := st.Call.Attrs[d.RangeAttr+"_max"]
 	if hasLo && hasHi {
-		flo, e1 := s.evalAttr(lo)
-		fhi, e2 := s.evalAttr(hi)
+		flo, e1 := p.evalAttr(lo)
+		fhi, e2 := p.evalAttr(hi)
 		if e1 == nil && e2 == nil {
 			return fmt.Sprintf("[%s, %s] %s",
 				unit.FormatNumber(round6(flo)), unit.FormatNumber(round6(fhi)), d.Unit)

@@ -70,7 +70,7 @@ type Observer interface {
 func (s *Stand) SetObserver(o Observer) { s.obs = o }
 
 // Ubatt returns the stand's supply voltage.
-func (s *Stand) Ubatt() float64 { return s.cfg.UbattVolts }
+func (s *Stand) Ubatt() float64 { return s.prof.cfg.UbattVolts }
 
 // observeOutputs samples every declared "out" signal of the script:
 // electrical pins through the network solver, CAN signals through the
@@ -112,7 +112,7 @@ func (s *Stand) observeOutputs(sc *script.Script) []OutputState {
 					lo = s.net.Node(d.PinRet)
 				}
 				st.Volts = sol.VoltageBetween(hi, lo)
-				st.High = st.Volts > 0.5*s.cfg.UbattVolts
+				st.High = st.Volts > 0.5*s.prof.cfg.UbattVolts
 				st.Valid = true
 			}
 		}
