@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/method"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -16,11 +17,12 @@ import (
 // defaults.
 type Unit struct {
 	Script *script.Script
-	// Compiled, when non-nil, is the pre-compiled form of Script (from
-	// Plan.Units or script.Compile); Script may then be nil and is
-	// derived from it. Units without a Compiled are compiled on demand
-	// through the Runner's cache, so the field is an optimisation for
-	// sharing one artifact across runners, not a requirement.
+	// Compiled is the compiled form of Script. Every unit the library
+	// builds carries it (Plan.Units, Cross, the mutation and exploration
+	// engines), so a script is compiled once however often it runs;
+	// Script may then be nil and is derived from it. A unit without a
+	// Compiled is compiled for its own run only, and a script that does
+	// not compile gets the stand's rejection report.
 	Compiled *script.Compiled
 	Stand    string // registered stand profile, "" = Runner default
 	DUT      string // registered DUT model, "" = Runner default
@@ -55,9 +57,8 @@ type Result struct {
 	Report *report.Report
 	Err    error
 	// Elapsed is the unit's wall-clock execution time, from taking its
-	// stand (pooled or freshly built) to the finished report; RunPlan,
-	// which runs every script on one stand, times each run alone. It is
-	// set on every Result that has a Report. Reports carry no wall-clock
+	// stand (pooled or freshly built) to the finished report. It is set
+	// on every Result that has a Report. Reports carry no wall-clock
 	// time, so per-unit latency is read from here.
 	Elapsed time.Duration
 }
@@ -142,11 +143,22 @@ func (s Summary) String() string {
 
 // Cross builds the campaign units of a full matrix: every script on
 // every named stand, with the given DUT model ("" = Runner default).
+// Each script is compiled once, against the built-in method registry
+// every Runner validates against, and its units share that compiled
+// form; a script that does not compile gets none, so its runs report
+// the validation failure.
 func Cross(scripts []*script.Script, stands []string, dut string) []Unit {
+	reg := method.Builtin()
+	compiled := make([]*script.Compiled, len(scripts))
+	for i, sc := range scripts {
+		if sc != nil { // a nil script errors its units, as in any Campaign
+			compiled[i], _ = script.Compile(sc, reg)
+		}
+	}
 	units := make([]Unit, 0, len(scripts)*len(stands))
 	for _, st := range stands {
-		for _, sc := range scripts {
-			units = append(units, Unit{Script: sc, Stand: st, DUT: dut})
+		for i, sc := range scripts {
+			units = append(units, Unit{Script: sc, Compiled: compiled[i], Stand: st, DUT: dut})
 		}
 	}
 	return units
@@ -282,7 +294,7 @@ dispatch:
 
 // runUnit executes one campaign unit on an exclusively owned stand —
 // pooled across units of equivalent configuration, freshly built
-// otherwise.
+// otherwise. The Result carries the unit as submitted.
 func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 	if u.Script == nil && u.Compiled != nil {
 		u.Script = u.Compiled.Script
@@ -319,7 +331,15 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 			}
 		}
 	}
-	res.Report = r.runOn(ctx, st, u.Script, u.Compiled, stand.RunOptions{StopOnFail: u.StopOnFail})
+	c := u.Compiled
+	if c == nil {
+		c, _ = script.Compile(u.Script, r.methods)
+	}
+	if c == nil {
+		res.Report = st.RunContext(ctx, u.Script) // the rejection report
+	} else {
+		res.Report = st.RunCompiled(ctx, c, stand.RunOptions{StopOnFail: u.StopOnFail})
+	}
 	res.Elapsed = time.Since(start)
 	st.SetObserver(nil)
 	r.releaseStand(free, st, faulted)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ecu"
@@ -144,9 +145,17 @@ func TestRegistryListsBuiltins(t *testing.T) {
 	}
 }
 
+// customStandOnce registers custom_lab_test once per process: the
+// registry refuses duplicate names, and -count=2 runs the test twice.
+var (
+	customStandOnce sync.Once
+	customStandErr  error
+)
+
 func TestRegisteredCustomStandIsUsable(t *testing.T) {
-	if err := RegisterStand("custom_lab_test", stand.FullLab); err != nil {
-		t.Fatal(err)
+	customStandOnce.Do(func() { customStandErr = RegisterStand("custom_lab_test", stand.FullLab) })
+	if customStandErr != nil {
+		t.Fatal(customStandErr)
 	}
 	r, err := NewRunner(WithStand("custom_lab_test"), WithDUT("interior_light"))
 	if err != nil {
@@ -539,5 +548,34 @@ func TestCrossBuildsFullMatrix(t *testing.T) {
 		if u.DUT != "d" || u.Script != sc {
 			t.Fatalf("malformed unit %+v", u)
 		}
+	}
+}
+
+// TestCrossUnitsCarryCompiled: Cross compiles each script once and
+// every unit of it, on every stand, carries that compilation into its
+// Result; a script that does not compile, or a nil one, gets none.
+func TestCrossUnitsCarryCompiled(t *testing.T) {
+	sc := paperScript(t)
+	collector := &Collector{}
+	r, err := NewRunner(WithDUT("interior_light"), WithSink(collector))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Campaign(context.Background(), Cross([]*script.Script{sc}, []string{"paper_stand", "hil_rack"}, "")); err != nil {
+		t.Fatal(err)
+	}
+	results := collector.Results()
+	if len(results) != 2 {
+		t.Fatalf("campaign emitted %d results, want 2", len(results))
+	}
+	for _, res := range results {
+		if res.Unit.Compiled == nil || res.Unit.Compiled.Script != sc || res.Unit.Compiled != results[0].Unit.Compiled {
+			t.Errorf("unit %d on %s: Compiled %p, want one shared compilation of its script", res.Seq, res.Unit.Stand, res.Unit.Compiled)
+		}
+	}
+	bad := *sc
+	bad.Version = "99"
+	if u := Cross([]*script.Script{&bad, nil}, []string{"paper_stand"}, ""); u[0].Compiled != nil || u[1].Compiled != nil {
+		t.Error("Cross compiled a script of an unsupported version or a nil script")
 	}
 }

@@ -20,7 +20,9 @@
 // and safe to share across goroutines, runners, the serve cache and
 // the mutation engine. Plan.Units expands the M scripts × N stands
 // matrix into campaign Units that carry their compiled program
-// alongside the script.
+// alongside the script; Cross and the mutation and exploration engines
+// build their units compiled too, so the Runner never compiles a
+// script a unit-maker already did.
 //
 // The entry point is the Runner, built with functional options:
 //
@@ -31,12 +33,12 @@
 //		comptest.WithSink(sink),
 //	)
 //
-// A Runner executes single scripts (RunScript), whole plans (RunPlan)
-// or a Campaign: M scripts × N stand configs fanned out over a bounded
-// worker pool, each result streamed to the configured sinks, and to
-// the sinks passed to that Campaign call, the moment it completes. A
-// Runner outlives its campaigns: its compiled scripts and pooled stands
-// serve every later one. context.Context is honoured throughout; cancellation
+// A Runner executes a Campaign: M scripts × N stand configs fanned out
+// over a bounded worker pool, each result streamed to the configured
+// sinks, and to the sinks passed to that Campaign call, the moment it
+// completes. RunScript (one unit) and RunPlan (a plan's scripts as one
+// in-order Group) are thin calls into the same loop. A Runner outlives
+// its campaigns: its pooled stands serve every later one. context.Context is honoured throughout; cancellation
 // takes effect at the next step boundary (see stand.RunContext).
 //
 // Stands and DUT models are looked up in process-wide registries

@@ -300,9 +300,9 @@ type candidate struct {
 	trace *Trace
 }
 
-// unit is one run of sc on the clean DUT, observed by obs. It carries
-// its compiled form, so the long-lived Runner's compile cache does not
-// grow with one-shot scripts.
+// unit is one run of sc on the clean DUT, observed by obs, carrying sc
+// compiled as every unit the library builds does. A script that does
+// not compile is left without one, and its run reports the rejection.
 func (e *Explorer) unit(sc *script.Script, obs stand.Observer) comptest.Unit {
 	c, _ := script.Compile(sc, e.runner.Methods())
 	return comptest.Unit{Script: sc, Compiled: c, Stand: e.opts.Stand, Observer: obs}

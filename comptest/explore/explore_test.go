@@ -523,6 +523,25 @@ func TestExploreReusesStands(t *testing.T) {
 	}
 }
 
+// TestExploreUnitsCarryCompiled: every execution of an exploration —
+// walks, pin checks, oracle runs and shrink probes — reaches the sink
+// with its script compiled.
+func TestExploreUnitsCarryCompiled(t *testing.T) {
+	collector := &comptest.Collector{}
+	opts := interiorOpts()
+	opts.Sink = collector
+	res := runExploration(t, paper.Workbook, opts)
+	results := collector.Results()
+	if len(results) != res.Executions {
+		t.Fatalf("sink saw %d results, exploration ran %d", len(results), res.Executions)
+	}
+	for _, r := range results {
+		if r.Unit.Compiled == nil || r.Unit.Compiled.Script != r.Unit.Script {
+			t.Fatalf("execution %d (%s) carries no compilation of its script", r.Seq, r.Unit.Script.Name)
+		}
+	}
+}
+
 // TestDuplicateOracles: naming an oracle twice neither runs it twice
 // nor lists its kill twice.
 func TestDuplicateOracles(t *testing.T) {

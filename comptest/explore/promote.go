@@ -91,7 +91,7 @@ type limitVal struct {
 // and fails on any mutant that behaves observably differently, which
 // is what makes promoted scenarios useful mutation killers.
 func (p *pinner) pin(tc *testdef.TestCase, tr *Trace) (*Promotion, error) {
-	clone := cloneTest(tc)
+	clone := tc.Clone()
 	seenCol := map[string]bool{}
 	for _, name := range clone.Signals {
 		seenCol[strings.ToLower(name)] = true
@@ -212,21 +212,6 @@ func (p *pinner) synthesise(sig *sigdef.Signal, o stand.OutputState, ubatt float
 	p.added = append(p.added, st)
 	p.byLevel[key] = st.Name
 	return st.Name, nil
-}
-
-// cloneTest deep-copies a test case so pinning and shrinking never leak
-// into the candidate.
-func cloneTest(tc *testdef.TestCase) *testdef.TestCase {
-	c := &testdef.TestCase{
-		Name:    tc.Name,
-		Signals: append([]string(nil), tc.Signals...),
-		Steps:   make([]testdef.Step, len(tc.Steps)),
-	}
-	for i, s := range tc.Steps {
-		s.Assign = append([]testdef.Assignment(nil), s.Assign...)
-		c.Steps[i] = s
-	}
-	return c
 }
 
 // Workbook renders the suite plus the corpus' promoted tests as one

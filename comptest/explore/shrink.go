@@ -23,7 +23,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 	if budget < 0 {
 		return promo, keys
 	}
-	best := cloneTest(tc)
+	best := tc.Clone()
 	bestPromo, bestKeys := promo, keys
 	shrunk := false
 
@@ -107,7 +107,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 
 // dropStep clones the walk without step i, renumbering 0..n-1.
 func dropStep(tc *testdef.TestCase, i int) *testdef.TestCase {
-	c := cloneTest(tc)
+	c := tc.Clone()
 	c.Steps = append(c.Steps[:i:i], c.Steps[i+1:]...)
 	renumber(c)
 	return c
@@ -115,7 +115,7 @@ func dropStep(tc *testdef.TestCase, i int) *testdef.TestCase {
 
 // withDt clones the walk with step i's duration replaced.
 func withDt(tc *testdef.TestCase, i int, dt float64) *testdef.TestCase {
-	c := cloneTest(tc)
+	c := tc.Clone()
 	c.Steps[i].Dt = dt
 	return c
 }
@@ -123,7 +123,7 @@ func withDt(tc *testdef.TestCase, i int, dt float64) *testdef.TestCase {
 // dropAssign clones the walk without assignment j of step i. Steps may
 // end up with no assignments — they become pure holds.
 func dropAssign(tc *testdef.TestCase, i, j int) *testdef.TestCase {
-	c := cloneTest(tc)
+	c := tc.Clone()
 	a := c.Steps[i].Assign
 	c.Steps[i].Assign = append(a[:j:j], a[j+1:]...)
 	renumber(c)

@@ -92,6 +92,12 @@ type Plan struct {
 	// Mutants is the enumerated matrix: fault mutants first (in
 	// ecu.Faults order), then script mutants (in workbook order).
 	Mutants []Mutant
+
+	// compiled holds the compiled form of every distinct baseline and
+	// mutant script, nil for one that does not compile. Enumerate fills
+	// it once, so every Run of the plan hands its units the same
+	// compiled scripts.
+	compiled map[*script.Script]*script.Compiled
 }
 
 // DefaultStand returns the stand profile a DUT's built-in suite is
@@ -147,6 +153,20 @@ func Enumerate(dut, standName string, suite *comptest.Suite) (*Plan, error) {
 		return nil, err
 	}
 	p.Mutants = append(p.Mutants, scriptMuts...)
+
+	// Fault mutants share the baseline's scripts, so they compile once.
+	p.compiled = make(map[*script.Script]*script.Compiled)
+	compile := func(scripts []*script.Script) {
+		for _, sc := range scripts {
+			if _, ok := p.compiled[sc]; !ok {
+				p.compiled[sc], _ = script.Compile(sc, suite.Registry)
+			}
+		}
+	}
+	compile(baseline)
+	for _, m := range p.Mutants {
+		compile(m.scripts)
+	}
 	return p, nil
 }
 

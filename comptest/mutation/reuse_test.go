@@ -193,3 +193,31 @@ func TestEnumerateSharedGenerator(t *testing.T) {
 		}
 	}
 }
+
+// TestRunUnitsCarryPlanCompilation: every unit of a Run, baseline and
+// mutant alike, carries its script's compilation, and two Runs of one
+// Plan hand out the same compilation per script.
+func TestRunUnitsCarryPlanCompilation(t *testing.T) {
+	plan := paperPlan(t)
+	shared := map[*script.Script]*script.Compiled{}
+	for run := 0; run < 2; run++ {
+		collector := &comptest.Collector{}
+		if _, err := Run(context.Background(), plan, Options{Sink: collector}); err != nil {
+			t.Fatal(err)
+		}
+		results := collector.Results()
+		if len(results) == 0 {
+			t.Fatal("Run emitted no results")
+		}
+		for _, res := range results {
+			u := res.Unit
+			if u.Compiled == nil || u.Compiled.Script != u.Script {
+				t.Fatalf("run %d: unit %d (%s) carries no compilation of its script", run, res.Seq, u.Script.Name)
+			}
+			if c, ok := shared[u.Script]; ok && c != u.Compiled {
+				t.Errorf("run %d: unit %d (%s) carries another compilation of a script seen before", run, res.Seq, u.Script.Name)
+			}
+			shared[u.Script] = u.Compiled
+		}
+	}
+}

@@ -69,7 +69,8 @@ type Options struct {
 // is set, stop at the first kill — and the groups fan out over the
 // bounded worker pool, so mutants of different cost interleave freely.
 // It fails if the baseline does not pass — a red baseline makes every
-// kill meaningless.
+// kill meaningless. Units carry the compiled scripts Enumerate stored
+// in the plan, so rerunning a plan compiles nothing.
 func Run(ctx context.Context, plan *Plan, opts Options) (*Matrix, error) {
 	par := opts.Parallelism
 	if par < 1 {
@@ -82,7 +83,7 @@ func Run(ctx context.Context, plan *Plan, opts Options) (*Matrix, error) {
 	var owner []int
 	for _, sc := range plan.Baseline {
 		groups = append(groups, comptest.Group{Units: []comptest.Unit{
-			{Script: sc, Stand: plan.Stand, DUT: plan.DUT}}})
+			{Script: sc, Compiled: plan.compiled[sc], Stand: plan.Stand, DUT: plan.DUT}}})
 		owner = append(owner, -1)
 	}
 	killed := func(res comptest.Result) bool {
@@ -92,8 +93,8 @@ func Run(ctx context.Context, plan *Plan, opts Options) (*Matrix, error) {
 		m := &plan.Mutants[mi]
 		units := make([]comptest.Unit, 0, len(m.scripts))
 		for _, sc := range orderScripts(m.scripts, opts.KillStats) {
-			u := comptest.Unit{Script: sc, Stand: plan.Stand, DUT: plan.DUT,
-				StopOnFail: earlyKill}
+			u := comptest.Unit{Script: sc, Compiled: plan.compiled[sc],
+				Stand: plan.Stand, DUT: plan.DUT, StopOnFail: earlyKill}
 			if m.Kind == FaultMutant {
 				u.Faults = []string{m.Fault.Name}
 			}

@@ -100,7 +100,7 @@ func dropStepMutants(suite *comptest.Suite, gen generate) ([]Mutant, error) {
 			continue
 		}
 		for i := range tc.Steps {
-			clone := cloneTest(tc)
+			clone := tc.Clone()
 			dropped := clone.Steps[i]
 			clone.Steps = append(clone.Steps[:i:i], clone.Steps[i+1:]...)
 			sc, err := gen(clone)
@@ -143,7 +143,7 @@ func flipStimulusMutants(suite *comptest.Suite, gen generate) ([]Mutant, error) 
 				if alt == "" {
 					continue
 				}
-				clone := cloneTest(tc)
+				clone := tc.Clone()
 				clone.Steps[si].Assign[ai].Status = alt
 				sc, err := gen(clone)
 				if err != nil {
@@ -235,19 +235,4 @@ func tableWithLimits(suite *comptest.Suite, name, newMin, newMax string) (*statu
 		}
 	}
 	return tbl, nil
-}
-
-// cloneTest deep-copies a test case so a transformation cannot leak into
-// the suite.
-func cloneTest(tc *testdef.TestCase) *testdef.TestCase {
-	c := &testdef.TestCase{
-		Name:    tc.Name,
-		Signals: append([]string(nil), tc.Signals...),
-		Steps:   make([]testdef.Step, len(tc.Steps)),
-	}
-	for i, s := range tc.Steps {
-		s.Assign = append([]testdef.Assignment(nil), s.Assign...)
-		c.Steps[i] = s
-	}
-	return c
 }

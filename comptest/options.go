@@ -43,17 +43,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithoutStandPool disables stand reuse across campaign units: every
-// unit gets a freshly built stand, as before the pool existed. The
-// pool never changes a report byte (the equivalence tests compare both
-// modes), so this is a debugging aid, not a correctness switch.
-func WithoutStandPool() Option {
-	return func(r *Runner) error {
-		r.noPool = true
-		return nil
-	}
-}
-
 // WithSink adds a result sink. Sinks receive every Result as it
 // completes; the Runner serialises Emit calls, so sinks need no
 // locking of their own. The option may be repeated.

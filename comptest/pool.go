@@ -7,23 +7,6 @@ import (
 	"repro/internal/stand"
 )
 
-// compiledFor returns the compiled form of sc, compiling and caching it
-// on first use. It returns nil when the script does not compile; runOn
-// then renders the stand's rejection report.
-func (r *Runner) compiledFor(sc *script.Script) *script.Compiled {
-	r.compileMu.RLock()
-	c, ok := r.compiled[sc]
-	r.compileMu.RUnlock()
-	if ok {
-		return c
-	}
-	c, _ = script.Compile(sc, r.methods)
-	r.compileMu.Lock()
-	r.compiled[sc] = c
-	r.compileMu.Unlock()
-	return c
-}
-
 // appendStandKey appends the pool key under which a unit's stand can be
 // reused to b. Observers and faults are attached per run (runUnit), so
 // they do not split the key.
@@ -73,13 +56,9 @@ next:
 }
 
 // takeStand returns the idle stands of the unit's configuration and
-// pops one of them, or nil. The list is nil when pooling is off
-// (WithoutStandPool). The key is built in a stack buffer, so a
+// pops one of them, or nil. The key is built in a stack buffer, so a
 // configuration the Runner has seen costs no allocation.
 func (r *Runner) takeStand(u Unit) (*[]*stand.Stand, *stand.Stand) {
-	if r.noPool {
-		return nil, nil
-	}
 	var buf [256]byte
 	key := r.appendStandKey(buf[:0], u)
 	r.poolMu.Lock()
@@ -104,9 +83,6 @@ func (r *Runner) takeStand(u Unit) (*[]*stand.Stand, *stand.Stand) {
 // stand.AlignForReuse). A stand whose DUT carries injected faults that
 // cannot be cleared is dropped rather than pooled.
 func (r *Runner) releaseStand(free *[]*stand.Stand, st *stand.Stand, faulted bool) {
-	if free == nil {
-		return
-	}
 	if faulted {
 		cf, ok := st.DUT().(interface{ ClearFaults() })
 		if !ok {

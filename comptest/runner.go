@@ -3,7 +3,6 @@ package comptest
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/method"
 	"repro/internal/report"
@@ -17,23 +16,19 @@ import (
 // owned stand and DUT for the duration of its run), so a Runner is safe
 // for concurrent use.
 //
-// Two caches make repeated execution cheap without changing a single
-// output byte: scripts are compiled (validated and classified) once per
-// Runner and executed through stand.RunCompiled, and stands of
-// equivalent configuration are pooled across units instead of being
-// rebuilt per run (see WithoutStandPool). Below both, the stand profile
-// a stand is built from — its routing, expectation and attribute memos
-// — is shared by every Runner in the process (profileFor).
+// Every run goes through one loop (CampaignGroups) and one cache: stands
+// of equivalent configuration are pooled across units instead of being
+// rebuilt per run, without changing a single output byte. Scripts are
+// compiled where their units are made (Compile, Cross, the mutation and
+// exploration engines), not by the Runner. Below the pool, the stand
+// profile a stand is built from — its routing, expectation and attribute
+// memos — is shared by every Runner in the process (profileFor).
 type Runner struct {
 	methods *method.Registry
 
 	standName string // registered profile of units that name none
 	dutName   string // registered model of units that name none, "" = no DUT
 	parallel  int
-	noPool    bool
-
-	compileMu sync.RWMutex
-	compiled  map[*script.Script]*script.Compiled // nil value: compile failed
 
 	poolMu sync.Mutex
 	// pools holds the idle stands by configuration key. A Runner never
@@ -51,7 +46,6 @@ func NewRunner(opts ...Option) (*Runner, error) {
 		methods:   method.Builtin(),
 		standName: "paper_stand",
 		parallel:  1,
-		compiled:  map[*script.Script]*script.Compiled{},
 		pools:     map[string]*[]*stand.Stand{},
 	}
 	for _, opt := range opts {
@@ -105,54 +99,42 @@ func (r *Runner) newStand(standName, dutName string, sc *script.Script) (*stand.
 	return st, nil
 }
 
-// RunScript executes one script on a freshly built default stand and
-// returns its report. The context is honoured between steps.
+// RunScript executes one script as a one-unit Campaign on the Runner's
+// default stand and DUT and returns its report; the Runner's sinks see
+// the result too. The context is honoured between steps; a context
+// cancelled before the run starts yields no report and ctx.Err().
 func (r *Runner) RunScript(ctx context.Context, sc *script.Script) (*report.Report, error) {
-	st, err := r.newStand("", "", sc)
-	if err != nil {
+	var res *Result
+	_, err := r.Campaign(ctx, []Unit{{Script: sc}}, SinkFunc(func(got Result) { res = &got }))
+	if res == nil {
 		return nil, err
 	}
-	return r.runOn(ctx, st, sc, nil, stand.RunOptions{}), nil
+	return res.Report, res.Err
 }
 
-// runOn executes one script on a stand: compiled (c, or the Runner's
-// cached compilation when c is nil) when the script compiles, and
-// otherwise the stand's rejection report carrying the validation error.
-func (r *Runner) runOn(ctx context.Context, st *stand.Stand, sc *script.Script, c *script.Compiled, opts stand.RunOptions) *report.Report {
-	if c == nil {
-		c = r.compiledFor(sc)
-	}
-	if c == nil {
-		return st.RunContext(ctx, sc)
-	}
-	return st.RunCompiled(ctx, c, opts)
-}
-
-// RunPlan executes a compiled plan's scripts in order on ONE stand
-// instance (the sequential pipeline of the paper). Each report is
-// streamed to the Runner's sinks as it completes and the full slice is
-// returned. On cancellation the already-produced reports are returned
-// alongside ctx.Err().
+// RunPlan executes a compiled plan's scripts on the Runner's default
+// stand and DUT as one Group: in order, on one worker (the sequential
+// pipeline of the paper). Each report is streamed to the Runner's sinks
+// as it completes and the full slice is returned. A unit whose stand
+// cannot be built stops the plan with its error. On cancellation the
+// already-produced reports are returned alongside ctx.Err().
 func (r *Runner) RunPlan(ctx context.Context, plan *Plan) ([]*report.Report, error) {
-	if len(plan.Scripts) == 0 {
-		return nil, nil
-	}
-	st, err := r.newStand("", "", plan.Scripts[0])
-	if err != nil {
-		return nil, err
-	}
-	var reps []*report.Report
-	for i, sc := range plan.Scripts {
-		if err := ctx.Err(); err != nil {
-			return reps, err
+	var (
+		reps   []*report.Report
+		runErr error
+	)
+	g := Group{Units: plan.Units([]string{""}, ""), Stop: func(res Result) bool { return res.Err != nil }}
+	_, err := r.CampaignGroups(ctx, []Group{g}, SinkFunc(func(res Result) {
+		if res.Err != nil {
+			runErr = res.Err
+			return
 		}
-		c := plan.Compiled(sc)
-		start := time.Now()
-		rep := r.runOn(ctx, st, sc, c, stand.RunOptions{})
-		reps = append(reps, rep)
-		r.emit(Result{Seq: i, Unit: Unit{Script: sc, Compiled: c}, Report: rep, Elapsed: time.Since(start)}, nil)
+		reps = append(reps, res.Report)
+	}))
+	if runErr != nil {
+		return reps, runErr
 	}
-	return reps, ctx.Err()
+	return reps, err
 }
 
 // emit streams one result to the Runner's sinks, then to the call's

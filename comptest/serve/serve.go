@@ -754,7 +754,18 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	units := comptest.Cross(scripts, []string{ex.Spec.Stand}, ex.Spec.DUT)
+	// The artifact's plan holds every script compiled once; a workbook
+	// whose scripts do not all compile has no plan and goes through
+	// Cross, which compiles those that do.
+	var units []comptest.Unit
+	if plan := ex.Art.Plan; plan != nil {
+		for _, sc := range scripts {
+			units = append(units, comptest.Unit{Script: sc, Compiled: plan.Compiled(sc),
+				Stand: ex.Spec.Stand, DUT: ex.Spec.DUT})
+		}
+	} else {
+		units = comptest.Cross(scripts, []string{ex.Spec.Stand}, ex.Spec.DUT)
+	}
 	// The tracer rides the same per-unit Observer seam as the server's
 	// test hook; MultiObserver composes the two when both are present.
 	var tracer *comptest.Tracer
@@ -762,9 +773,6 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 		tracer = comptest.NewTracer(report.NewSpanWriter(ex.Trace))
 	}
 	for i := range units {
-		if ex.Art.Plan != nil {
-			units[i].Compiled = ex.Art.Plan.Compiled(units[i].Script)
-		}
 		units[i].Faults = ex.Spec.Faults
 		if ex.Observer != nil {
 			units[i].Observer = ex.Observer(i)

@@ -35,21 +35,51 @@ func traceUnits(t testing.TB) []Unit {
 	return Cross(scripts, []string{"paper_stand", "hil_rack"}, "")
 }
 
-// runTraced executes the units with an attached Tracer and returns the
-// NDJSON trace bytes.
-func runTraced(t testing.TB, parallel int, units []Unit, opts ...Option) []byte {
+// runTraced executes the units as one campaign with an attached Tracer
+// and returns the NDJSON trace bytes.
+func runTraced(t testing.TB, parallel int, units []Unit) []byte {
+	t.Helper()
+	return traced(t, units, func(tr *Tracer) {
+		r, err := NewRunner(WithParallelism(parallel), WithSink(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Campaign(context.Background(), units); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// runTracedFresh traces the units like runTraced, but runs each one on
+// a Runner of its own, so every unit gets a freshly built stand.
+func runTracedFresh(t testing.TB, units []Unit) []byte {
+	t.Helper()
+	return traced(t, units, func(tr *Tracer) {
+		for i := range units {
+			r, err := NewRunner()
+			if err != nil {
+				t.Fatal(err)
+			}
+			renumber := SinkFunc(func(res Result) {
+				res.Seq = i
+				tr.Emit(res)
+			})
+			if _, err := r.Campaign(context.Background(), units[i:i+1], renumber); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// traced attaches a Tracer to the units, lets run execute them and
+// returns the NDJSON trace bytes.
+func traced(t testing.TB, units []Unit, run func(*Tracer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := report.NewSpanWriter(&buf)
 	tr := NewTracer(sw)
 	tr.Attach(units)
-	r, err := NewRunner(append(opts, WithParallelism(parallel), WithSink(tr))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Campaign(context.Background(), units); err != nil {
-		t.Fatal(err)
-	}
+	run(tr)
 	tr.Flush()
 	if err := sw.Err(); err != nil {
 		t.Fatal(err)
@@ -117,7 +147,8 @@ func countingDUT(t *testing.T) string {
 }
 
 // TestTracePooledStands: traced units share one pooled stand, and the
-// spans are byte-identical to those of freshly built stands.
+// spans are byte-identical to those of freshly built stands, one per
+// unit.
 func TestTracePooledStands(t *testing.T) {
 	suite, err := LoadSuiteString(paper.Workbook)
 	if err != nil {
@@ -130,18 +161,18 @@ func TestTracePooledStands(t *testing.T) {
 	units := func() []Unit {
 		return Cross(slices.Repeat(scripts[:1], 4), []string{"paper_stand"}, countingDUT(t))
 	}
-	built := func(opts ...Option) ([]byte, int64) {
+	built := func(run func(testing.TB, []Unit) []byte) ([]byte, int64) {
 		before := countingDUTAttached.Load()
-		b := runTraced(t, 1, units(), opts...)
+		b := run(t, units())
 		return b, countingDUTAttached.Load() - before
 	}
-	pooled, n := built()
+	pooled, n := built(func(t testing.TB, us []Unit) []byte { return runTraced(t, 1, us) })
 	if n != 1 {
 		t.Errorf("pooled campaign built %d stands, want 1", n)
 	}
-	fresh, n := built(WithoutStandPool())
+	fresh, n := built(runTracedFresh)
 	if n != 4 {
-		t.Errorf("unpooled campaign built %d stands, want 4", n)
+		t.Errorf("unit-per-Runner campaign built %d stands, want 4", n)
 	}
 	if !bytes.Equal(pooled, fresh) {
 		t.Errorf("pooled trace differs from fresh stands:\n--- pooled ---\n%s--- fresh ---\n%s", pooled, fresh)

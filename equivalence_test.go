@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -285,54 +286,93 @@ func firstDiff(a, b []byte) string {
 }
 
 // TestCampaignStreamEquivalence runs the full builtin unit matrix as a
-// campaign under every combination of stand pooling and parallelism,
-// streaming each run through an Ordered NDJSON sink, and requires all
-// four byte streams to be identical. This is what makes the pooled,
-// parallel production configuration trustworthy: neither reusing a
-// stand (AlignForReuse) nor completion order may leak into results.
+// campaign on pooled stands and, as the reference, with every unit on a
+// Runner of its own (so on a freshly built stand), each at parallelism
+// 1 and 4, streaming each run through an Ordered NDJSON sink, and
+// requires all four byte streams to be identical. This is what makes
+// the pooled, parallel production configuration trustworthy: neither
+// reusing a stand (AlignForReuse) nor completion order may leak into
+// results.
 func TestCampaignStreamEquivalence(t *testing.T) {
 	plans := compileBuiltin(t)
 	var units []comptest.Unit
 	for _, dut := range comptest.DUTNames() {
 		units = append(units, plans[dut].Units(comptest.StandNames(), dut)...)
 	}
-	run := func(par int, pooled bool) []byte {
+	ctx := context.Background()
+	stream := func(run func(ordered comptest.Sink)) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		nd := comptest.NDJSON(&buf)
-		opts := []comptest.Option{
-			comptest.WithParallelism(par),
-			comptest.WithSink(comptest.Ordered(nd)),
-		}
-		if !pooled {
-			opts = append(opts, comptest.WithoutStandPool())
-		}
-		r, err := comptest.NewRunner(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Campaign(context.Background(), units); err != nil {
-			t.Fatal(err)
-		}
+		run(comptest.Ordered(nd))
 		if err := nd.Err(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	base := run(1, true)
+	pooled := func(par int) []byte {
+		return stream(func(ordered comptest.Sink) {
+			r, err := comptest.NewRunner(comptest.WithParallelism(par), comptest.WithSink(ordered))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Campaign(ctx, units); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// fresh runs par units at a time, each as the only unit of its own
+	// Runner, and renumbers the results into the matrix's Seq order.
+	fresh := func(par int) []byte {
+		return stream(func(ordered comptest.Sink) {
+			var (
+				mu   sync.Mutex
+				wg   sync.WaitGroup
+				next = make(chan int)
+			)
+			for w := 0; w < par; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range next {
+						r, err := comptest.NewRunner()
+						if err != nil {
+							t.Error(err)
+							continue
+						}
+						renumber := comptest.SinkFunc(func(res comptest.Result) {
+							res.Seq = i
+							mu.Lock()
+							defer mu.Unlock()
+							ordered.Emit(res)
+						})
+						if _, err := r.Campaign(ctx, units[i:i+1], renumber); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			for i := range units {
+				next <- i
+			}
+			close(next)
+			wg.Wait()
+		})
+	}
+	base := pooled(1)
 	if len(bytes.TrimSpace(base)) == 0 {
 		t.Fatal("campaign emitted no results")
 	}
 	for _, v := range []struct {
-		name   string
-		par    int
-		pooled bool
+		name string
+		run  func(int) []byte
+		par  int
 	}{
-		{"parallel_1/unpooled", 1, false},
-		{"parallel_4/pooled", 4, true},
-		{"parallel_4/unpooled", 4, false},
+		{"parallel_1/fresh", fresh, 1},
+		{"parallel_4/pooled", pooled, 4},
+		{"parallel_4/fresh", fresh, 4},
 	} {
-		if got := run(v.par, v.pooled); !bytes.Equal(base, got) {
+		if got := v.run(v.par); !bytes.Equal(base, got) {
 			t.Errorf("%s: NDJSON stream differs from parallel_1/pooled", v.name)
 		}
 	}

@@ -232,8 +232,9 @@ func TestPutPWMBadParams(t *testing.T) {
 
 func TestPaperTestPassesWithGreedyAllocator(t *testing.T) {
 	// The paper's table never creates the decade trap, so first-fit
-	// allocation also executes it — the baseline configuration works for
-	// the published example even though the backtracking default is safer.
+	// allocation executes it: the greedy strategy every built-in profile
+	// uses works for the published example, although backtracking, which
+	// only the ablations select, is safer.
 	reg := method.Builtin()
 	cfg, err := PaperConfig(reg)
 	if err != nil {

@@ -89,6 +89,24 @@ func (tc *TestCase) ColumnOf(signal string) int {
 	return tc.sigCol[strings.ToLower(strings.TrimSpace(signal))]
 }
 
+// Clone returns a copy of the test that shares no slice with it: Name,
+// Signals, and Steps with their own Assign slices, so editing the
+// copy's steps and assignments never reaches tc. The copy is a
+// programmatically built test: it carries no SheetName, HeaderLine or
+// signal columns.
+func (tc *TestCase) Clone() *TestCase {
+	c := &TestCase{
+		Name:    tc.Name,
+		Signals: append([]string(nil), tc.Signals...),
+		Steps:   make([]Step, len(tc.Steps)),
+	}
+	for i, s := range tc.Steps {
+		s.Assign = append([]Assignment(nil), s.Assign...)
+		c.Steps[i] = s
+	}
+	return c
+}
+
 // Duration returns the total nominal duration of the test in seconds.
 func (tc *TestCase) Duration() float64 {
 	var d float64

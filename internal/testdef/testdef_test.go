@@ -1,6 +1,7 @@
 package testdef
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -252,5 +253,27 @@ func TestGermanDt(t *testing.T) {
 	}
 	if tc.Steps[7].Dt != 280 || tc.Steps[8].Dt != 25 {
 		t.Errorf("long steps dt = %v, %v", tc.Steps[7].Dt, tc.Steps[8].Dt)
+	}
+}
+
+// TestCloneIsIndependent: editing a clone's signals, steps and
+// assignments leaves the original unchanged.
+func TestCloneIsIndependent(t *testing.T) {
+	tc := paperCase(t)
+	want := fmt.Sprintf("%+v", *tc)
+	c := tc.Clone()
+	if c.Name != tc.Name || len(c.Steps) != len(tc.Steps) {
+		t.Fatalf("clone %s has %d steps, want %s with %d", c.Name, len(c.Steps), tc.Name, len(tc.Steps))
+	}
+	c.Signals[0] = "edited"
+	c.Steps[0].Dt = -1
+	c.Steps[1].Assign[0].Status = "edited"
+	c.Steps[1].Assign = append(c.Steps[1].Assign[:0], c.Steps[1].Assign[1:]...)
+	c.Steps = append(c.Steps[:0], c.Steps[1:]...)
+	if got := fmt.Sprintf("%+v", *tc); got != want {
+		t.Errorf("editing the clone changed the original:\nbefore: %s\nafter:  %s", want, got)
+	}
+	if c.SheetName != "" || c.HeaderLine != 0 || c.ColumnOf(tc.Signals[0]) != 0 {
+		t.Errorf("clone carries sheet position %q:%d or columns", c.SheetName, c.HeaderLine)
 	}
 }
