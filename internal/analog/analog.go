@@ -52,21 +52,28 @@ type Network struct {
 	dirty  bool
 	lastOK *Solution
 
-	// Solve scratch, reused on every dirty solve so a solve allocates
-	// only its Solution: the augmented matrix [A|b] as one backing array,
-	// its row headers (re-pointed each solve, since gauss swaps them) and
-	// the enabled voltage sources.
+	// Solve scratch, reused on every dirty solve: the augmented matrix
+	// [A|b] as one backing array, its row headers (re-pointed each
+	// solve, since gauss swaps them) and the enabled voltage sources.
 	cells  []float64
 	rows   [][]float64
 	active []*VSource
 
 	// recent remembers the last few solutions by configuration: slot i's
 	// key is keys[(i+1)*k:(i+2)*k] for key length k, and keys[:k] is the
-	// scratch the current configuration is encoded into. next is the
-	// slot the next miss overwrites.
+	// scratch the current configuration is encoded into. Slots below
+	// held are remembered; next is the slot the next miss solves into,
+	// reusing that slot's Solution. A reshape forgets every slot but
+	// keeps their storage.
 	recent [recentSolves]*Solution
 	keys   []uint64
+	held   int
 	next   int
+
+	// Ohmmeter scratch: the saved enabled bits of every source and the
+	// one probe current source, appended only for the measuring solve.
+	saved []bool
+	probe *ISource
 }
 
 // NewNetwork returns a network containing only the ground node.
@@ -232,10 +239,14 @@ func (i *ISource) SetEnabled(on bool) {
 }
 
 // Solution holds node voltages and source currents of one solve. It is
-// immutable once returned: ECU ticks and trace samplers keep it across
-// later solves.
+// valid until the network's next Solve, which may overwrite it in place:
+// the network keeps a few Solutions and solves into the oldest, so a
+// warm network solves without allocating. Every caller reads a Solution
+// right after solving (an ECU tick, a sampler, a measurement, a trace
+// sample) and keeps nothing across the next Solve.
 type Solution struct {
 	net     *Network
+	buf     []float64 // backs v and srcAmps
 	v       []float64 // per node
 	srcAmps []float64 // per voltage source, by position in net.vs
 }
@@ -275,10 +286,11 @@ func (s *Solution) ResistorCurrent(r *Resistor) float64 {
 }
 
 // reshape records a change of topology: the next Solve cannot reuse the
-// last solution, nor any remembered one.
+// last solution, nor any remembered one. The slots' storage stays for
+// the next solves.
 func (n *Network) reshape() {
 	n.dirty = true
-	n.recent = [recentSolves]*Solution{}
+	n.held, n.next = 0, 0
 }
 
 // config encodes every element value a solve reads into the key scratch
@@ -286,7 +298,7 @@ func (n *Network) reshape() {
 // and one at +0 V are different configurations, as they are to gauss.
 func (n *Network) config() []uint64 {
 	k := len(n.rs) + 2*len(n.vs) + 2*len(n.is)
-	// Only a reshape changes k, and it emptied every slot.
+	// Only a reshape changes k, and it forgot every slot.
 	n.keys = slices.Grow(n.keys[:0], (recentSolves+1)*k)[:(recentSolves+1)*k]
 	key := n.keys[:k]
 	i := 0
@@ -318,32 +330,37 @@ func bit(b bool) uint64 {
 // configuration up among the last few it solved: a PWM source toggling
 // back, or an ECU output flipping back, finds its earlier Solution there.
 // A remembered Solution is exactly what a fresh solve would return,
-// since the same inputs run the same floating-point operations.
+// since the same inputs run the same floating-point operations. A miss
+// solves into the storage of the slot it replaces.
 func (n *Network) Solve() (*Solution, error) {
 	if !n.dirty && n.lastOK != nil {
 		return n.lastOK, nil
 	}
 	key := n.config()
 	k := len(key)
-	for i, sol := range n.recent {
-		if sol != nil && slices.Equal(n.keys[(i+1)*k:(i+2)*k], key) {
-			n.lastOK, n.dirty = sol, false
-			return sol, nil
+	for i := range n.held {
+		if slices.Equal(n.keys[(i+1)*k:(i+2)*k], key) {
+			n.lastOK, n.dirty = n.recent[i], false
+			return n.lastOK, nil
 		}
 	}
-	sol, err := n.solve()
+	slot := n.next
+	sol, err := n.solve(n.recent[slot])
 	if err != nil {
 		return nil, err
 	}
-	copy(n.keys[(n.next+1)*k:], key)
-	n.recent[n.next] = sol
-	n.next = (n.next + 1) % recentSolves
+	copy(n.keys[(slot+1)*k:], key)
+	n.recent[slot] = sol
+	n.held = max(n.held, slot+1)
+	n.next = (slot + 1) % recentSolves
 	n.lastOK, n.dirty = sol, false
 	return sol, nil
 }
 
-// solve builds and eliminates the MNA system of the current configuration.
-func (n *Network) solve() (*Solution, error) {
+// solve builds and eliminates the MNA system of the current configuration
+// and writes the result into sol's storage, or into a new Solution when
+// sol is nil. A failed solve leaves sol untouched.
+func (n *Network) solve(sol *Solution) (*Solution, error) {
 	nn := len(n.nodes) - 1 // unknown node voltages (ground excluded)
 	active := n.active[:0]
 	for _, v := range n.vs {
@@ -354,11 +371,8 @@ func (n *Network) solve() (*Solution, error) {
 	n.active = active
 	m := len(active)
 	dim := nn + m
-	// The Solution's node voltages and source currents share one buffer.
-	buf := make([]float64, len(n.nodes)+len(n.vs))
-	sol := &Solution{net: n, v: buf[:len(n.nodes):len(n.nodes)], srcAmps: buf[len(n.nodes):]}
 	if dim == 0 {
-		return sol, nil
+		return n.cleared(sol), nil
 	}
 	a := n.matrix(dim)
 	idx := func(id NodeID) int { return int(id) - 1 } // row/col of node
@@ -416,6 +430,7 @@ func (n *Network) solve() (*Solution, error) {
 	if err := gauss(a); err != nil {
 		return nil, fmt.Errorf("analog: %v", err)
 	}
+	sol = n.cleared(sol)
 	for i := 0; i < nn; i++ {
 		sol.v[i+1] = a[i][dim]
 	}
@@ -427,6 +442,23 @@ func (n *Network) solve() (*Solution, error) {
 		sol.srcAmps[src.idx] = -a[nn+k][dim]
 	}
 	return sol, nil
+}
+
+// cleared returns sol zeroed and shaped for the current network, or a new
+// Solution when sol is nil. Node voltages and source currents share one
+// buffer, grown only when the network has.
+func (n *Network) cleared(sol *Solution) *Solution {
+	if sol == nil {
+		sol = &Solution{net: n}
+	}
+	size := len(n.nodes) + len(n.vs)
+	if cap(sol.buf) < size {
+		sol.buf = make([]float64, size)
+	}
+	buf := sol.buf[:size]
+	clear(buf)
+	sol.v, sol.srcAmps = buf[:len(n.nodes):len(n.nodes)], buf[len(n.nodes):]
+	return sol
 }
 
 // matrix returns the zeroed dim×(dim+1) augmented matrix, carved out of
@@ -462,28 +494,32 @@ func (n *Network) MustSolve() *Solution {
 // is injected, and R = ΔV / I. Resistances above ~1 GΩ report +Inf (open
 // circuit), matching how a real ohmmeter overranges.
 func (n *Network) MeasureResistance(a, b NodeID) (float64, error) {
-	savedV := make([]bool, len(n.vs))
-	for i, v := range n.vs {
-		savedV[i] = v.enabled
+	n.saved = n.saved[:0]
+	for _, v := range n.vs {
+		n.saved = append(n.saved, v.enabled)
 		v.SetEnabled(false)
 	}
-	savedI := make([]bool, len(n.is))
-	for i, s := range n.is {
-		savedI[i] = s.enabled
+	for _, s := range n.is {
+		n.saved = append(n.saved, s.enabled)
 		s.SetEnabled(false)
 	}
 	const testAmps = 1e-3
-	probe := n.AddISource("__ohmmeter", a, b, testAmps)
+	if n.probe == nil {
+		n.probe = &ISource{net: n, Name: "__ohmmeter", amps: testAmps}
+	}
+	n.probe.Pos, n.probe.Neg, n.probe.enabled = a, b, true
+	n.is = append(n.is, n.probe)
+	n.reshape()
 	sol, err := n.Solve()
 	// Restore before inspecting the result.
-	probe.SetEnabled(false)
+	n.probe.SetEnabled(false)
 	n.is = n.is[:len(n.is)-1]
 	n.reshape()
 	for i, v := range n.vs {
-		v.SetEnabled(savedV[i])
+		v.SetEnabled(n.saved[i])
 	}
 	for i, s := range n.is {
-		s.SetEnabled(savedI[i])
+		s.SetEnabled(n.saved[len(n.vs)+i])
 	}
 	if err != nil {
 		return 0, err

@@ -153,26 +153,43 @@ func TestSourceCurrent(t *testing.T) {
 	}
 }
 
-// TestSolveAllocs pins the Solve scratch: a dirty solve allocates only
-// the Solution and its one buffer, and reusing the scratch leaves every
-// earlier Solution intact.
+// TestSolveAllocs pins the Solve contract: once the ring of remembered
+// solutions is warm, a dirty solve allocates nothing, because it solves
+// into the storage of the slot it evicts, and the latest Solution stays
+// intact until the next Solve.
 func TestSolveAllocs(t *testing.T) {
 	n := NewNetwork()
 	top, mid := n.Node("top"), n.Node("mid")
 	v := n.AddVSource("bat", top, Ground, 12)
 	n.AddResistor("r1", top, mid, 1000)
 	r2 := n.AddResistor("r2", mid, Ground, 1000)
-	first := n.MustSolve()
 	ohms := 1000.0
+	for range recentSolves {
+		ohms++
+		r2.SetOhms(ohms)
+		n.MustSolve()
+	}
 	if got := testing.AllocsPerRun(100, func() {
 		ohms++
 		r2.SetOhms(ohms)
 		n.MustSolve()
-	}); got != 2 {
-		t.Errorf("dirty Solve allocates %v times, want 2 (Solution + buffer)", got)
+	}); got != 0 {
+		t.Errorf("dirty Solve on a warm ring allocates %v times, want 0", got)
 	}
-	if !approx(first.Voltage(mid), 6) || !approx(first.SourceCurrent(v), 0.006) {
-		t.Errorf("earlier solution changed: mid = %v, I = %v", first.Voltage(mid), first.SourceCurrent(v))
+	ohms++
+	r2.SetOhms(ohms)
+	latest := n.MustSolve()
+	want := fresh(n)
+	if !approx(latest.Voltage(mid), 12*ohms/(1000+ohms)) || !approx(latest.SourceCurrent(v), 12/(1000+ohms)) {
+		t.Errorf("latest solution: mid = %v, I = %v", latest.Voltage(mid), latest.SourceCurrent(v))
+	}
+	// Changing the network without solving leaves the latest Solution
+	// as it was solved.
+	r2.SetOhms(ohms + 1)
+	v.SetVolts(5)
+	if !sameBits(latest, want) {
+		t.Errorf("latest solution changed before the next Solve: %v %v, want %v %v",
+			latest.v, latest.srcAmps, want.v, want.srcAmps)
 	}
 }
 
@@ -231,6 +248,28 @@ func TestMeasureResistanceSimple(t *testing.T) {
 	}
 	if !approx(got, 470) {
 		t.Errorf("measured = %v, want 470", got)
+	}
+}
+
+// TestMeasureResistanceAllocs: the ohmmeter keeps its saved-state
+// scratch and its probe on the network, so a warm get_r, and the solve
+// after it, allocate nothing.
+func TestMeasureResistanceAllocs(t *testing.T) {
+	n, _, load := pwmNet()
+	mid := n.Node("mid")
+	measure := func() {
+		if _, err := n.MeasureResistance(mid, Ground); err != nil {
+			t.Fatal(err)
+		}
+		n.MustSolve()
+	}
+	measure()
+	if got := testing.AllocsPerRun(100, measure); got != 0 {
+		t.Errorf("MeasureResistance + Solve allocates %v times, want 0", got)
+	}
+	// With both sources open, r1 leads nowhere: the meter sees the load.
+	if got, err := n.MeasureResistance(mid, Ground); err != nil || !approx(got, load.Ohms()) {
+		t.Errorf("measured %v (%v), want %v", got, err, load.Ohms())
 	}
 }
 

@@ -8,7 +8,9 @@
 package canbus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -413,8 +415,13 @@ type TxGroup struct {
 	node   *Node
 	db     *DB
 	frames map[uint32]*Frame
-	// sorted caches the id-ordered frame pointers; nil after a new id.
+	// spare holds the frames Clear dropped, for SetSignalOrder to reuse;
+	// frames are copied at transmit time, so none is still in flight.
+	spare []*Frame
+	// sorted caches the id-ordered frame pointers while sortedOK; a new
+	// id or Clear invalidates it, and the next sort reuses its buffer.
 	sorted   []*Frame
+	sortedOK bool
 	periodic *event.Periodic
 }
 
@@ -441,20 +448,16 @@ func (g *TxGroup) retransmit() {
 }
 
 func (g *TxGroup) sortedFrames() []*Frame {
-	if g.sorted != nil {
+	if g.sortedOK {
 		return g.sorted
 	}
-	ids := make([]uint32, 0, len(g.frames))
-	for id := range g.frames {
-		ids = append(ids, id)
+	g.sorted = g.sorted[:0]
+	for _, f := range g.frames {
+		g.sorted = append(g.sorted, f)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*Frame, len(ids))
-	for i, id := range ids {
-		out[i] = g.frames[id]
-	}
-	g.sorted = out
-	return out
+	slices.SortFunc(g.sorted, func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
+	g.sortedOK = true
+	return g.sorted
 }
 
 // Suspend parks the periodic retransmission (idle fast-forward support);
@@ -476,8 +479,11 @@ func (g *TxGroup) Resume() {
 // state. The next retransmission sends nothing until signals are set
 // again.
 func (g *TxGroup) Clear() {
-	g.frames = map[uint32]*Frame{}
-	g.sorted = nil
+	for _, f := range g.frames {
+		g.spare = append(g.spare, f)
+	}
+	clear(g.frames)
+	g.sortedOK = false
 }
 
 // SetSignal updates an Intel-packed signal inside the named message and
@@ -494,9 +500,14 @@ func (g *TxGroup) SetSignalOrder(order ByteOrder, message string, start, length 
 	}
 	f, ok := g.frames[m.ID]
 	if !ok {
-		f = &Frame{ID: m.ID, DLC: m.DLC}
+		if i := len(g.spare) - 1; i >= 0 {
+			f, g.spare = g.spare[i], g.spare[:i]
+		} else {
+			f = new(Frame)
+		}
+		*f = Frame{ID: m.ID, DLC: m.DLC}
 		g.frames[m.ID] = f
-		g.sorted = nil
+		g.sortedOK = false
 	}
 	if err := f.InsertSignalOrder(order, start, length, value); err != nil {
 		return err

@@ -167,3 +167,67 @@ func TestTransmitAllocs(t *testing.T) {
 		t.Errorf("Transmit allocates %v times, want 0", got)
 	}
 }
+
+// TestTxGroupClearRefill: Clear keeps the group's map, frames and sort
+// buffer, so a warm Clear and refill allocates nothing, and the next
+// retransmission equals that of a fresh group filled the same way,
+// frame for frame.
+func TestTxGroupClearRefill(t *testing.T) {
+	const period = 20 * time.Millisecond
+	type group struct {
+		sched event.Scheduler
+		g     *TxGroup
+		got   []Frame
+	}
+	newGroup := func() *group {
+		gr := &group{}
+		bus := NewBus(&gr.sched)
+		bus.Attach("dut", func(f Frame) { gr.got = append(gr.got, f) })
+		db := NewDB()
+		for _, m := range []string{"A", "B", "C"} { // the same ids in both
+			if _, err := db.Ensure(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gr.g = NewTxGroup(bus.Attach("stand", nil), db, period, &gr.sched)
+		return gr
+	}
+	fill := func(g *TxGroup, msgs []string, v uint64) {
+		for i, m := range msgs {
+			if err := g.SetSignal(m, 4*i, 4, v+uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// nextRetransmission delivers what is in flight, then returns the
+	// frames of the group's next periodic retransmission.
+	nextRetransmission := func(gr *group) []Frame {
+		gr.sched.Advance(Latency)
+		gr.got = gr.got[:0]
+		gr.sched.Advance(period)
+		return slices.Clone(gr.got)
+	}
+
+	warm := newGroup()
+	fill(warm.g, []string{"A", "B", "C"}, 1)
+	warm.sched.Advance(period)
+	refill := func() {
+		warm.g.Clear()
+		fill(warm.g, []string{"C", "A", "B"}, 7)
+		warm.sched.Advance(Latency)
+		warm.got = warm.got[:0]
+	}
+	refill()
+	if got := testing.AllocsPerRun(100, refill); got != 0 {
+		t.Errorf("Clear and refill allocates %v times, want 0", got)
+	}
+
+	warm.g.Clear()
+	fill(warm.g, []string{"C", "A"}, 3)
+	fresh := newGroup()
+	fill(fresh.g, []string{"C", "A"}, 3)
+	got, want := nextRetransmission(warm), nextRetransmission(fresh)
+	if len(want) != 2 || !slices.Equal(got, want) {
+		t.Errorf("after Clear and refill: retransmitted %v, fresh group %v", got, want)
+	}
+}

@@ -7,7 +7,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -59,12 +58,28 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 // time t and returns it, without allocating. A zero-value Event is valid.
 // While e is still queued — pending, or cancelled and not yet drained —
 // it cannot be reused, and Reschedule falls back to At. Callers must
-// therefore keep the returned pointer (to Cancel it) rather than e.
+// therefore keep the returned pointer (to Cancel it) rather than e, or
+// take e off the queue with Unqueue first.
 func (s *Scheduler) Reschedule(e *Event, t time.Duration, fn func()) *Event {
-	if i := e.index; i >= 0 && i < len(s.q) && s.q[i] == e {
+	if s.queued(e) {
 		return s.At(t, fn)
 	}
 	return s.push(e, t, fn)
+}
+
+// Unqueue takes e off the queue, so it never fires and a following
+// Reschedule reuses it. Unqueueing an event that is not queued on s is a
+// no-op.
+func (s *Scheduler) Unqueue(e *Event) {
+	if s.queued(e) {
+		s.q.remove(e.index)
+	}
+}
+
+// queued reports whether e sits in s's queue, pending or cancelled.
+func (s *Scheduler) queued(e *Event) bool {
+	i := e.index
+	return i >= 0 && i < len(s.q) && s.q[i] == e
 }
 
 func (s *Scheduler) push(e *Event, t time.Duration, fn func()) *Event {
@@ -74,9 +89,9 @@ func (s *Scheduler) push(e *Event, t time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("event: scheduling nil callback")
 	}
-	*e = Event{at: t, seq: s.seq, fn: fn, index: -1}
+	*e = Event{at: t, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.q, e)
+	s.q.push(e)
 	return e
 }
 
@@ -105,11 +120,10 @@ func (s *Scheduler) Periodic(period time.Duration, fn func()) *Periodic {
 	}
 	p := &Periodic{s: s, period: period, fn: fn}
 	p.run = func() {
-		if p.stopped || p.susp {
-			return
-		}
 		p.fn()
-		if p.stopped || p.susp { // fn may stop or suspend the series
+		// fn may stop or suspend the series, or suspend and resume it,
+		// which re-arms it already.
+		if p.stopped || p.susp || s.queued(&p.ev) {
 			return
 		}
 		p.next += p.period
@@ -125,18 +139,17 @@ type Periodic struct {
 	s       *Scheduler
 	period  time.Duration
 	fn      func()
-	run     func() // the rescheduling wrapper, allocated once
-	cur     *Event
-	ev      Event         // caller-owned event for Reschedule
+	run     func()        // the rescheduling wrapper, allocated once
+	ev      Event         // the series' one event, queued while armed
 	next    time.Duration // absolute time of the next occurrence
 	stopped bool
 	susp    bool
 }
 
-// arm schedules the next occurrence on the reusable event. After a
-// Suspend it may still sit cancelled in the queue; Reschedule then
-// allocates a fresh one and the old one drains lazily.
-func (p *Periodic) arm() { p.cur = p.s.Reschedule(&p.ev, p.next, p.run) }
+// arm schedules the next occurrence on the series' own event. Stop and
+// Suspend take that event off the queue, so it is never still queued
+// here and Reschedule never allocates.
+func (p *Periodic) arm() { p.s.Reschedule(&p.ev, p.next, p.run) }
 
 // Period returns the series period.
 func (p *Periodic) Period() time.Duration { return p.period }
@@ -150,7 +163,7 @@ func (p *Periodic) Next() time.Duration { return p.next }
 // Stop cancels the series permanently.
 func (p *Periodic) Stop() {
 	p.stopped = true
-	p.cur.Cancel()
+	p.s.Unqueue(&p.ev)
 }
 
 // Suspend parks the series: no occurrences fire until Resume. Suspending
@@ -160,7 +173,7 @@ func (p *Periodic) Suspend() {
 		return
 	}
 	p.susp = true
-	p.cur.Cancel()
+	p.s.Unqueue(&p.ev)
 }
 
 // Resume re-arms a suspended series on its original phase grid: the next
@@ -184,7 +197,7 @@ func (p *Periodic) Resume() {
 // Cancelled events at the head of the queue are discarded on the way.
 func (s *Scheduler) NextAt() (time.Duration, bool) {
 	for len(s.q) > 0 && s.q[0].cancel {
-		heap.Pop(&s.q)
+		s.q.pop()
 	}
 	if len(s.q) == 0 {
 		return 0, false
@@ -196,7 +209,7 @@ func (s *Scheduler) NextAt() (time.Duration, bool) {
 // reports whether one was fired.
 func (s *Scheduler) Step() bool {
 	for len(s.q) > 0 {
-		e := heap.Pop(&s.q).(*Event)
+		e := s.q.pop()
 		if e.cancel {
 			continue
 		}
@@ -214,7 +227,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 		panic(fmt.Sprintf("event: RunUntil(%v) before now %v", t, s.now))
 	}
 	for len(s.q) > 0 && s.q[0].at <= t {
-		e := heap.Pop(&s.q).(*Event)
+		e := s.q.pop()
 		if e.cancel {
 			continue
 		}
@@ -229,35 +242,90 @@ func (s *Scheduler) Advance(d time.Duration) { s.RunUntil(s.now + d) }
 
 // ------------------------------------------------------------------ heap --
 
+// eventQueue is a binary min-heap of events ordered by (time, seq). Each
+// event keeps its own index, so a known event leaves the queue in
+// O(log n). Sequence numbers are unique, so every valid heap pops the
+// same order.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
+func (q *eventQueue) push(e *Event) {
 	e.index = len(*q)
 	*q = append(*q, e)
+	q.up(e.index)
 }
 
-func (q *eventQueue) Pop() any {
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event {
+	n := len(*q) - 1
+	q.swap(0, n)
+	q.down(0, n)
+	return q.truncate()
+}
+
+// remove takes the event at index i off the queue.
+func (q *eventQueue) remove(i int) {
+	n := len(*q) - 1
+	if i != n {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
+	}
+	q.truncate()
+}
+
+// truncate drops and returns the last slot's event.
+func (q *eventQueue) truncate() *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*q = old[:n-1]
+	*q = old[:n]
 	return e
+}
+
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the event at i0 down among the first n slots and reports
+// whether it moved.
+func (q eventQueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -335,3 +335,43 @@ func TestPeriodicSteadyStateAllocs(t *testing.T) {
 		t.Errorf("fired %d times, want 102", n)
 	}
 }
+
+// TestPeriodicSuspendStopAllocs: Suspend and Stop take the series' event
+// off the queue, so a warm Suspend/Resume cycle re-arms that same event
+// and a Stop leaves nothing queued, all without allocating.
+func TestPeriodicSuspendStopAllocs(t *testing.T) {
+	var s Scheduler
+	n := 0
+	p := s.Periodic(time.Millisecond, func() { n++ })
+	cycle := func() {
+		// Resumed at once, as the stand does when a one-shot event
+		// lies inside the window it meant to jump.
+		p.Suspend()
+		p.Resume()
+		s.Advance(time.Millisecond)
+		// Resumed after a jump.
+		p.Suspend()
+		s.Advance(3 * time.Millisecond)
+		p.Resume()
+		s.Advance(time.Millisecond)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("Suspend/Resume cycle allocates %v times, want 0", got)
+	}
+	if n != 204 || s.Pending() != 1 {
+		t.Errorf("fired %d times with %d queued, want 204 with 1", n, s.Pending())
+	}
+
+	series := make([]*Periodic, 101)
+	for i := range series {
+		series[i] = s.Periodic(time.Duration(i+1)*time.Millisecond, func() {})
+	}
+	i := 0
+	if got := testing.AllocsPerRun(100, func() { series[i].Stop(); i++ }); got != 0 {
+		t.Errorf("Stop allocates %v times, want 0", got)
+	}
+	if s.Pending() != 1 {
+		t.Errorf("%d events queued after stopping every new series, want 1", s.Pending())
+	}
+}

@@ -62,8 +62,9 @@ func (sm *sampler) stop() {
 }
 
 // startSamplers arms a sampler for every timing measurement of the step.
+// It returns nil when the step has none, which is most steps.
 func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) map[*script.SignalStmt]*sampler {
-	out := map[*script.SignalStmt]*sampler{}
+	var out map[*script.SignalStmt]*sampler
 	for _, st := range measures {
 		if st.Call.Method != "get_t" && st.Call.Method != "get_f" {
 			continue
@@ -75,6 +76,9 @@ func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) m
 		inst := s.instruments[a.Resource]
 		sm := &sampler{stand: s, inst: inst}
 		sm.stopFn = s.sched.Every(SamplePeriod, sm.sample)
+		if out == nil {
+			out = map[*script.SignalStmt]*sampler{}
+		}
 		out[st] = sm
 	}
 	return out

@@ -144,10 +144,9 @@ type pwmDrive struct {
 	running bool
 	period  time.Duration
 	onTime  time.Duration
-	stopped bool
-	next    *event.Event
-	// ev is the reusable phase event; on/off are phaseOn/phaseOff bound
-	// once, so a running waveform schedules without allocating.
+	// ev is the phase event, queued while the waveform runs; on/off are
+	// phaseOn/phaseOff bound once, so a running waveform schedules
+	// without allocating.
 	ev      event.Event
 	on, off func()
 }
@@ -167,36 +166,26 @@ func (p *pwmDrive) Start(volts, freq, duty float64) error {
 	p.src.SetVolts(volts)
 	p.period = time.Duration(float64(time.Second) / freq)
 	p.onTime = time.Duration(float64(p.period) * duty / 100)
-	p.stopped = false
 	p.running = true
 	p.phaseOn()
 	return nil
 }
 
 func (p *pwmDrive) phaseOn() {
-	if p.stopped {
-		return
-	}
 	p.src.SetEnabled(p.onTime > 0)
-	p.next = p.sched.Reschedule(&p.ev, p.sched.Now()+p.onTime, p.off)
+	p.sched.Reschedule(&p.ev, p.sched.Now()+p.onTime, p.off)
 }
 
 func (p *pwmDrive) phaseOff() {
-	if p.stopped {
-		return
-	}
 	p.src.SetEnabled(false)
-	p.next = p.sched.Reschedule(&p.ev, p.sched.Now()+p.period-p.onTime, p.on)
+	p.sched.Reschedule(&p.ev, p.sched.Now()+p.period-p.onTime, p.on)
 }
 
-// Stop ends the waveform and releases the pin.
+// Stop ends the waveform and releases the pin. It takes the phase event
+// off the queue, so a restart reuses it.
 func (p *pwmDrive) Stop() {
-	p.stopped = true
 	p.running = false
-	if p.next != nil {
-		p.next.Cancel()
-		p.next = nil
-	}
+	p.sched.Unqueue(&p.ev)
 	p.src.SetEnabled(false)
 }
 
