@@ -333,7 +333,7 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 	}
 	c := u.Compiled
 	if c == nil {
-		c, _ = script.Compile(u.Script, r.methods)
+		c, _ = script.Compile(u.Script, method.Builtin())
 	}
 	if c == nil {
 		res.Report = st.RunContext(ctx, u.Script) // the rejection report

@@ -23,8 +23,8 @@ import (
 // Options configures a Coordinator. Zero values select the defaults.
 type Options struct {
 	// Serve configures the embedded job server (queue depth, worker
-	// pool, cache, retention). Its Executor field is owned by the
-	// coordinator and overwritten; so is Hooks when StateDir is set.
+	// pool). Its Executor field is owned by the coordinator and
+	// overwritten; so is Hooks when StateDir is set.
 	Serve serve.Options
 	// ShardUnits bounds the units per shard (default 4). Smaller
 	// shards spread wider and requeue cheaper; larger shards amortise
@@ -51,14 +51,6 @@ type Options struct {
 	// LeaseTTL is how long a worker stays schedulable without a
 	// heartbeat (default 15s). Workers heartbeat at a third of this.
 	LeaseTTL time.Duration
-	// ShardTimeout bounds one remote shard execution before it is
-	// requeued elsewhere (default 2m).
-	ShardTimeout time.Duration
-	// MaxAttempts is how many workers a shard is tried on before the
-	// coordinator executes it locally itself (default 3).
-	MaxAttempts int
-	// Client performs coordinator→worker HTTP; nil builds one.
-	Client *http.Client
 	// ScrapeTimeout bounds one worker /metrics fetch during fleet
 	// aggregation (default 2s): a slow worker delays, never wedges, the
 	// coordinator's own exposition. `comptest serve -coordinator
@@ -80,17 +72,8 @@ func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
 	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 2 * time.Minute
-	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 3
-	}
 	if o.StealAfter <= 0 {
 		o.StealAfter = 2 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
 	}
 	if o.ScrapeTimeout <= 0 {
 		o.ScrapeTimeout = 2 * time.Second
@@ -103,6 +86,15 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+const (
+	// shardTimeout bounds one remote shard execution before it is
+	// requeued elsewhere.
+	shardTimeout = 2 * time.Minute
+	// maxAttempts is how many workers a shard is tried on before the
+	// coordinator executes it locally itself.
+	maxAttempts = 3
+)
 
 // Coordinator is the distributed front of the campaign service: the
 // same job API as comptest/serve (it embeds a serve.Server), but jobs
@@ -119,7 +111,7 @@ type Coordinator struct {
 	opts      Options
 	reg       *Registry
 	srv       *serve.Server
-	client    *http.Client
+	client    *http.Client // coordinator→worker HTTP
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -164,7 +156,7 @@ func New(opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:      opts,
 		reg:       newRegistry(opts.LeaseTTL, opts.now),
-		client:    opts.Client,
+		client:    &http.Client{},
 		stop:      make(chan struct{}),
 		mergers:   map[*report.Sequencer[[]byte]]struct{}{},
 		recovered: map[string]*recoveredJob{},
@@ -690,7 +682,7 @@ func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if attempt >= c.opts.MaxAttempts {
+		if attempt >= maxAttempts {
 			j.prog.local()
 			c.mShardsLocal.Inc()
 			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
@@ -861,7 +853,7 @@ func readLines(r io.Reader, fn func(line []byte) error) error {
 // shards follow), stream its NDJSON, and merge each line under the
 // shard's global sequence numbers.
 func (c *Coordinator) dispatchShard(ctx context.Context, ls lease, j *dispatchJob, sh shardSpec) error {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
+	sctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 
 	// The spec travels unchanged but for the unit list (nil for an

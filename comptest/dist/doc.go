@@ -40,7 +40,7 @@
 // worker that dies mid-shard is marked lost and the WHOLE shard is
 // requeued on a survivor — units the dead worker already delivered
 // are dropped as duplicates, units it never reached merge from the
-// retry. After MaxAttempts remote tries (or with no live worker at
+// retry. After three remote tries (or with no live worker at
 // all) the coordinator executes the shard in-process through
 // serve.Server.ExecuteLocal — exactly what a worker runs for that
 // shard — so a coordinator alone degrades gracefully into exactly a

@@ -66,7 +66,9 @@ type journalRec struct {
 // journal is the append side. A nil *journal is valid and drops every
 // append — call sites stay unconditional whether or not -state-dir is
 // set. Appends go straight to the file descriptor (no userspace
-// buffer), so a kill -9 loses at most the record being written.
+// buffer), so a kill -9 loses at most the record being written. Nothing
+// calls fsync: an OS crash or power loss can lose every record not yet
+// written back.
 type journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -238,7 +240,9 @@ func (st *replayed) fold(rec journalRec) {
 		}
 		st.order = append(st.order, rec.Job)
 	case "plan":
-		if j := st.jobs[rec.Job]; j != nil {
+		// A plan that pins no chunking is one a snapshot could not
+		// write back: ignore it, so the fold is a fixed point.
+		if j := st.jobs[rec.Job]; j != nil && rec.ShardUnits > 0 {
 			j.shardUnits = rec.ShardUnits
 		}
 	case "dispatch":

@@ -35,7 +35,7 @@ const (
 )
 
 // Histogram bucket bounds. Shard round-trips span dispatch + remote
-// execution + stream merge, so the range runs to the 2m ShardTimeout;
+// execution + stream merge, so the range runs to the 2m shardTimeout;
 // scrapes are one bounded HTTP GET, so theirs tops out at the 2s
 // default ScrapeTimeout.
 var (

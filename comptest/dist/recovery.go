@@ -112,7 +112,7 @@ func seedTally(tl *tally, lines [][]byte) {
 // remote job is then best-effort cancelled so the worker stops
 // computing lines the requeue will re-deliver.
 func (c *Coordinator) adoptShard(ctx context.Context, ad dispatchRec, j *dispatchJob, sh shardSpec) error {
-	sctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
+	sctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	ls := lease{id: ad.worker, url: ad.url}
 	complete := false

@@ -35,11 +35,6 @@ type WorkerOptions struct {
 	// shards this node executes concurrently and doubles as the
 	// capacity advertised to the coordinator.
 	Serve serve.Options
-	// Heartbeat overrides the heartbeat period (default: a third of
-	// the lease the coordinator granted).
-	Heartbeat time.Duration
-	// Client performs worker→coordinator HTTP; nil builds one.
-	Client *http.Client
 	// Logger, when non-nil, receives the worker's structured lifecycle
 	// events (registration, re-registration after eviction). Job-level
 	// events flow through Serve.Logger instead.
@@ -64,7 +59,7 @@ type Worker struct {
 	srv    *serve.Server
 	ln     net.Listener
 	hs     *http.Server
-	client *http.Client
+	client *http.Client // worker→coordinator HTTP
 	url    string
 
 	mu    sync.Mutex
@@ -88,9 +83,6 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if opts.Version == "" {
 		opts.Version = version.String()
 	}
@@ -108,7 +100,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		opts:     opts,
 		srv:      serve.New(opts.Serve),
 		ln:       ln,
-		client:   opts.Client,
+		client:   &http.Client{Timeout: 10 * time.Second},
 		url:      opts.AdvertiseURL,
 		stop:     make(chan struct{}),
 		serveErr: make(chan error, 1),
@@ -185,10 +177,9 @@ func (w *Worker) register() error {
 	return nil
 }
 
+// heartbeatPeriod is a third of the lease the coordinator granted, and
+// at least 50 ms.
 func (w *Worker) heartbeatPeriod() time.Duration {
-	if w.opts.Heartbeat > 0 {
-		return w.opts.Heartbeat
-	}
 	w.mu.Lock()
 	lease := w.lease
 	w.mu.Unlock()

@@ -49,6 +49,7 @@ import (
 
 	"repro/comptest"
 	"repro/comptest/mutation"
+	"repro/internal/method"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -304,7 +305,7 @@ type candidate struct {
 // compiled as every unit the library builds does. A script that does
 // not compile is left without one, and its run reports the rejection.
 func (e *Explorer) unit(sc *script.Script, obs stand.Observer) comptest.Unit {
-	c, _ := script.Compile(sc, e.runner.Methods())
+	c, _ := script.Compile(sc, method.Builtin())
 	return comptest.Unit{Script: sc, Compiled: c, Stand: e.opts.Stand, Observer: obs}
 }
 

@@ -3,6 +3,7 @@ package comptest
 import (
 	"sync"
 
+	"repro/internal/method"
 	"repro/internal/script"
 	"repro/internal/stand"
 )
@@ -100,9 +101,8 @@ func (r *Runner) releaseStand(free *[]*stand.Stand, st *stand.Stand, faulted boo
 // every Runner in the process, so the script-to-stand binding — routing,
 // expectations, attribute values — is computed once, not once per
 // Runner, job or shard. Sound because RegisterStand refuses duplicate
-// names and every Runner interprets method.Builtin(); a profile keeps
-// the registry of the Runner that built it. Bounded like the memos it
-// holds: a full map is flushed.
+// names and every profile interprets method.Builtin(). Bounded like the
+// memos it holds: a full map is flushed.
 var profiles = struct {
 	mu sync.RWMutex
 	m  map[string]*stand.Profile
@@ -121,11 +121,12 @@ func (r *Runner) profileFor(standName string, sc *script.Script) (*stand.Profile
 	if p != nil {
 		return p, nil
 	}
-	cfg, err := BuildStand(standName, r.methods, stand.HarnessFromScript(sc))
+	reg := method.Builtin()
+	cfg, err := BuildStand(standName, reg, stand.HarnessFromScript(sc))
 	if err != nil {
 		return nil, err
 	}
-	if p, err = stand.NewProfile(cfg, r.methods); err != nil {
+	if p, err = stand.NewProfile(cfg, reg); err != nil {
 		return nil, err
 	}
 	profiles.mu.Lock()

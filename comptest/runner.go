@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/method"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/stand"
@@ -24,8 +23,6 @@ import (
 // profile a stand is built from — its routing, expectation and attribute
 // memos — is shared by every Runner in the process (profileFor).
 type Runner struct {
-	methods *method.Registry
-
 	standName string // registered profile of units that name none
 	dutName   string // registered model of units that name none, "" = no DUT
 	parallel  int
@@ -43,7 +40,6 @@ type Runner struct {
 // (paper_stand), no DUT, sequential execution and no sinks.
 func NewRunner(opts ...Option) (*Runner, error) {
 	r := &Runner{
-		methods:   method.Builtin(),
 		standName: "paper_stand",
 		parallel:  1,
 		pools:     map[string]*[]*stand.Stand{},
@@ -55,9 +51,6 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// Methods returns the method registry the Runner validates against.
-func (r *Runner) Methods() *method.Registry { return r.methods }
 
 // Parallelism returns the configured worker-pool bound.
 func (r *Runner) Parallelism() int { return r.parallel }

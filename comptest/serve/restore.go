@@ -79,7 +79,7 @@ func (s *Server) Restore(rj RestoredJob) error {
 		spec:        rj.Spec,
 		art:         art,
 		log:         newResultLog(),
-		events:      newEventRing(s.opts.EventBuffer),
+		events:      newEventRing(eventBuffer),
 		ctx:         jobCtx,
 		cancel:      jobCancel,
 		state:       state,

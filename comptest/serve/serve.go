@@ -34,16 +34,6 @@ type Options struct {
 	// DefaultParallelism is the per-job worker-pool bound applied when
 	// a spec leaves Parallelism at 0 (default 1 — fully deterministic).
 	DefaultParallelism int
-	// Cache is the artifact cache; nil builds a fresh one. Passing a
-	// shared cache lets several servers (or a server and a batch CLI)
-	// reuse parse work.
-	Cache *Cache
-	// Retention bounds the terminal jobs kept for status/stream reads
-	// (default 256). When exceeded, the oldest terminal jobs — and
-	// their buffered result logs — are evicted, so a long-lived server
-	// does not grow without bound. Queued and running jobs are never
-	// evicted.
-	Retention int
 	// Executor, when non-nil, replaces the built-in local engines: a
 	// dequeued job is handed to it instead of being run in-process.
 	// This is the seam the distributed coordinator (comptest/dist)
@@ -66,10 +56,6 @@ type Options struct {
 	// ring every job always has. The serve CLI wires this to stderr via
 	// -log-format; embedding processes pass their own.
 	Logger *slog.Logger
-	// EventBuffer bounds each job's structured-event ring (default 256
-	// lines). Older events are dropped, and the drop count surfaces on
-	// GET /v1/jobs/{id}/events.
-	EventBuffer int
 	// Objectives are the SLOs GET /slo evaluates by default; nil means
 	// DefaultObjectives. A request overrides both with ?objective=.
 	Objectives []obs.Objective
@@ -160,23 +146,24 @@ func (o Options) withDefaults() Options {
 	if o.DefaultParallelism < 1 {
 		o.DefaultParallelism = 1
 	}
-	if o.Cache == nil {
-		o.Cache = NewCache()
-	}
-	if o.Retention < 1 {
-		o.Retention = 256
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
 	if o.Now == nil {
 		o.Now = obs.Wall
 	}
-	if o.EventBuffer < 1 {
-		o.EventBuffer = 256
-	}
 	return o
 }
+
+const (
+	// defaultRetention is the number of terminal jobs a server keeps
+	// (see Server.retention).
+	defaultRetention = 256
+	// eventBuffer bounds each job's structured-event ring. Older events
+	// are dropped, and the drop count surfaces on
+	// GET /v1/jobs/{id}/events.
+	eventBuffer = 256
+)
 
 // Server is the campaign-execution service: a bounded job queue, a
 // fixed worker pool and the HTTP API over both. Create with New,
@@ -184,6 +171,12 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts  Options
 	cache *Cache
+	// retention bounds the terminal jobs kept for status/stream reads
+	// (defaultRetention). When exceeded, the oldest terminal jobs — and
+	// their buffered result logs — are evicted, so a long-lived server
+	// does not grow without bound. Queued and running jobs are never
+	// evicted. Read under mu.
+	retention int
 
 	ctx    context.Context // root of every job context
 	cancel context.CancelFunc
@@ -220,15 +213,16 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:    opts,
-		cache:   opts.Cache,
-		ctx:     ctx,
-		cancel:  cancel,
-		queue:   make(chan *Job, opts.QueueDepth),
-		jobs:    map[string]*Job{},
-		metrics: opts.Metrics,
-		now:     opts.Now,
-		quota:   newQuotaState(opts.Quota),
+		opts:      opts,
+		cache:     NewCache(),
+		retention: defaultRetention,
+		ctx:       ctx,
+		cancel:    cancel,
+		queue:     make(chan *Job, opts.QueueDepth),
+		jobs:      map[string]*Job{},
+		metrics:   opts.Metrics,
+		now:       opts.Now,
+		quota:     newQuotaState(opts.Quota),
 	}
 	s.registerMetrics(s.metrics)
 	for i := 0; i < opts.Workers; i++ {
@@ -380,7 +374,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		spec:   spec,
 		art:    art,
 		log:    newResultLog(),
-		events: newEventRing(s.opts.EventBuffer),
+		events: newEventRing(eventBuffer),
 		ctx:    jobCtx,
 		cancel: jobCancel,
 		state:  StateQueued,
@@ -463,12 +457,12 @@ func (s *Server) evictTerminal() {
 			terminal++
 		}
 	}
-	if terminal <= s.opts.Retention {
+	if terminal <= s.retention {
 		return
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
-		if terminal > s.opts.Retention && api.Terminal(s.jobs[id].currentState()) {
+		if terminal > s.retention && api.Terminal(s.jobs[id].currentState()) {
 			delete(s.jobs, id)
 			terminal--
 			continue

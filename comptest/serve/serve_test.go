@@ -749,17 +749,19 @@ func TestCloseCancelsRunningJobs(t *testing.T) {
 	}
 	resp.Body.Close()
 	<-g.entered
-	go func() {
-		// Close cancels the job's context; the gate must open for the
-		// step to finish and the worker to drain.
-		close(g.block)
-	}()
-	s.Close()
-
 	job := s.job(st.ID)
 	if job == nil {
 		t.Fatal("job vanished")
 	}
+	go func() {
+		// Close cancels the job's context; only then may the gate open
+		// for the step to finish and the worker to drain. Opened any
+		// earlier, the job can finish before Close cancels it.
+		<-job.ctx.Done()
+		close(g.block)
+	}()
+	s.Close()
+
 	if got := job.Status(); got.State != StateCancelled {
 		t.Errorf("state after Close = %s, want cancelled", got.State)
 	}
@@ -791,32 +793,29 @@ func ExampleServer() {
 }
 
 // TestRetentionEvictsTerminalJobs bounds the server's memory: beyond
-// Options.Retention, the oldest terminal jobs (and their buffered
+// the retention bound, the oldest terminal jobs (and their buffered
 // logs) are dropped; newer ones survive.
 func TestRetentionEvictsTerminalJobs(t *testing.T) {
-	ts := newTestServer(t, Options{Workers: 1, Retention: 1})
+	ts := newTestServer(t, Options{Workers: 1})
+	ts.s.mu.Lock()
+	ts.s.retention = 1
+	ts.s.mu.Unlock()
 	var ids []string
 	for i := 0; i < 3; i++ {
 		st := ts.submit(t, `{}`)
 		ts.wait(t, st.ID)
 		ids = append(ids, st.ID)
 	}
-	// Eviction runs on the worker goroutine right after the job
-	// finishes; give it a bounded moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.url + "/v1/jobs/" + ids[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("oldest job %s never evicted (status %d)", ids[0], resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The one worker evicts after each job, before it dequeues the
+	// next: the third job ran only after the second job's eviction
+	// dropped the first.
+	resp, err := http.Get(ts.url + "/v1/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("oldest job %s not evicted (status %d)", ids[0], resp.StatusCode)
 	}
 	if st := ts.status(t, ids[2]); st.State != StateDone {
 		t.Errorf("newest job evicted or broken: %+v", st)

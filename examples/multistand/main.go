@@ -24,6 +24,7 @@ import (
 	"log"
 
 	"repro/comptest"
+	"repro/internal/method"
 	"repro/internal/script"
 	"repro/internal/stand"
 )
@@ -83,7 +84,7 @@ func main() {
 	// Static reuse matrix over the registry-built stand configs.
 	var cfgs []stand.Config
 	for _, name := range standNames {
-		cfg, err := comptest.BuildStand(name, runner.Methods(), harness)
+		cfg, err := comptest.BuildStand(name, method.Builtin(), harness)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -114,7 +114,9 @@ func (e *NoResourceError) Error() string {
 	return b.String()
 }
 
-// Strategy selects the allocation algorithm.
+// Strategy selects the allocation algorithm. Every stand runs
+// Backtracking; Greedy remains for the allocator ablation and as the
+// fuzz target's foil.
 type Strategy int
 
 const (

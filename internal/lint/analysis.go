@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/sheet"
@@ -28,26 +27,20 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// LimitEnv is one named expression environment measurement limits are
+// limitEnv is one named expression environment measurement limits are
 // evaluated against (typically one per stand profile, e.g.
 // {"ubatt": 12} for paper_stand).
-type LimitEnv struct {
-	Name string
-	Env  expr.Env
+type limitEnv struct {
+	name string
+	env  expr.Env
 }
 
-// DefaultSettleTime mirrors the stand default: measurements scheduled
-// closer to a stimulus than this are suspect (see stand.Config).
-const DefaultSettleTime = 100 * time.Millisecond
-
-// DefaultLimitEnvs is the environment set used when a Suite names none:
-// the supply voltage of the standard bench profiles (12 V) and of the
-// HIL rack (13.5 V).
-func DefaultLimitEnvs() []LimitEnv {
-	return []LimitEnv{
-		{Name: "ubatt=12", Env: expr.MapEnv{"ubatt": 12}},
-		{Name: "ubatt=13.5", Env: expr.MapEnv{"ubatt": 13.5}},
-	}
+// limitEnvs are the environments measurement limits are evaluated
+// against: the supply voltage of the standard bench profiles (12 V) and
+// of the HIL rack (13.5 V).
+var limitEnvs = []limitEnv{
+	{name: "ubatt=12", env: expr.MapEnv{"ubatt": 12}},
+	{name: "ubatt=13.5", env: expr.MapEnv{"ubatt": 13.5}},
 }
 
 // Suite is the analysis input: the cross-validated workbook artefacts
@@ -62,31 +55,9 @@ type Suite struct {
 	// of those codes anchored at the same sheet row.
 	Workbook *sheet.Workbook
 
-	// SettleTime is the stand settle time used by settle-conflict
-	// (DefaultSettleTime when zero).
-	SettleTime time.Duration
-
-	// Envs are the environments measurement limits are evaluated
-	// against (DefaultLimitEnvs when nil).
-	Envs []LimitEnv
-
 	// Kills is the saved mutation kill matrix consulted by weak-check
 	// (the analyzer is skipped when nil).
 	Kills *KillMatrix
-}
-
-func (s *Suite) envs() []LimitEnv {
-	if len(s.Envs) > 0 {
-		return s.Envs
-	}
-	return DefaultLimitEnvs()
-}
-
-func (s *Suite) settleTime() time.Duration {
-	if s.SettleTime > 0 {
-		return s.SettleTime
-	}
-	return DefaultSettleTime
 }
 
 // Pass carries one analyzer's execution over one suite.

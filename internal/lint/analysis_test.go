@@ -3,13 +3,14 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/comptest"
 	"repro/internal/report"
+	"repro/internal/stand"
 )
 
 // suiteOf loads a workbook string into an analysis Suite.
@@ -104,13 +105,20 @@ func TestCrossAnalyzers(t *testing.T) {
 	}
 }
 
-func TestSettleConflictUsesSuiteSettleTime(t *testing.T) {
+// TestSettleConflictUsesStandSettleTime: settle-conflict flags a step
+// shorter than stand.SettleTime and passes one that lasts exactly as
+// long.
+func TestSettleConflictUsesStandSettleTime(t *testing.T) {
+	settle := stand.SettleTime.Seconds()
 	s := suiteOf(t, crossWorkbook)
-	// With a 10 ms settle time the 50 ms step is fine.
-	s.SettleTime = 10 * time.Millisecond
-	res := runAll(t, s)
-	if fs := findCode(res.Findings, "settle-conflict"); len(fs) != 0 {
-		t.Errorf("settle-conflict under 10ms settle = %v", fs)
+	s.Tests[0].Steps[0].Dt = settle
+	s.Tests[1].Steps[0].Dt = settle * 0.99
+	fs := findCode(runAll(t, s).Findings, "settle-conflict")
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `test "Copy" step 0`) {
+		t.Fatalf("settle-conflict = %v (want only Copy's shortened step)", fs)
+	}
+	if want := fmt.Sprintf("below the stand settle time of %v s", settle); !strings.Contains(fs[0].Msg, want) {
+		t.Errorf("settle-conflict msg = %q, want %q", fs[0].Msg, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/method"
+	"repro/internal/stand"
 	"repro/internal/status"
 	"repro/internal/unit"
 )
@@ -58,7 +59,7 @@ func init() {
 // covered by inverted-limits; this analyzer only considers statuses
 // with at least one expression limit (a Var factor or a non-numeric
 // Min/Max cell).
-func unsatisfiableUnder(st *status.Status, envs []LimitEnv) (bad []string) {
+func unsatisfiableUnder(st *status.Status) (bad []string) {
 	if !st.Desc.IsMeasure() {
 		return nil
 	}
@@ -70,27 +71,26 @@ func unsatisfiableUnder(st *status.Status, envs []LimitEnv) (bad []string) {
 	if strings.TrimSpace(st.Var) == "" && ok1 && ok2 {
 		return nil // plain numeric: inverted-limits territory
 	}
-	for _, e := range envs {
-		lo, hi, err := st.EvalLimits(e.Env)
+	for _, e := range limitEnvs {
+		lo, hi, err := st.EvalLimits(e.env)
 		if err != nil {
 			continue // malformed cells are hard validation errors
 		}
 		if lo > hi {
-			bad = append(bad, fmt.Sprintf("%s (min %v, max %v)", e.Name, lo, hi))
+			bad = append(bad, fmt.Sprintf("%s (min %v, max %v)", e.name, lo, hi))
 		}
 	}
 	return bad
 }
 
 func runUnsatisfiableLimits(p *Pass) {
-	envs := p.envs()
 	for _, st := range p.Statuses.Statuses() {
-		bad := unsatisfiableUnder(st, envs)
+		bad := unsatisfiableUnder(st)
 		if len(bad) == 0 {
 			continue
 		}
 		scope := "under " + strings.Join(bad, ", ")
-		if len(bad) == len(envs) {
+		if len(bad) == len(limitEnvs) {
 			scope = "under every profile: " + strings.Join(bad, ", ")
 		}
 		p.Reportf(statusPos(p.Statuses, st),
@@ -102,7 +102,6 @@ func runUnsatisfiableLimits(p *Pass) {
 // statuses that can never pass: numeric limits inverted, or expression
 // limits inverted under every environment.
 func unsatisfiableStatuses(p *Pass) map[string]bool {
-	envs := p.envs()
 	out := map[string]bool{}
 	for _, st := range p.Statuses.Statuses() {
 		if lo, hi, ok := numericLimits(st); ok {
@@ -111,7 +110,7 @@ func unsatisfiableStatuses(p *Pass) map[string]bool {
 			}
 			continue
 		}
-		if bad := unsatisfiableUnder(st, envs); len(bad) > 0 && len(bad) == len(envs) {
+		if bad := unsatisfiableUnder(st); len(bad) > 0 && len(bad) == len(limitEnvs) {
 			out[strings.ToLower(st.Name)] = true
 		}
 	}
@@ -206,7 +205,7 @@ func runDuplicateScenario(p *Pass) {
 }
 
 func runSettleConflict(p *Pass) {
-	settle := p.settleTime().Seconds()
+	settle := stand.SettleTime.Seconds()
 	for _, tc := range p.Tests {
 		for i := range tc.Steps {
 			step := &tc.Steps[i]

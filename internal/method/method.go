@@ -128,18 +128,18 @@ func (d *Descriptor) IsStimulus() bool { return d.Kind == Stimulus }
 // IsMeasure reports whether the method performs a measurement.
 func (d *Descriptor) IsMeasure() bool { return d.Kind == Measure }
 
-// Registry maps method names to descriptors.
+// Registry maps method names to descriptors. It is read-only once
+// built, so one registry serves every goroutine.
 type Registry struct {
 	byName map[string]*Descriptor
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+func newRegistry() *Registry {
 	return &Registry{byName: map[string]*Descriptor{}}
 }
 
-// Register adds a descriptor; it rejects duplicates and anonymous methods.
-func (r *Registry) Register(d *Descriptor) error {
+// register adds a descriptor; it rejects duplicates and anonymous methods.
+func (r *Registry) register(d *Descriptor) error {
 	name := strings.ToLower(strings.TrimSpace(d.Name))
 	if name == "" {
 		return fmt.Errorf("method: descriptor without name")
@@ -168,19 +168,22 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Builtin returns a registry populated with the standard component-test
-// methods. The set covers everything the paper uses (put_can, put_r,
-// get_u) plus the natural completions a production stand needs.
-func Builtin() *Registry {
-	r := NewRegistry()
+// Builtin returns the registry of the standard component-test methods,
+// built once per process. The set covers everything the paper uses
+// (put_can, put_r, get_u) plus the natural completions a production
+// stand needs.
+func Builtin() *Registry { return builtin }
+
+var builtin = func() *Registry {
+	r := newRegistry()
 	for _, d := range builtinDescriptors() {
-		if err := r.Register(d); err != nil {
+		if err := r.register(d); err != nil {
 			// Builtin descriptors are code, not input: a clash is a bug.
 			panic(err)
 		}
 	}
 	return r
-}
+}()
 
 func builtinDescriptors() []*Descriptor {
 	return []*Descriptor{

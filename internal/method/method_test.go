@@ -127,15 +127,26 @@ func TestValidateAttrsErrors(t *testing.T) {
 }
 
 func TestRegisterErrors(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register(&Descriptor{Name: ""}); err == nil {
-		t.Error("Register with empty name succeeded")
+	r := newRegistry()
+	if err := r.register(&Descriptor{Name: ""}); err == nil {
+		t.Error("register with empty name succeeded")
 	}
-	if err := r.Register(&Descriptor{Name: "m1"}); err != nil {
+	if err := r.register(&Descriptor{Name: "m1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(&Descriptor{Name: "M1"}); err == nil {
-		t.Error("duplicate Register succeeded")
+	if err := r.register(&Descriptor{Name: "M1"}); err == nil {
+		t.Error("duplicate register succeeded")
+	}
+}
+
+// TestBuiltinIsShared: every caller gets the one registry, and asking
+// for it costs nothing.
+func TestBuiltinIsShared(t *testing.T) {
+	if Builtin() != Builtin() {
+		t.Error("Builtin() returned two registries")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Builtin() }); n != 0 {
+		t.Errorf("Builtin() allocates %v times per call", n)
 	}
 }
 

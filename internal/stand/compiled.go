@@ -59,7 +59,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 			return rep
 		}
 	}
-	s.advanceTo(s.sched.Now()+s.prof.cfg.SettleTime, true)
+	s.advanceTo(s.sched.Now()+SettleTime, true)
 	if s.obs != nil {
 		s.obs.OutputsSampled(s.sched.Now()-s.runStart, -1, s.observeOutputs(sc))
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/canbus"
 	"repro/internal/ecu"
 	"repro/internal/method"
@@ -230,45 +229,49 @@ func TestPutPWMBadParams(t *testing.T) {
 	}
 }
 
-func TestPaperTestPassesWithGreedyAllocator(t *testing.T) {
-	// The paper's table never creates the decade trap, so first-fit
-	// allocation executes it: the greedy strategy every built-in profile
-	// uses works for the published example, although backtracking, which
-	// only the ablations select, is safer.
-	reg := method.Builtin()
-	cfg, err := PaperConfig(reg)
-	if err != nil {
-		t.Fatal(err)
+// TestProductionStandSolvesDecadeTrap pins the allocator every stand
+// runs. First-fit gives DS_FR's r=0 the first decade that fits, Ress2,
+// and DS_FL's 500 kΩ, beyond Ress3's 200 kΩ, then conflicts on Ress2.
+// A complete search routes DS_FR via Ress3 and DS_FL via Ress2.
+func TestProductionStandSolvesDecadeTrap(t *testing.T) {
+	decls := paperScript(t).Decls
+	put := func(name, r string) *script.SignalStmt {
+		return &script.SignalStmt{Name: name, Call: script.MethodCall{Method: "put_r",
+			Attrs: map[string]string{"r": r}}}
 	}
-	cfg.Strategy = alloc.Greedy
-	st := MustNew(cfg, reg)
-	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
-		t.Fatal(err)
+	sc := &script.Script{Name: "DecadeTrap", Version: script.Version, Decls: decls,
+		Steps: []*script.Step{{Nr: 0, Dt: 1, Signals: []*script.SignalStmt{
+			put("DS_FR", "0"), put("DS_FL", "500000"),
+		}}}}
+	rep := paperStand(t).RunContext(context.Background(), sc)
+	if rep.FatalErr != "" || len(rep.Steps) != 1 {
+		t.Fatalf("run: %s", report.TextString(rep))
 	}
-	if rep := st.RunContext(context.Background(), paperScript(t)); !rep.Passed() {
-		t.Fatalf("greedy stand failed:\n%s", report.TextString(rep))
+	for _, c := range rep.Steps[0].Checks {
+		if c.Verdict == report.Error {
+			t.Errorf("decade trap refused: %s", report.TextString(rep))
+			break
+		}
+	}
+	applied := strings.Join(rep.Steps[0].Applied, "\n")
+	for _, want := range []string{"DS_FR put_r(r=0) via Ress3", "DS_FL put_r(r=500000) via Ress2"} {
+		if !strings.Contains(applied, want) {
+			t.Errorf("applied %q, want %q", rep.Steps[0].Applied, want)
+		}
 	}
 }
 
-func TestCustomSettleTime(t *testing.T) {
-	reg := method.Builtin()
-	cfg, err := PaperConfig(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SettleTime = time.Second
-	st := MustNew(cfg, reg)
-	if err := st.AttachDUT(ecu.NewInteriorLight()); err != nil {
-		t.Fatal(err)
-	}
+// TestRunIncludesSettleTime: a run lasts the settle time after the
+// init block plus the steps' durations.
+func TestRunIncludesSettleTime(t *testing.T) {
+	st := paperStand(t)
 	before := st.Scheduler().Now()
 	if rep := st.RunContext(context.Background(), paperScript(t)); !rep.Passed() {
-		t.Fatal("run with long settle failed")
+		t.Fatalf("paper script failed:\n%s", report.TextString(rep))
 	}
-	elapsed := st.Scheduler().Now() - before
-	// 1 s settle + 309 s steps.
-	if elapsed < 309*time.Second || elapsed > 311*time.Second {
-		t.Errorf("elapsed simulated time = %v", elapsed)
+	// SettleTime + 309 s of steps.
+	if elapsed, want := st.Scheduler().Now()-before, SettleTime+309*time.Second; elapsed != want {
+		t.Errorf("elapsed simulated time = %v, want %v", elapsed, want)
 	}
 }
 

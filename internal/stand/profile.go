@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/expr"
@@ -15,7 +14,8 @@ import (
 
 // Profile is the immutable part of a stand, shared by every instance
 // built from it (New): the configuration, the method registry, the
-// stand variables, the allocator, and the content memos of the
+// stand variables, the allocator (always alloc.Backtracking, which
+// finds an assignment whenever one exists), and the content memos of the
 // script-to-stand binding. Attribute evaluation, expectation rendering
 // and allocation are pure functions of their input and the profile
 // (ubatt, catalog and matrix never change after NewProfile), so one
@@ -63,9 +63,6 @@ func NewProfile(cfg Config, reg *method.Registry) (*Profile, error) {
 	if cfg.UbattVolts <= 0 {
 		return nil, fmt.Errorf("stand %q: implausible supply voltage %v", cfg.Name, cfg.UbattVolts)
 	}
-	if cfg.SettleTime <= 0 {
-		cfg.SettleTime = 100 * time.Millisecond
-	}
 	for _, e := range cfg.Matrix.Entries() {
 		res, ok := cfg.Catalog.Lookup(e.Resource)
 		if !ok {
@@ -85,7 +82,7 @@ func NewProfile(cfg Config, reg *method.Registry) (*Profile, error) {
 		plans:    map[string]*stepPlan{},
 	}
 	p.alloc = &alloc.Allocator{Catalog: cfg.Catalog, Matrix: cfg.Matrix,
-		Eval: p.evalAttr, Strategy: cfg.Strategy}
+		Eval: p.evalAttr, Strategy: alloc.Backtracking}
 	return p, nil
 }
 

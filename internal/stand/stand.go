@@ -53,14 +53,10 @@ type Config struct {
 	// Catalog and Matrix are the stand's resources and wiring.
 	Catalog *resource.Catalog
 	Matrix  *topology.Matrix
-	// Strategy selects the allocator. The zero value is alloc.Greedy,
-	// and no built-in profile sets it, so production stands allocate
-	// greedily; only the ablations select alloc.Backtracking.
-	Strategy alloc.Strategy
-	// SettleTime is the pause after applying the init block before step 0
-	// (default 100 ms).
-	SettleTime time.Duration
 }
+
+// SettleTime is the pause after applying the init block before step 0.
+const SettleTime = 100 * time.Millisecond
 
 // Stand is one instance of a stand profile with an attached DUT: the
 // simulated instruments, network, bus and held state of one execution
