@@ -1,10 +1,12 @@
 package explore
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/stand"
 	"repro/internal/testdef"
@@ -68,59 +70,143 @@ func (c *Coverage) Keys() []string {
 	return out
 }
 
+// keyer computes the coverage keys of executed candidates (keysOf). It
+// belongs to one Explorer and interns every key text it builds, so a
+// key seen before costs a map lookup, not a new string; its working set
+// and per-signal states are reused between calls.
+type keyer struct {
+	intern map[string]string
+	set    map[string]struct{}
+	states map[string]sigState
+	buf    []byte
+}
+
+// sigState is the trace walk's state of one output signal.
+type sigState struct {
+	level    level
+	high     bool
+	at       time.Duration
+	highTime time.Duration
+}
+
+// level is an output observation as a coverage level: a CAN payload, or
+// an electrical signal's binarised level in v (1 = hi). Two levels are
+// equal exactly when their tokens (appendLevel) are.
+type level struct {
+	can bool
+	v   uint64
+}
+
+func levelOf(o stand.OutputState) level {
+	if o.CAN {
+		return level{can: true, v: o.Value}
+	}
+	if o.High {
+		return level{v: 1}
+	}
+	return level{}
+}
+
+// appendLevel appends the level's coverage token: the CAN payload in
+// decimal, or hi/lo.
+func appendLevel(b []byte, l level) []byte {
+	switch {
+	case l.can:
+		return strconv.AppendUint(b, l.v, 10)
+	case l.v == 1:
+		return append(b, "hi"...)
+	}
+	return append(b, "lo"...)
+}
+
+func newKeyer() *keyer {
+	return &keyer{intern: map[string]string{}, set: map[string]struct{}{}, states: map[string]sigState{}}
+}
+
+// add inserts the key spelled by b into the working set.
+func (k *keyer) add(b []byte) {
+	key, ok := k.intern[string(b)]
+	if !ok {
+		key = string(b)
+		k.intern[key] = key
+	}
+	k.set[key] = struct{}{}
+	k.buf = b[:0]
+}
+
+// addPair adds "<class>/<signal>=<status>", both lower-cased.
+func (k *keyer) addPair(class, signal, status string) {
+	b := append(k.buf[:0], class...)
+	b = appendLower(append(b, '/'), signal)
+	b = appendLower(append(b, '='), status)
+	k.add(b)
+}
+
+// appendLower appends strings.ToLower(s) to b, without allocating when s
+// is ASCII.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(b, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
 // keysOf computes the sorted, deduplicated coverage keys of one
 // executed candidate: its stimulus assignments, the output levels,
 // transitions and duty buckets of its trace, and the measurement
 // statuses its promotion pinned.
-func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
-	set := map[string]struct{}{}
-	add := func(key string) { set[key] = struct{}{} }
+func (k *keyer) keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
+	clear(k.set)
+	clear(k.states)
 
 	for _, step := range tc.Steps {
 		for _, a := range step.Assign {
-			add("stim/" + strings.ToLower(a.Signal) + "=" + strings.ToLower(a.Status))
+			k.addPair("stim", a.Signal, a.Status)
 		}
 	}
 
 	// Per-signal trace walk: levels, transitions, accumulated high time.
-	type sigState struct {
-		seeded   bool
-		level    string
-		high     bool
-		at       time.Duration
-		highTime time.Duration
-	}
-	states := map[string]*sigState{}
 	for _, s := range tr.Samples {
 		for _, o := range s.Outputs {
 			if !o.Valid {
 				continue
 			}
-			level := levelOf(o)
-			st := states[o.Signal]
-			if st == nil {
-				st = &sigState{}
-				states[o.Signal] = st
-			}
+			lv := levelOf(o)
+			st, seeded := k.states[o.Signal]
 			// A repeated level adds no key: it was added when the
 			// signal first reached it.
-			if !st.seeded || level != st.level {
-				add("out/" + o.Signal + "=" + level)
+			if !seeded || lv != st.level {
+				b := append(append(k.buf[:0], "out/"...), o.Signal...)
+				k.add(appendLevel(append(b, '='), lv))
 			}
-			if st.seeded {
+			if seeded {
 				if st.high {
 					st.highTime += s.Now - st.at
 				}
-				if level != st.level {
-					add("trans/" + o.Signal + ":" + st.level + "->" + level)
+				if lv != st.level {
+					b := append(append(k.buf[:0], "trans/"...), o.Signal...)
+					b = appendLevel(append(b, ':'), st.level)
+					k.add(appendLevel(append(b, "->"...), lv))
 				}
 			}
-			st.seeded, st.level, st.high, st.at = true, level, !o.CAN && o.High, s.Now
+			st.level, st.high, st.at = lv, !o.CAN && o.High, s.Now
+			k.states[o.Signal] = st
 		}
 	}
-	for sig, st := range states {
-		for k, span := 0, time.Second; span <= st.highTime; k, span = k+1, span*2 {
-			add("duty/" + sig + ":" + strconv.Itoa(1<<k) + "s")
+	for sig, st := range k.states {
+		for n, span := 0, time.Second; span <= st.highTime; n, span = n+1, span*2 {
+			b := append(append(k.buf[:0], "duty/"...), sig...)
+			b = strconv.AppendInt(append(b, ':'), 1<<n, 10)
+			k.add(append(b, 's'))
 		}
 	}
 
@@ -128,29 +214,18 @@ func keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []string {
 		for _, step := range promo.Test.Steps {
 			for _, a := range step.Assign {
 				if promo.IsCheck(a) {
-					add("check/" + strings.ToLower(a.Signal) + "=" + strings.ToLower(a.Status))
+					k.addPair("check", a.Signal, a.Status)
 				}
 			}
 		}
 	}
 
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	out := make([]string, 0, len(k.set))
+	for key := range k.set {
+		out = append(out, key)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
-}
-
-// levelOf renders an output observation as a coverage level token.
-func levelOf(o stand.OutputState) string {
-	if o.CAN {
-		return strconv.FormatUint(o.Value, 10)
-	}
-	if o.High {
-		return "hi"
-	}
-	return "lo"
 }
 
 // containsAll reports whether sorted haystack contains every needle.

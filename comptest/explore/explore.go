@@ -142,6 +142,7 @@ type Explorer struct {
 
 	cov    *Coverage
 	corpus *Corpus
+	keys   *keyer
 
 	executions int
 	candidates int
@@ -205,6 +206,7 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 		oracles: oracles,
 		cov:     NewCoverage(),
 		corpus:  &Corpus{},
+		keys:    newKeyer(),
 	}
 	e.runner, err = comptest.NewRunner(comptest.WithStand(opts.Stand), comptest.WithDUT(opts.DUT),
 		comptest.WithParallelism(opts.Parallelism), comptest.WithSink(comptest.SinkFunc(e.record)))
@@ -257,7 +259,7 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			if err != nil {
 				continue
 			}
-			keys := keysOf(c.tc, c.trace, promo)
+			keys := e.keys.keysOf(c.tc, c.trace, promo)
 			novel := e.cov.Missing(keys)
 			kills := e.kills(ctx, promo.Script, e.oracles)
 			if len(novel) == 0 && len(kills) == 0 {

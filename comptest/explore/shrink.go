@@ -49,7 +49,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 		if err != nil {
 			return false
 		}
-		ks := keysOf(cand, tr, p)
+		ks := e.keys.keysOf(cand, tr, p)
 		if !containsAll(ks, novel) {
 			return false
 		}

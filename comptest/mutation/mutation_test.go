@@ -287,3 +287,38 @@ func TestRunStreamsToSink(t *testing.T) {
 		}
 	}
 }
+
+// TestWitnessText pins the witness of a failing check with and without
+// a detail and of an aborted run, each rendered in at most one
+// allocation.
+func TestWitnessText(t *testing.T) {
+	check := func(verdict report.Verdict, detail string) []report.StepResult {
+		return []report.StepResult{
+			{Nr: 0, Checks: []report.Check{{Signal: "DS_FL", Method: "get_u", Verdict: report.Pass}}},
+			{Nr: 12, Checks: []report.Check{{Signal: "LAMP", Method: "get_u",
+				Expected: "[11.5, 13] V", Measured: "0 V", Verdict: verdict, Detail: detail}}},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		rep  report.Report
+		want string
+	}{
+		{"fail with detail", report.Report{Script: "T1", Steps: check(report.Fail, "below limit")},
+			"T1 step 12: LAMP get_u expected [11.5, 13] V, measured 0 V (below limit)"},
+		{"error without detail", report.Report{Script: "T1", Steps: check(report.Error, "")},
+			"T1 step 12: LAMP get_u expected [11.5, 13] V, measured 0 V"},
+		{"fatal abort", report.Report{Script: "T2", Steps: check(report.Pass, ""), FatalErr: "init: no route"},
+			"T2 aborted: init: no route"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := comptest.Result{Report: &tc.rep}
+			if got := witness(res); got != tc.want {
+				t.Errorf("witness = %q, want %q", got, tc.want)
+			}
+			if n := testing.AllocsPerRun(100, func() { witness(res) }); n > 1 {
+				t.Errorf("witness allocates %v times, want at most 1", n)
+			}
+		})
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/comptest"
 	"repro/internal/lint"
@@ -183,22 +185,50 @@ func orderScripts(scripts []*script.Script, stats *lint.KillMatrix) []*script.Sc
 // witness renders the first failing check of a failing run.
 func witness(res comptest.Result) string {
 	rep := res.Report
-	for _, step := range rep.Steps {
-		for _, c := range step.Checks {
-			if c.Verdict == report.Fail || c.Verdict == report.Error {
-				w := fmt.Sprintf("%s step %d: %s %s expected %s, measured %s",
-					rep.Script, step.Nr, c.Signal, c.Method, c.Expected, c.Measured)
-				if c.Detail != "" {
-					w += " (" + c.Detail + ")"
-				}
-				return w
+	for i := range rep.Steps {
+		step := &rep.Steps[i]
+		for j := range step.Checks {
+			if c := &step.Checks[j]; c.Verdict == report.Fail || c.Verdict == report.Error {
+				return checkWitness(rep.Script, step.Nr, c)
 			}
 		}
 	}
 	if rep.FatalErr != "" {
-		return fmt.Sprintf("%s aborted: %s", rep.Script, rep.FatalErr)
+		return rep.Script + " aborted: " + rep.FatalErr
 	}
 	return rep.Summary()
+}
+
+// checkWitness renders one failing check, "<script> step <n>: <signal>
+// <method> expected <e>, measured <m>", followed by " (<detail>)" when
+// the check has a detail, in a single allocation.
+func checkWitness(scriptName string, nr int, c *report.Check) string {
+	var num [20]byte
+	step := strconv.AppendInt(num[:0], int64(nr), 10)
+	n := len(scriptName) + len(" step : ") + len(step) + len(c.Signal) + len(" ") + len(c.Method) +
+		len(" expected , measured ") + len(c.Expected) + len(c.Measured)
+	if c.Detail != "" {
+		n += len(" ()") + len(c.Detail)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(scriptName)
+	b.WriteString(" step ")
+	b.Write(step)
+	b.WriteString(": ")
+	b.WriteString(c.Signal)
+	b.WriteByte(' ')
+	b.WriteString(c.Method)
+	b.WriteString(" expected ")
+	b.WriteString(c.Expected)
+	b.WriteString(", measured ")
+	b.WriteString(c.Measured)
+	if c.Detail != "" {
+		b.WriteString(" (")
+		b.WriteString(c.Detail)
+		b.WriteByte(')')
+	}
+	return b.String()
 }
 
 // Score tallies the conclusive outcomes (mutants whose execution could

@@ -50,13 +50,13 @@ func TestExteriorDRLPWM(t *testing.T) {
 	// Sample DRL_OUT over one second and count rising edges.
 	edges := 0
 	prev := false
-	stop := r.sched.Every(2*time.Millisecond, func() {
+	stop := r.sched.Periodic(2*time.Millisecond, func() {
 		high := r.voltage("DRL_OUT") > 6
 		if high && !prev {
 			edges++
 		}
 		prev = high
-	})
+	}).Stop
 	r.run(time.Second)
 	stop()
 	if edges < 20 || edges > 30 {

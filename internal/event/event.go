@@ -100,15 +100,9 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Every schedules fn every period, first firing after one period. The
-// returned stop function cancels the series. A non-positive period panics.
-func (s *Scheduler) Every(period time.Duration, fn func()) (stop func()) {
-	p := s.Periodic(period, fn)
-	return p.Stop
-}
-
-// Periodic schedules fn every period like Every, but returns a handle
-// that can additionally suspend and resume the series. Suspension is the
+// Periodic schedules fn every period, first firing after one period,
+// and returns a handle that can stop, suspend, resume and restart the
+// series. A non-positive period panics. Suspension is the
 // mechanism behind idle fast-forward: the stand parks its periodic
 // drivers (task ticker, CAN retransmission), jumps the clock over a
 // quiescent window in O(1), and resumes them on their original phase
@@ -121,7 +115,7 @@ func (s *Scheduler) Periodic(period time.Duration, fn func()) *Periodic {
 	p := &Periodic{s: s, period: period, fn: fn}
 	p.run = func() {
 		p.fn()
-		// fn may stop or suspend the series, or suspend and resume it,
+		// fn may stop or suspend the series, or resume or restart it,
 		// which re-arms it already.
 		if p.stopped || p.susp || s.queued(&p.ev) {
 			return
@@ -190,6 +184,23 @@ func (p *Periodic) Resume() {
 		missed := (p.s.now-p.next)/p.period + 1
 		p.next += missed * p.period
 	}
+	p.arm()
+}
+
+// Restart re-arms the series on a new phase grid: the next occurrence
+// fires one period after Now, and the grid continues from there. It
+// works on a running series (whose pending occurrence it drops) and on a
+// suspended one, which it resumes on the new grid; Resume instead keeps
+// the old grid. Restarting a stopped series is a no-op. A series kept
+// suspended between uses and restarted for each re-arms its one event
+// without allocating.
+func (p *Periodic) Restart() {
+	if p.stopped {
+		return
+	}
+	p.susp = false
+	p.s.Unqueue(&p.ev)
+	p.next = p.s.now + p.period
 	p.arm()
 }
 

@@ -112,7 +112,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestEvery(t *testing.T) {
 	var s Scheduler
 	count := 0
-	stop := s.Every(100*time.Millisecond, func() { count++ })
+	stop := s.Periodic(100*time.Millisecond, func() { count++ }).Stop
 	s.RunUntil(time.Second)
 	if count != 10 {
 		t.Errorf("count = %d, want 10", count)
@@ -128,12 +128,12 @@ func TestEveryStopFromCallback(t *testing.T) {
 	var s Scheduler
 	count := 0
 	var stop func()
-	stop = s.Every(time.Second, func() {
+	stop = s.Periodic(time.Second, func() {
 		count++
 		if count == 3 {
 			stop()
 		}
-	})
+	}).Stop
 	s.RunUntil(10 * time.Second)
 	if count != 3 {
 		t.Errorf("count = %d, want 3", count)
@@ -203,7 +203,7 @@ func TestPanics(t *testing.T) {
 	expectPanic("past At", func() { s.At(0, func() {}) })
 	expectPanic("nil fn", func() { s.At(2*time.Second, nil) })
 	expectPanic("past RunUntil", func() { s.RunUntil(0) })
-	expectPanic("bad Every", func() { s.Every(0, func() {}) })
+	expectPanic("bad period", func() { s.Periodic(0, func() {}) })
 }
 
 func TestPending(t *testing.T) {
@@ -235,7 +235,7 @@ func TestLongHorizon(t *testing.T) {
 	// periodic events stay exact.
 	var s Scheduler
 	count := 0
-	stop := s.Every(10*time.Millisecond, func() { count++ })
+	stop := s.Periodic(10*time.Millisecond, func() { count++ }).Stop
 	defer stop()
 	s.RunUntil(280 * time.Second)
 	if count != 28000 {
@@ -373,5 +373,78 @@ func TestPeriodicSuspendStopAllocs(t *testing.T) {
 	}
 	if s.Pending() != 1 {
 		t.Errorf("%d events queued after stopping every new series, want 1", s.Pending())
+	}
+}
+
+// TestPeriodicRestartInsideCallback: a series that suspends itself and
+// then restarts inside its own callback fires again one period after
+// that callback, on the new grid, and keeps firing there; the callback
+// returns with the series armed exactly once.
+func TestPeriodicRestartInsideCallback(t *testing.T) {
+	var s Scheduler
+	var got []time.Duration
+	var p *Periodic
+	p = s.Periodic(10*time.Millisecond, func() {
+		got = append(got, s.Now())
+		if len(got) == 2 {
+			p.Suspend()
+			s.RunUntil(s.Now()) // nothing may fire while suspended
+			p.Restart()
+		}
+	})
+	s.RunUntil(3 * time.Millisecond)
+	p.Restart() // running series: new grid from 3 ms
+	s.RunUntil(60 * time.Millisecond)
+	want := []time.Duration{13, 23, 33, 43, 53}
+	if len(got) != len(want) {
+		t.Fatalf("fired at %v, want %v ms", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i]*time.Millisecond {
+			t.Fatalf("fired at %v, want %v ms", got, want)
+		}
+	}
+	if s.Pending() != 1 || p.Next() != 63*time.Millisecond {
+		t.Errorf("%d events queued, Next %v; want 1 and 63ms", s.Pending(), p.Next())
+	}
+
+	// Resume after Suspend keeps the old grid; Restart after Suspend
+	// moves it; Restart of a stopped series does nothing.
+	p.Suspend()
+	s.RunUntil(75 * time.Millisecond)
+	p.Resume()
+	if p.Next() != 83*time.Millisecond {
+		t.Errorf("Resume: Next %v, want 83ms", p.Next())
+	}
+	p.Suspend()
+	p.Restart()
+	if p.Next() != 85*time.Millisecond {
+		t.Errorf("Restart: Next %v, want 85ms", p.Next())
+	}
+	p.Stop()
+	p.Restart()
+	if s.Pending() != 0 {
+		t.Errorf("Restart re-armed a stopped series: %d events queued", s.Pending())
+	}
+}
+
+// TestPeriodicRestartAllocs: restarting a suspended series re-arms its
+// own event without allocating.
+func TestPeriodicRestartAllocs(t *testing.T) {
+	var s Scheduler
+	n := 0
+	p := s.Periodic(time.Millisecond, func() { n++ })
+	cycle := func() {
+		p.Suspend()
+		s.Advance(500 * time.Microsecond)
+		p.Restart()
+		s.Advance(time.Millisecond)
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("Suspend/Restart cycle allocates %v times, want 0", got)
+	}
+	if n != 102 {
+		t.Errorf("fired %d times, want 102", n)
 	}
 }

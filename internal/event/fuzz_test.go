@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzScheduler decodes a byte string into a sequence of scheduler calls
-// — At, After, Cancel, Periodic, Suspend, Resume, Stop, Reschedule, Step
-// and RunUntil, the scheduling calls also from inside callbacks — and
+// — At, After, Cancel, Periodic, Suspend, Resume, Stop, Restart,
+// Reschedule, Step and RunUntil, the scheduling calls also from inside
+// callbacks — and
 // runs it on the Scheduler and on refScheduler, a naive model kept in
 // this file. The fired (time, label) sequence, the clock, NextAt, every
 // handle's Scheduled and every series' Next must agree after each call.
@@ -25,6 +26,11 @@ func FuzzScheduler(f *testing.F) {
 		{3, 1, 0, 3, 9, 10, 0x87, 0, 0x80, 0, 0x86, 0},
 		// Series suspended out of the middle of a full queue.
 		{0, 9, 0, 8, 0, 7, 3, 5, 3, 6, 3, 7, 3, 8, 0, 30, 0, 31, 9, 4, 4, 4, 4, 2, 9, 20, 5, 4, 5, 2, 9, 40},
+		// Restarts: of a running series off its grid, of a suspended
+		// one, of a stopped one, and a Resume after Suspend for contrast.
+		{3, 4, 3, 6, 9, 7, 10, 0, 9, 3, 4, 1, 9, 9, 10, 1, 6, 0, 10, 0, 4, 1, 9, 2, 5, 1, 9, 30},
+		// A series suspending and restarting itself inside its callback.
+		{3, 4, 9, 5, 0x84, 0, 0x8a, 0, 9, 30},
 	} {
 		f.Add(seed)
 	}
@@ -54,6 +60,7 @@ type kernel interface {
 	suspend(p int)
 	resume(p int)
 	stop(p int)
+	restart(p int)
 	next(p int) time.Duration
 	step() bool
 	runUntil(t time.Duration)
@@ -61,7 +68,7 @@ type kernel interface {
 }
 
 // driver feeds a byte string to a kernel as calls. A byte's low seven
-// bits modulo 10 pick the call; the following byte is its argument. When
+// bits modulo 11 pick the call; the following byte is its argument. When
 // a callback fires and the next unread byte has its top bit set, the
 // callback makes that call, and each following one so marked, itself.
 type driver struct {
@@ -118,7 +125,7 @@ func (d *driver) callback() func() {
 }
 
 func (d *driver) call() {
-	op := d.byte() & 0x7f % 10
+	op := d.byte() & 0x7f % 11
 	switch op {
 	case 0:
 		d.k.at(d.k.now()+d.ms(d.byte()%64), d.callback())
@@ -136,7 +143,7 @@ func (d *driver) call() {
 			d.k.periodic(period, d.callback())
 			d.series++
 		}
-	case 4, 5, 6:
+	case 4, 5, 6, 10:
 		p := int(d.byte())
 		if d.series == 0 {
 			return
@@ -147,6 +154,8 @@ func (d *driver) call() {
 			d.k.suspend(p)
 		case 5:
 			d.k.resume(p)
+		case 10:
+			d.k.restart(p)
 		default:
 			d.k.stop(p)
 		}
@@ -204,6 +213,7 @@ func (k *realKernel) periodic(period time.Duration, fn func()) {
 func (k *realKernel) suspend(p int)                 { k.series[p].Suspend() }
 func (k *realKernel) resume(p int)                  { k.series[p].Resume() }
 func (k *realKernel) stop(p int)                    { k.series[p].Stop() }
+func (k *realKernel) restart(p int)                 { k.series[p].Restart() }
 func (k *realKernel) next(p int) time.Duration      { return k.series[p].Next() }
 func (k *realKernel) step() bool                    { return k.s.Step() }
 func (k *realKernel) runUntil(t time.Duration)      { k.s.RunUntil(t) }
@@ -270,7 +280,7 @@ func (p *refPeriodic) arm() { p.ev = p.r.push(&refEvent{}, p.next, p.run) }
 func (p *refPeriodic) run() {
 	cur := p.ev
 	p.fn()
-	if p.stopped || p.susp || p.ev != cur { // re-armed by a Resume inside fn
+	if p.stopped || p.susp || p.ev != cur { // re-armed by a Resume or Restart inside fn
 		return
 	}
 	p.next += p.period
@@ -326,6 +336,21 @@ func (k *refKernel) stop(i int) {
 	p := k.series[i]
 	p.stopped = true
 	p.ev.cancelled = true
+}
+
+// restart arms a fresh event one period after now, cancelling a pending
+// occurrence first; a stopped series stays stopped.
+func (k *refKernel) restart(i int) {
+	p := k.series[i]
+	if p.stopped {
+		return
+	}
+	if !p.susp {
+		p.ev.cancelled = true
+	}
+	p.susp = false
+	p.next = k.r.now + p.period
+	p.arm()
 }
 func (k *refKernel) next(i int) time.Duration { return k.series[i].next }
 func (k *refKernel) step() bool {

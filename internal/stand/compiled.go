@@ -49,6 +49,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	s.resetRun()
 	s.runStart = s.sched.Now()
 	if s.obs != nil {
+		s.planOutputs(sc)
 		s.obs.RunStarted(sc, s.prof.cfg.UbattVolts)
 		defer func() { s.obs.RunFinished(rep) }()
 	}
@@ -61,7 +62,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	}
 	s.advanceTo(s.sched.Now()+SettleTime, true)
 	if s.obs != nil {
-		s.obs.OutputsSampled(s.sched.Now()-s.runStart, -1, s.observeOutputs(sc))
+		s.obs.OutputsSampled(s.sched.Now()-s.runStart, -1, s.observeOutputs())
 	}
 
 	for i := range c.Steps {
@@ -210,7 +211,7 @@ type periodicSuspender interface {
 }
 
 func (s *Stand) suspendPeriodics() {
-	if s.trace != nil {
+	if s.tracing {
 		s.trace.Suspend()
 	}
 	if s.ticker != nil {
@@ -227,7 +228,7 @@ func (s *Stand) suspendPeriodics() {
 // coincident task tick, so it fires first and samples the outputs
 // before that tick can change them. Re-arming it first keeps that order.
 func (s *Stand) resumePeriodics() {
-	if s.trace != nil {
+	if s.tracing {
 		s.trace.Resume()
 	}
 	if s.ticker != nil {

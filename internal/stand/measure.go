@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/canbus"
+	"repro/internal/event"
 	"repro/internal/report"
 	"repro/internal/script"
 	"repro/internal/unit"
@@ -15,11 +16,13 @@ import (
 // SamplePeriod is the sampling rate of timing measurements (get_t/get_f).
 const SamplePeriod = 2 * time.Millisecond
 
-// sampler tracks one pin's waveform during a step for timing methods.
+// sampler tracks one instrument's waveform during a step for timing
+// methods. Each instrument keeps one for the stand's lifetime: its
+// series is suspended between steps, and startSamplers restarts it.
 type sampler struct {
 	stand    *Stand
 	inst     *instrument
-	stopFn   func()
+	series   *event.Periodic
 	prevHigh bool
 	seeded   bool
 	highTime time.Duration
@@ -54,17 +57,16 @@ func (sm *sampler) sample() {
 	sm.prevHigh, sm.seeded, sm.lastAt = high, true, now
 }
 
-func (sm *sampler) stop() {
-	if sm.stopFn != nil {
-		sm.stopFn()
-		sm.stopFn = nil
+// startSamplers arms the sampler of every instrument a timing
+// measurement of the step reads, first sampling one SamplePeriod from
+// now, and lists them in s.samplers, replacing the previous step's
+// list. Most steps have none. A nil plan (the step did not allocate)
+// arms nothing.
+func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) {
+	s.samplers = s.samplers[:0]
+	if plan == nil {
+		return
 	}
-}
-
-// startSamplers arms a sampler for every timing measurement of the step.
-// It returns nil when the step has none, which is most steps.
-func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) map[*script.SignalStmt]*sampler {
-	var out map[*script.SignalStmt]*sampler
 	for _, st := range measures {
 		if st.Call.Method != "get_t" && st.Call.Method != "get_f" {
 			continue
@@ -74,20 +76,41 @@ func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) m
 			continue // measure() will report the missing assignment
 		}
 		inst := s.instruments[a.Resource]
-		sm := &sampler{stand: s, inst: inst}
-		sm.stopFn = s.sched.Every(SamplePeriod, sm.sample)
-		if out == nil {
-			out = map[*script.SignalStmt]*sampler{}
+		sm := inst.sampler
+		if sm == nil {
+			sm = &sampler{stand: s, inst: inst}
+			sm.series = s.sched.Periodic(SamplePeriod, sm.sample)
+			inst.sampler = sm
+		} else {
+			*sm = sampler{stand: s, inst: inst, series: sm.series}
+			sm.series.Restart()
 		}
-		out[st] = sm
+		s.samplers = append(s.samplers, sm)
 	}
-	return out
+}
+
+// stopSamplers parks the samplers startSamplers armed at the end of the
+// step's dt. They stay listed, holding what they sampled, for the step's
+// measurements.
+func (s *Stand) stopSamplers() {
+	for _, sm := range s.samplers {
+		sm.series.Suspend()
+	}
+}
+
+// armedSampler returns the sampler armed this step for a timing
+// measurement's assignment, or nil.
+func (s *Stand) armedSampler(a *alloc.Assignment) *sampler {
+	for _, sm := range s.samplers {
+		if sm.inst.res == a.Resource {
+			return sm
+		}
+	}
+	return nil
 }
 
 // measure evaluates one measurement statement at the end of a step.
-func (s *Stand) measure(sc *script.Script, st *script.SignalStmt,
-	plan *alloc.Plan, samplers map[*script.SignalStmt]*sampler) report.Check {
-
+func (s *Stand) measure(sc *script.Script, st *script.SignalStmt, plan *alloc.Plan) report.Check {
 	check := report.Check{
 		Signal:   st.Name,
 		Method:   st.Call.Method,
@@ -153,8 +176,8 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt,
 		return check
 
 	case "get_t":
-		sm, ok := samplers[st]
-		if !ok {
+		sm := s.armedSampler(a)
+		if sm == nil {
 			return fail("no sampler armed")
 		}
 		if sm.err != nil {
@@ -163,8 +186,8 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt,
 		return s.judgeRange(check, sm.highTime.Seconds(), st, "t", unit.Second.String())
 
 	case "get_f":
-		sm, ok := samplers[st]
-		if !ok {
+		sm := s.armedSampler(a)
+		if sm == nil {
 			return fail("no sampler armed")
 		}
 		if sm.err != nil {
@@ -200,7 +223,7 @@ func (s *Stand) judgeRange(check report.Check, v float64, st *script.SignalStmt,
 		check.Detail = fmt.Sprintf("%s_max: %v", attr, err)
 		return check
 	}
-	check.Measured = unit.FormatNumber(round6(v)) + " " + unitSym
+	check.Measured = s.measuredText(v, unitSym)
 	if v >= lo && v <= hi {
 		check.Verdict = report.Pass
 		return check
@@ -212,6 +235,35 @@ func (s *Stand) judgeRange(check report.Check, v float64, st *script.SignalStmt,
 		check.Detail = "above limit"
 	}
 	return check
+}
+
+// measuredKey identifies one rendered measurement: the value's bits and
+// its unit symbol.
+type measuredKey struct {
+	bits uint64
+	unit string
+}
+
+// maxMeasured bounds the measured-text intern of one stand; a full
+// intern starts over.
+const maxMeasured = 1 << 10
+
+// measuredText renders a measured value with its unit, "11.9976 V",
+// interned per stand: most measurements repeat a few values (0 V, the
+// supply), so each rendering is built once.
+func (s *Stand) measuredText(v float64, unitSym string) string {
+	k := measuredKey{math.Float64bits(v), unitSym}
+	if text, ok := s.measured[k]; ok {
+		return text
+	}
+	if s.measured == nil {
+		s.measured = make(map[measuredKey]string)
+	} else if len(s.measured) >= maxMeasured {
+		clear(s.measured)
+	}
+	text := unit.FormatNumber(round6(v)) + " " + unitSym
+	s.measured[k] = text
+	return text
 }
 
 // round6 rounds to 6 significant-ish decimals for stable report output.

@@ -78,12 +78,22 @@ type Stand struct {
 
 	// obs, when non-nil, receives the behavioural trace (see trace.go).
 	obs Observer
-	// trace is the executing step's trace sampler (nil when no observer
-	// is attached or between steps); its samples belong to step
-	// traceStep of script traceSc.
+	// trace is the stand's one trace sampler series (nil until the first
+	// observed step); while tracing, it samples step traceStep, and it
+	// is suspended between steps.
 	trace     *event.Periodic
-	traceSc   *script.Script
+	tracing   bool
 	traceStep int
+	// outDecls resolves the out declarations of script outSc once, and
+	// observeOutputs fills outs, which it reuses, from them.
+	outSc    *script.Script
+	outDecls []outDecl
+	outs     []OutputState
+	// samplers lists the timing samplers armed for the current step
+	// (see measure.go); each instrument keeps its own across steps.
+	samplers []*sampler
+	// measured interns rendered measurement text (see judgeRange).
+	measured map[measuredKey]string
 	// runStart is when the current run started: observer times are
 	// relative to it, so a pooled stand reports what a fresh one does.
 	runStart time.Duration
@@ -130,6 +140,9 @@ type instrument struct {
 	eload  *analog.ISource
 	loGnd  *analog.Switch // ties terminal 2 to ground for single-ended use
 	pwm    *pwmDrive
+	// sampler is the instrument's get_t/get_f sampler, made by the first
+	// step that times through it (measure.go).
+	sampler *sampler
 }
 
 // pwmDrive realises put_pwm: it toggles a voltage source on the event
@@ -413,21 +426,16 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	plan, allocErr := s.applyStep(sc, stimuli, measures, &res, step)
 
 	// Timing measurements sample during the step.
-	var samplers map[*script.SignalStmt]*sampler
-	if allocErr == nil {
-		samplers = s.startSamplers(measures, plan)
-	}
+	s.startSamplers(measures, plan)
 
-	s.startTrace(sc, step)
+	s.startTrace(step)
 	dt := step.Dt + extraWait
-	s.advanceTo(s.sched.Now()+time.Duration(dt*float64(time.Second)), len(samplers) == 0)
+	s.advanceTo(s.sched.Now()+time.Duration(dt*float64(time.Second)), len(s.samplers) == 0)
 	s.stopTrace()
 
-	for _, sam := range samplers {
-		sam.stop()
-	}
+	s.stopSamplers()
 	if s.obs != nil {
-		s.obs.StepFinished(step, s.sched.Now()-s.runStart, s.observeOutputs(sc))
+		s.obs.StepFinished(step, s.sched.Now()-s.runStart, s.observeOutputs())
 	}
 
 	if allocErr != nil {
@@ -444,7 +452,7 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	}
 
 	for _, st := range measures {
-		res.Checks = append(res.Checks, s.measure(sc, st, plan, samplers))
+		res.Checks = append(res.Checks, s.measure(sc, st, plan))
 	}
 	return res
 }

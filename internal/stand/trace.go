@@ -52,13 +52,14 @@ type Observer interface {
 	// after the init settle (step = -1) and every TracePeriod while a
 	// step's dt elapses (step = the step number). Samples inside a
 	// fast-forwarded quiescent window are delivered after the jump, at
-	// their grid times, and share one outputs slice: the same slice may
-	// be passed to several consecutive calls, so observers must treat it
-	// as read-only.
+	// their grid times, all with the same outputs. The outputs slice is
+	// the stand's own buffer, refilled at the next sample: it is valid
+	// only during the call, and an observer that keeps it must copy it.
 	OutputsSampled(now time.Duration, step int, outputs []OutputState)
 	// StepFinished reports the settled output levels at the end of a
 	// step, after dt elapsed and before the step's measurements are
-	// judged.
+	// judged. As for OutputsSampled, outputs is valid only during the
+	// call; copy it to keep it.
 	StepFinished(step *script.Step, now time.Duration, outputs []OutputState)
 	// RunFinished is called once with the completed report.
 	RunFinished(rep *report.Report)
@@ -72,28 +73,63 @@ func (s *Stand) SetObserver(o Observer) { s.obs = o }
 // Ubatt returns the stand's supply voltage.
 func (s *Stand) Ubatt() float64 { return s.prof.cfg.UbattVolts }
 
-// observeOutputs samples every declared "out" signal of the script:
-// electrical pins through the network solver, CAN signals through the
-// monitor. Unobservable signals are reported with Valid == false rather
-// than dropped, so traces always have a fixed shape per script.
-func (s *Stand) observeOutputs(sc *script.Script) []OutputState {
-	var sol *analog.Solution
-	var solErr error
-	solved := false
+// outDecl is one declared "out" signal of the observed script, resolved
+// once per script: its report name, whether it is a bus signal and, for
+// one, its byte order.
+type outDecl struct {
+	decl    *script.SignalDecl
+	name    string // lower-case
+	can     bool
+	order   canbus.ByteOrder
+	orderOK bool
+}
 
-	out := make([]OutputState, 0, len(sc.Decls))
+// planOutputs resolves the "out" declarations of sc for observeOutputs,
+// unless they already are sc's. A declaration whose class does not parse
+// is observed as an electrical one; a bus signal whose byte order does
+// not parse is always reported invalid.
+func (s *Stand) planOutputs(sc *script.Script) {
+	if s.outSc == sc {
+		return
+	}
+	plan := s.outDecls[:0]
 	for _, d := range sc.Decls {
 		dir, err := sigdef.ParseDirection(d.Direction)
 		if err != nil || dir != sigdef.Out {
 			continue
 		}
-		st := OutputState{Signal: strings.ToLower(d.Name)}
-		cls, err := sigdef.ParseClass(d.Class)
-		if err == nil && cls == sigdef.CANSignal {
-			st.CAN = true
+		od := outDecl{decl: d, name: strings.ToLower(d.Name)}
+		if cls, err := sigdef.ParseClass(d.Class); err == nil && cls == sigdef.CANSignal {
+			od.can = true
 			order, err := canbus.ParseByteOrder(d.ByteOrder)
-			if err == nil {
-				if v, err := s.monitor.SignalOrder(order, s.db, d.Message, d.StartBit, d.Length); err == nil {
+			od.order, od.orderOK = order, err == nil
+		}
+		plan = append(plan, od)
+	}
+	s.outSc, s.outDecls = sc, plan
+	if s.outs == nil {
+		s.outs = make([]OutputState, 0, len(plan)) // observers always get a non-nil slice
+	}
+}
+
+// observeOutputs samples every "out" signal planOutputs resolved:
+// electrical pins through the network solver, CAN signals through the
+// monitor. Unobservable signals are reported with Valid == false rather
+// than dropped, so traces always have a fixed shape per script. The
+// result is the stand's own buffer, overwritten by the next call.
+func (s *Stand) observeOutputs() []OutputState {
+	var sol *analog.Solution
+	var solErr error
+	solved := false
+
+	out := s.outs[:0]
+	for i := range s.outDecls {
+		od := &s.outDecls[i]
+		d := od.decl
+		st := OutputState{Signal: od.name, CAN: od.can}
+		if od.can {
+			if od.orderOK {
+				if v, err := s.monitor.SignalOrder(od.order, s.db, d.Message, d.StartBit, d.Length); err == nil {
 					st.Value, st.Valid = v, true
 				}
 			}
@@ -118,6 +154,7 @@ func (s *Stand) observeOutputs(sc *script.Script) []OutputState {
 		}
 		out = append(out, st)
 	}
+	s.outs = out
 	return out
 }
 
@@ -168,24 +205,34 @@ func (m multiObserver) RunFinished(rep *report.Report) {
 }
 
 // startTrace arms the periodic trace sampling of one step (a no-op when
-// no observer is attached). The sampler is a suspendable series, so the
-// fast-forward parks it with the other periodic drivers and replays
-// what it skipped (replayTrace).
-func (s *Stand) startTrace(sc *script.Script, step *script.Step) {
+// no observer is attached), first sampling one TracePeriod from now. The
+// stand keeps one sampler series for its lifetime, made by its first
+// observed step and suspended between steps; each step restarts it on
+// its own phase. The series is suspendable, so the fast-forward parks it
+// with the other periodic drivers and replays what it skipped
+// (replayTrace).
+func (s *Stand) startTrace(step *script.Step) {
 	if s.obs == nil {
 		return
 	}
-	s.traceSc, s.traceStep = sc, step.Nr
-	s.trace = s.sched.Periodic(TracePeriod, func() {
-		s.obs.OutputsSampled(s.sched.Now()-s.runStart, s.traceStep, s.observeOutputs(s.traceSc))
-	})
+	s.tracing, s.traceStep = true, step.Nr
+	if s.trace == nil {
+		s.trace = s.sched.Periodic(TracePeriod, s.sampleTrace)
+		return
+	}
+	s.trace.Restart()
 }
 
-// stopTrace disarms the step's trace sampler, if one is armed.
+// sampleTrace is the trace series' callback.
+func (s *Stand) sampleTrace() {
+	s.obs.OutputsSampled(s.sched.Now()-s.runStart, s.traceStep, s.observeOutputs())
+}
+
+// stopTrace parks the step's trace sampler, if one is armed.
 func (s *Stand) stopTrace() {
-	if s.trace != nil {
-		s.trace.Stop()
-		s.trace, s.traceSc = nil, nil
+	if s.tracing {
+		s.trace.Suspend()
+		s.tracing = false
 	}
 }
 
@@ -193,16 +240,16 @@ func (s *Stand) stopTrace() {
 // per TracePeriod grid time from the suspended sampler's next
 // occurrence up to and including Now, in order. The DUT promised
 // quiescence over the jumped window, so every one of them equals the
-// current outputs: they are observed once and the same slice goes to
+// current outputs: they are observed once and the same buffer goes to
 // every call.
 func (s *Stand) replayTrace() {
-	if s.trace == nil {
+	if !s.tracing {
 		return
 	}
 	var outputs []OutputState
 	for t := s.trace.Next(); t <= s.sched.Now(); t += TracePeriod {
 		if outputs == nil {
-			outputs = s.observeOutputs(s.traceSc)
+			outputs = s.observeOutputs()
 		}
 		s.obs.OutputsSampled(t-s.runStart, s.traceStep, outputs)
 	}
