@@ -292,9 +292,9 @@ dispatch:
 	return sum, ctx.Err()
 }
 
-// runUnit executes one campaign unit on an exclusively owned stand —
-// pooled across units of equivalent configuration, freshly built
-// otherwise. The Result carries the unit as submitted.
+// runUnit executes one campaign unit on an exclusively owned stand,
+// taken from the process-wide stand cache (profiles) or freshly built,
+// and returns it there. The Result carries the unit as submitted.
 func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 	if u.Script == nil && u.Compiled != nil {
 		u.Script = u.Compiled.Script
@@ -305,43 +305,48 @@ func (r *Runner) runUnit(ctx context.Context, seq int, u Unit) Result {
 		return res
 	}
 	start := time.Now()
-	free, st := r.takeStand(u)
-	if st == nil {
-		var err error
-		st, err = r.newStand(u.Stand, u.DUT, u.Script)
-		if err != nil {
-			res.Err = err
-			return res
+	standName, dutName := r.names(u.Stand, u.DUT)
+	e, err := profileFor(standName, u.Script)
+	var st *stand.Stand
+	if err == nil {
+		st, err = e.acquire(dutName)
+	}
+	if err == nil {
+		res.Report, err = runOn(ctx, st, seq, u)
+	}
+	if err != nil {
+		res.Err = err
+		return res // no stand, or one in an unknown state: never pooled
+	}
+	res.Elapsed = time.Since(start)
+	e.release(dutName, st, len(u.Faults) > 0)
+	return res
+}
+
+// runOn runs unit seq on st, with the unit's faults injected and its
+// observer attached for this run only.
+func runOn(ctx context.Context, st *stand.Stand, seq int, u Unit) (*report.Report, error) {
+	if len(u.Faults) > 0 {
+		dut := st.DUT()
+		if dut == nil {
+			return nil, fmt.Errorf("comptest: unit %d injects faults but has no DUT", seq)
+		}
+		for _, f := range u.Faults {
+			if err := dut.InjectFault(f); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if u.Observer != nil {
 		st.SetObserver(u.Observer)
-	}
-	faulted := len(u.Faults) > 0
-	if faulted {
-		dut := st.DUT()
-		if dut == nil {
-			res.Err = fmt.Errorf("comptest: unit %d injects faults but has no DUT", seq)
-			return res
-		}
-		for _, f := range u.Faults {
-			if err := dut.InjectFault(f); err != nil {
-				res.Err = err
-				return res // stand state unknown: never pooled
-			}
-		}
+		defer st.SetObserver(nil)
 	}
 	c := u.Compiled
 	if c == nil {
 		c, _ = script.Compile(u.Script, method.Builtin())
 	}
 	if c == nil {
-		res.Report = st.RunContext(ctx, u.Script) // the rejection report
-	} else {
-		res.Report = st.RunCompiled(ctx, c, stand.RunOptions{StopOnFail: u.StopOnFail})
+		return st.RunContext(ctx, u.Script), nil // the rejection report
 	}
-	res.Elapsed = time.Since(start)
-	st.SetObserver(nil)
-	r.releaseStand(free, st, faulted)
-	return res
+	return st.RunCompiled(ctx, c, stand.RunOptions{StopOnFail: u.StopOnFail}), nil
 }

@@ -37,9 +37,9 @@
 // over a bounded worker pool, each result streamed to the configured
 // sinks, and to the sinks passed to that Campaign call, the moment it
 // completes. RunScript (one unit) and RunPlan (a plan's scripts as one
-// in-order Group) are thin calls into the same loop. A Runner outlives
-// its campaigns: its pooled stands serve every later one. context.Context is honoured throughout; cancellation
-// takes effect at the next step boundary (see stand.RunContext).
+// in-order Group) are thin calls into the same loop. context.Context is
+// honoured throughout; cancellation takes effect at the next step
+// boundary (see stand.RunContext).
 //
 // Stands and DUT models are looked up in process-wide registries
 // (RegisterStand, RegisterDUT) keyed by name — the four built-in stand
@@ -47,17 +47,18 @@
 // built-in ECU models (interior_light, central_locking, window_lifter,
 // exterior_light) are pre-registered. A unit names its stand and DUT
 // and carries injected faults by name (Unit.Faults, validated with
-// CheckFaults), so faulted units pool stands like clean ones. Each
-// (stand name, harness) pair is built once per process into a shared
-// stand.Profile, so the routing of a script onto a stand outlives
-// every Runner. The
-// comptest/mutation subpackage runs full mutation-testing campaigns
-// this way (mutant enumeration, kill matrix, test-strength reports) on
-// top of Campaign, and the comptest/explore subpackage searches the
-// stimulus space for scenarios that kill the mutants mutation leaves
-// alive — campaign units carry an optional stand.Observer
-// (Unit.Observer) through which exploration records behavioural
-// traces.
+// CheckFaults), so faulted units pool stands like clean ones. Stands
+// live in one process-wide cache, not in a Runner: each (stand name,
+// harness) pair is built once per process into a shared stand.Profile,
+// and the stands built from it return there after each run, so the
+// routing of a script onto a stand, and the stand itself, outlive
+// every Runner. The comptest/mutation subpackage runs full
+// mutation-testing campaigns this way (mutant enumeration, kill matrix,
+// test-strength reports) on top of Campaign, and the comptest/explore
+// subpackage searches the stimulus space for scenarios that kill the
+// mutants mutation leaves alive — campaign units carry an optional
+// stand.Observer (Unit.Observer) through which exploration records
+// behavioural traces.
 //
 // Results stream to pluggable sinks (Sink, SinkFunc, Collector,
 // Ordered); NDJSON writes each result as one report.Report JSON line,

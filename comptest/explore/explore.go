@@ -133,9 +133,9 @@ type Explorer struct {
 	// suite's status table, so their statements are built once.
 	scripts *script.Generator
 
-	// runner executes every stand run of the exploration, so its pooled
-	// stands outlive single batches. Its one sink is record; each batch
-	// passes its Ordered wrapper of Options.Sink as a call sink.
+	// runner executes every stand run of the exploration. Its one sink
+	// is record; each batch passes its Ordered wrapper of Options.Sink
+	// as a call sink.
 	runner  *comptest.Runner
 	oracles []string // sorted, unique fault names
 	reps    []*report.Report

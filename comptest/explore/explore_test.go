@@ -5,13 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -473,44 +473,45 @@ func TestCoverageSet(t *testing.T) {
 	}
 }
 
-// countingDUT is interior_light under another name, counting the
-// stands its instances are attached to: one per stand instance built.
-// (Oracle validation instantiates the model too, but never attaches it.)
-var (
-	countingDUTOnce     sync.Once
-	countingDUTAttached atomic.Int64
-)
+// countingDUT registers interior_light under a name no earlier call
+// used, so no stand of it is idle yet, and returns the name with the
+// count of stands its instances were attached to: one per stand
+// instance built. (Oracle validation instantiates the model too, but
+// never attaches it.)
+var countingDUTs atomic.Int64
 
-type countedLight struct{ *ecu.InteriorLight }
+type countedLight struct {
+	*ecu.InteriorLight
+	attached *atomic.Int64
+}
 
 func (l countedLight) Attach(env *ecu.Env) error {
-	countingDUTAttached.Add(1)
+	l.attached.Add(1)
 	return l.InteriorLight.Attach(env)
 }
 
-func countingDUT(t *testing.T) string {
+func countingDUT(t *testing.T) (string, *atomic.Int64) {
 	t.Helper()
-	const name = "counting_interior_light"
-	countingDUTOnce.Do(func() {
-		err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLight{ecu.NewInteriorLight()} }, paper.Workbook)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	return name
+	name := fmt.Sprintf("counting_interior_light_%d", countingDUTs.Add(1))
+	attached := new(atomic.Int64)
+	err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLight{ecu.NewInteriorLight(), attached} }, paper.Workbook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return name, attached
 }
 
 // TestExploreReusesStands: one exploration runs every candidate walk,
-// pin check, oracle run and shrink probe on its Runner's pooled
-// stands, and pooling leaves the pinned corpus unchanged.
+// pin check, oracle run and shrink probe on pooled stands, and pooling
+// leaves the pinned corpus unchanged.
 func TestExploreReusesStands(t *testing.T) {
 	want := pinnedFingerprints(t)["1"]
 	for _, par := range []int{1, 2} {
+		dut, attached := countingDUT(t)
 		opts := interiorOpts()
-		opts.DUT, opts.Stand, opts.Parallelism = countingDUT(t), "paper_stand", par
-		before := countingDUTAttached.Load()
+		opts.DUT, opts.Stand, opts.Parallelism = dut, "paper_stand", par
 		res := runExploration(t, paper.Workbook, opts)
-		built := countingDUTAttached.Load() - before
+		built := attached.Load()
 		if par == 1 && built > 2 {
 			t.Errorf("parallelism 1: %d stands built for %d executions, want at most 2", built, res.Executions)
 		}

@@ -34,48 +34,51 @@ func builtinScripts(t *testing.T) []*script.Script {
 	return out
 }
 
-// TestStandKeyMatchesHarness: the buffer-built pool key has the bytes
-// of stand, DUT and the joined stand.HarnessFromScript pins, for every
-// built-in script and for declarations that repeat or omit pins.
+// TestStandKeyMatchesHarness: the buffer-built stand cache key has the
+// bytes of the stand and the joined stand.HarnessFromScript pins, for
+// every built-in script and for declarations that repeat or omit pins.
 func TestStandKeyMatchesHarness(t *testing.T) {
-	r, err := NewRunner(WithDUT("interior_light"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	scripts := append(builtinScripts(t), &script.Script{Decls: []*script.SignalDecl{
 		{Pin: "X1"}, {PinRet: "GND"}, {Pin: "X2", PinRet: "GND"},
 		{Pin: "X1", PinRet: "R1"}, {}, {Pin: "X3", PinRet: "R1"},
 	}}, &script.Script{})
 	for _, sc := range scripts {
-		for _, u := range []Unit{{Script: sc}, {Script: sc, Stand: "full_lab", DUT: "central_locking"}} {
-			standPart, dut := u.Stand, u.DUT
-			if standPart == "" {
-				standPart, dut = "paper_stand", "interior_light"
-			}
+		for _, standName := range []string{"paper_stand", "full_lab"} {
 			h := stand.HarnessFromScript(sc)
-			want := standPart + "\x00" + dut + "\x00" +
-				strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
-			if got := string(r.appendStandKey(nil, u)); got != want {
-				t.Errorf("%s on %q: key %q, want %q", sc.Name, u.Stand, got, want)
+			want := standName + "\x00" + strings.Join(h.Forward, ",") + "|" + strings.Join(h.Return, ",")
+			if got := string(appendProfileKey(nil, standName, sc)); got != want {
+				t.Errorf("%s on %s: key %q, want %q", sc.Name, standName, got, want)
 			}
 		}
 	}
 }
 
-// TestTakeStandAllocsNothingWhenSeen: the idle list of a configuration
-// the Runner has seen before is looked up without allocating.
+// TestTakeStandAllocsNothingWhenSeen: for a configuration the process
+// has seen before, looking up its stand cache entry, taking an idle
+// stand and returning it allocate nothing.
 func TestTakeStandAllocsNothingWhenSeen(t *testing.T) {
-	r, err := NewRunner(WithDUT("interior_light"))
+	sc := paperScript(t)
+	dut, _ := CountingDUT(t)
+	first, err := profileFor("paper_stand", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := Unit{Script: paperScript(t)}
-	first, _ := r.takeStand(u)
+	st, err := first.acquire(dut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.release(dut, st, false)
 	if n := testing.AllocsPerRun(100, func() {
-		if free, st := r.takeStand(u); free != first || st != nil {
-			t.Fatal("idle list changed")
+		e, err := profileFor("paper_stand", sc)
+		if err != nil || e != first {
+			t.Fatal("stand cache entry changed")
 		}
+		got, err := e.acquire(dut)
+		if err != nil || got != st {
+			t.Fatal("idle stand not reused")
+		}
+		e.release(dut, got, false)
 	}); n != 0 {
-		t.Errorf("takeStand of a seen configuration allocates %.1f times, want 0", n)
+		t.Errorf("a seen configuration allocates %.1f times, want 0", n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/script"
-	"repro/internal/stand"
 )
 
 // Runner executes test-stand-independent scripts. It is configured once
@@ -15,22 +14,17 @@ import (
 // owned stand and DUT for the duration of its run), so a Runner is safe
 // for concurrent use.
 //
-// Every run goes through one loop (CampaignGroups) and one cache: stands
-// of equivalent configuration are pooled across units instead of being
-// rebuilt per run, without changing a single output byte. Scripts are
+// Every run goes through one loop (CampaignGroups). Scripts are
 // compiled where their units are made (Compile, Cross, the mutation and
-// exploration engines), not by the Runner. Below the pool, the stand
-// profile a stand is built from — its routing, expectation and attribute
-// memos — is shared by every Runner in the process (profileFor).
+// exploration engines), not by the Runner, and stands come from one
+// process-wide cache (profileFor): the stand profile of each (stand
+// name, harness) — its routing, expectation and attribute memos — and
+// the idle stands built from it, shared by every Runner. A Runner holds
+// only its defaults, its parallelism and its sinks.
 type Runner struct {
 	standName string // registered profile of units that name none
 	dutName   string // registered model of units that name none, "" = no DUT
 	parallel  int
-
-	poolMu sync.Mutex
-	// pools holds the idle stands by configuration key. A Runner never
-	// holds more stands than it ran at once, so the lists need no cap.
-	pools map[string]*[]*stand.Stand
 
 	emitMu sync.Mutex // serialises sink emission across workers
 	sinks  []Sink
@@ -42,7 +36,6 @@ func NewRunner(opts ...Option) (*Runner, error) {
 	r := &Runner{
 		standName: "paper_stand",
 		parallel:  1,
-		pools:     map[string]*[]*stand.Stand{},
 	}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
@@ -65,31 +58,6 @@ func (r *Runner) names(standName, dutName string) (string, string) {
 		dutName = r.dutName
 	}
 	return standName, dutName
-}
-
-// newStand builds and populates a stand for one execution unit: an
-// instance of the named profile (or the Runner's default) for the
-// script's harness, shared process-wide (profileFor), with a fresh
-// instance of the named DUT model (or the Runner's default) attached.
-// No DUT name at all means an empty socket.
-func (r *Runner) newStand(standName, dutName string, sc *script.Script) (*stand.Stand, error) {
-	standName, dutName = r.names(standName, dutName)
-	p, err := r.profileFor(standName, sc)
-	if err != nil {
-		return nil, err
-	}
-	st := p.New()
-	if dutName == "" {
-		return st, nil
-	}
-	dut, err := NewDUT(dutName)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.AttachDUT(dut); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // RunScript executes one script as a one-unit Campaign on the Runner's

@@ -188,48 +188,51 @@ func TestFaultedCampaignIsRed(t *testing.T) {
 	}
 }
 
-// countingDUT registers, once per test binary, central_locking under
-// another name, counting the stands its instances are attached to: one
-// per stand instance built. (Submission validation instantiates the
-// model too, but never attaches it.)
-var (
-	countingDUTOnce     sync.Once
-	countingDUTAttached atomic.Int64
-)
+// countingDUT registers central_locking under a name no earlier call
+// used, so no stand of it is idle yet, and returns the name with the
+// count of stands its instances were attached to: one per stand
+// instance built. (Submission validation instantiates the model too,
+// but never attaches it.)
+var countingDUTs atomic.Int64
 
-type countedLocking struct{ *ecu.CentralLocking }
+type countedLocking struct {
+	*ecu.CentralLocking
+	attached *atomic.Int64
+}
 
 func (l countedLocking) Attach(env *ecu.Env) error {
-	countingDUTAttached.Add(1)
+	l.attached.Add(1)
 	return l.CentralLocking.Attach(env)
 }
 
-func countingDUT(t *testing.T) string {
+func countingDUT(t *testing.T) (string, *atomic.Int64) {
 	t.Helper()
-	const name = "counting_central_locking"
-	countingDUTOnce.Do(func() {
-		err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLocking{ecu.NewCentralLocking()} }, workbooks.CentralLocking)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	return name
+	name := fmt.Sprintf("counting_central_locking_%d", countingDUTs.Add(1))
+	attached := new(atomic.Int64)
+	err := comptest.RegisterDUT(name, func() ecu.ECU { return countedLocking{ecu.NewCentralLocking(), attached} }, workbooks.CentralLocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return name, attached
 }
 
 // TestServedCampaignPoolsStands: a served campaign's units name their
-// stand and DUT, so the job's Runner reuses one pooled stand for all
-// four sequential central_locking units instead of building one each.
+// stand and DUT, so the job reuses one pooled stand for all four
+// sequential central_locking units instead of building one each, and a
+// second job of the same configuration builds none.
 func TestServedCampaignPoolsStands(t *testing.T) {
-	name := countingDUT(t)
+	name, attached := countingDUT(t)
 	ts := newTestServer(t, Options{Workers: 1})
-	before := countingDUTAttached.Load()
-	st := ts.submit(t, `{"workbook_name":"central_locking","dut":"`+name+`","stand":"full_lab","parallelism":1}`)
-	final := ts.wait(t, st.ID)
-	if final.State != StateDone || final.Reports != 4 {
-		t.Fatalf("final = %s with %d reports (%s), want done with 4", final.State, final.Reports, final.Error)
-	}
-	if built := countingDUTAttached.Load() - before; built != 1 {
-		t.Errorf("4-unit campaign built %d stands, want 1", built)
+	for job, want := range []int64{1, 0} {
+		before := attached.Load()
+		st := ts.submit(t, `{"workbook_name":"central_locking","dut":"`+name+`","stand":"full_lab","parallelism":1}`)
+		final := ts.wait(t, st.ID)
+		if final.State != StateDone || final.Reports != 4 {
+			t.Fatalf("job %d: final = %s with %d reports (%s), want done with 4", job, final.State, final.Reports, final.Error)
+		}
+		if built := attached.Load() - before; built != want {
+			t.Errorf("job %d: 4-unit campaign built %d stands, want %d", job, built, want)
+		}
 	}
 }
 

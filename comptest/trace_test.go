@@ -9,11 +9,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/ecu"
 	"repro/internal/paper"
 	"repro/internal/report"
 )
@@ -51,22 +48,16 @@ func runTraced(t testing.TB, parallel int, units []Unit) []byte {
 }
 
 // runTracedFresh traces the units like runTraced, but runs each one on
-// a Runner of its own, so every unit gets a freshly built stand.
+// a stand built for it outside the stand cache (RunFresh).
 func runTracedFresh(t testing.TB, units []Unit) []byte {
 	t.Helper()
 	return traced(t, units, func(tr *Tracer) {
-		for i := range units {
-			r, err := NewRunner()
+		for i, u := range units {
+			rep, err := RunFresh(context.Background(), u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			renumber := SinkFunc(func(res Result) {
-				res.Seq = i
-				tr.Emit(res)
-			})
-			if _, err := r.Campaign(context.Background(), units[i:i+1], renumber); err != nil {
-				t.Fatal(err)
-			}
+			tr.Emit(Result{Seq: i, Unit: u, Report: rep})
 		}
 	})
 }
@@ -118,34 +109,6 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
-// countingDUT registers interior_light under another name, counting
-// the stands its instances are attached to: one per stand instance
-// built. Stand profiles are shared process-wide, so a counting stand
-// builder would count profiles, not instances.
-var (
-	countingDUTOnce     sync.Once
-	countingDUTAttached atomic.Int64
-)
-
-type countedLight struct{ *ecu.InteriorLight }
-
-func (l countedLight) Attach(env *ecu.Env) error {
-	countingDUTAttached.Add(1)
-	return l.InteriorLight.Attach(env)
-}
-
-func countingDUT(t *testing.T) string {
-	t.Helper()
-	const name = "counting_interior_light"
-	countingDUTOnce.Do(func() {
-		err := RegisterDUT(name, func() ecu.ECU { return countedLight{ecu.NewInteriorLight()} }, paper.Workbook)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	return name
-}
-
 // TestTracePooledStands: traced units share one pooled stand, and the
 // spans are byte-identical to those of freshly built stands, one per
 // unit.
@@ -158,13 +121,14 @@ func TestTracePooledStands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dut, attached := CountingDUT(t)
 	units := func() []Unit {
-		return Cross(slices.Repeat(scripts[:1], 4), []string{"paper_stand"}, countingDUT(t))
+		return Cross(slices.Repeat(scripts[:1], 4), []string{"paper_stand"}, dut)
 	}
 	built := func(run func(testing.TB, []Unit) []byte) ([]byte, int64) {
-		before := countingDUTAttached.Load()
+		before := attached.Load()
 		b := run(t, units())
-		return b, countingDUTAttached.Load() - before
+		return b, attached.Load() - before
 	}
 	pooled, n := built(func(t testing.TB, us []Unit) []byte { return runTraced(t, 1, us) })
 	if n != 1 {
@@ -172,7 +136,7 @@ func TestTracePooledStands(t *testing.T) {
 	}
 	fresh, n := built(runTracedFresh)
 	if n != 4 {
-		t.Errorf("unit-per-Runner campaign built %d stands, want 4", n)
+		t.Errorf("fresh-stand reference built %d stands, want 4", n)
 	}
 	if !bytes.Equal(pooled, fresh) {
 		t.Errorf("pooled trace differs from fresh stands:\n--- pooled ---\n%s--- fresh ---\n%s", pooled, fresh)

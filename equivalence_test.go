@@ -287,7 +287,7 @@ func firstDiff(a, b []byte) string {
 
 // TestCampaignStreamEquivalence runs the full builtin unit matrix as a
 // campaign on pooled stands and, as the reference, with every unit on a
-// Runner of its own (so on a freshly built stand), each at parallelism
+// stand built for it outside the stand cache, each at parallelism
 // 1 and 4, streaming each run through an Ordered NDJSON sink, and
 // requires all four byte streams to be identical. This is what makes
 // the pooled, parallel production configuration trustworthy: neither
@@ -321,9 +321,14 @@ func TestCampaignStreamEquivalence(t *testing.T) {
 			}
 		})
 	}
-	// fresh runs par units at a time, each as the only unit of its own
-	// Runner, and renumbers the results into the matrix's Seq order.
+	// fresh runs par units at a time, each on a stand built for it
+	// outside the stand cache (freshStand), so on a stand that never ran
+	// before, and emits the results in the matrix's Seq order.
 	fresh := func(par int) []byte {
+		stands := make([]*stand.Stand, len(units))
+		for i, u := range units {
+			stands[i] = freshStand(t, u.Stand, u.DUT, plans[u.DUT], u.Script)
+		}
 		return stream(func(ordered comptest.Sink) {
 			var (
 				mu   sync.Mutex
@@ -335,20 +340,11 @@ func TestCampaignStreamEquivalence(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := range next {
-						r, err := comptest.NewRunner()
-						if err != nil {
-							t.Error(err)
-							continue
-						}
-						renumber := comptest.SinkFunc(func(res comptest.Result) {
-							res.Seq = i
-							mu.Lock()
-							defer mu.Unlock()
-							ordered.Emit(res)
-						})
-						if _, err := r.Campaign(ctx, units[i:i+1], renumber); err != nil {
-							t.Error(err)
-						}
+						u := units[i]
+						rep := stands[i].RunCompiled(ctx, u.Compiled, stand.RunOptions{})
+						mu.Lock()
+						ordered.Emit(comptest.Result{Seq: i, Unit: u, Report: rep})
+						mu.Unlock()
 					}
 				}()
 			}
