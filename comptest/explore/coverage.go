@@ -230,12 +230,8 @@ func (k *keyer) keysOf(tc *testdef.TestCase, tr *Trace, promo *Promotion) []stri
 
 // containsAll reports whether sorted haystack contains every needle.
 func containsAll(haystack, needles []string) bool {
-	set := make(map[string]struct{}, len(haystack))
-	for _, k := range haystack {
-		set[k] = struct{}{}
-	}
 	for _, n := range needles {
-		if _, ok := set[n]; !ok {
+		if _, ok := slices.BinarySearch(haystack, n); !ok {
 			return false
 		}
 	}

@@ -138,7 +138,11 @@ type Explorer struct {
 	// as a call sink.
 	runner  *comptest.Runner
 	oracles []string // sorted, unique fault names
-	reps    []*report.Report
+	// reps holds the reports of the latest campaign; each campaign
+	// reuses it.
+	reps []*report.Report
+	// probe traces every shrink attempt; RunStarted resets it.
+	probe Trace
 
 	cov    *Coverage
 	corpus *Corpus
@@ -222,44 +226,50 @@ func New(suite *comptest.Suite, opts Options) (*Explorer, error) {
 // cancellation the partial result is returned alongside ctx.Err().
 func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 	batch := max(4, 2*e.opts.Parallelism)
+	// One walk, unit and trace per batch slot, reused by every batch: a
+	// batch's traces are read before the next batch starts, whose runs
+	// reset them (Trace.RunStarted).
+	walks := make([]*testdef.TestCase, batch)
+	traces := make([]Trace, batch)
+	units := make([]comptest.Unit, batch)
+	batchReps := make([]*report.Report, 0, batch)
 	remaining := e.opts.Budget
 	for remaining > 0 && ctx.Err() == nil {
 		n := min(batch, remaining)
 		remaining -= n
 
-		cands := make([]*candidate, n)
-		units := make([]comptest.Unit, n)
-		for i := range cands {
-			tc := e.gen.Next()
-			sc, err := e.scripts.Generate(tc)
+		for i := range walks[:n] {
+			walks[i] = e.gen.Next()
+			sc, err := e.scripts.Generate(walks[i])
 			if err != nil {
 				return nil, fmt.Errorf("explore: generated walk invalid: %v", err)
 			}
-			tr := &Trace{}
-			cands[i] = &candidate{tc: tc, sc: sc, trace: tr}
-			units[i] = e.unit(sc, tr)
+			units[i] = e.unit(sc, &traces[i])
 		}
-		reps, err := e.campaign(ctx, units)
+		// Oracle, verification and shrink runs below reuse the
+		// campaign's report slice, so the batch keeps its own copy.
+		reps, err := e.campaign(ctx, units[:n])
 		if err != nil {
 			break
 		}
+		batchReps = append(batchReps[:0], reps...)
 		e.candidates += n
 
-		for i, c := range cands {
+		for i, tc := range walks[:n] {
 			if ctx.Err() != nil {
 				break
 			}
 			// Walks that could not execute cleanly (e.g. an allocation
 			// the stand cannot serve) are discarded: a promoted test
 			// derived from them could not serve as a green baseline.
-			if reps[i] == nil || !reps[i].Passed() {
+			if batchReps[i] == nil || !batchReps[i].Passed() {
 				continue
 			}
-			promo, err := e.pin.pin(c.tc, c.trace)
+			promo, err := e.pin.pin(tc, &traces[i])
 			if err != nil {
 				continue
 			}
-			keys := e.keys.keysOf(c.tc, c.trace, promo)
+			keys := e.keys.keysOf(tc, &traces[i], promo)
 			novel := e.cov.Missing(keys)
 			kills := e.kills(ctx, promo.Script, e.oracles)
 			if len(novel) == 0 && len(kills) == 0 {
@@ -270,11 +280,11 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 			if !e.runPasses(ctx, promo.Script) {
 				continue
 			}
-			promo, keys = e.shrink(ctx, c.tc, promo, keys, novel, kills)
+			promo, keys = e.shrink(ctx, tc, promo, keys, novel, kills)
 			e.cov.Merge(keys)
 			e.corpus.Add(&Entry{
-				Name:           c.tc.Name,
-				GeneratedSteps: len(c.tc.Steps),
+				Name:           tc.Name,
+				GeneratedSteps: len(tc.Steps),
 				Promotion:      promo,
 				NewKeys:        novel,
 				Kills:          kills,
@@ -296,13 +306,6 @@ func (e *Explorer) Run(ctx context.Context) (*Result, error) {
 	return res, ctx.Err()
 }
 
-// candidate is one generated walk in flight.
-type candidate struct {
-	tc    *testdef.TestCase
-	sc    *script.Script
-	trace *Trace
-}
-
 // unit is one run of sc on the clean DUT, observed by obs, carrying sc
 // compiled as every unit the library builds does. A script that does
 // not compile is left without one, and its run reports the rejection.
@@ -315,7 +318,8 @@ func (e *Explorer) unit(sc *script.Script, obs stand.Observer) comptest.Unit {
 // reports in unit order (nil where the execution could not be built).
 // Every completed run counts toward Executions.
 func (e *Explorer) campaign(ctx context.Context, units []comptest.Unit) ([]*report.Report, error) {
-	e.reps = make([]*report.Report, len(units))
+	e.reps = slices.Grow(e.reps[:0], len(units))[:len(units)]
+	clear(e.reps)
 	var sinks []comptest.Sink
 	if e.opts.Sink != nil {
 		sinks = []comptest.Sink{comptest.Ordered(e.opts.Sink)}
@@ -333,12 +337,11 @@ func (e *Explorer) record(r comptest.Result) {
 	}
 }
 
-// execTraced runs one stimulus walk on the clean DUT with a fresh
-// trace attached.
+// execTraced runs one stimulus walk on the clean DUT with the probe
+// trace attached. The trace is valid until the next execTraced.
 func (e *Explorer) execTraced(ctx context.Context, sc *script.Script) (*Trace, *report.Report) {
-	tr := &Trace{}
-	reps, _ := e.campaign(ctx, []comptest.Unit{e.unit(sc, tr)})
-	return tr, reps[0]
+	reps, _ := e.campaign(ctx, []comptest.Unit{e.unit(sc, &e.probe)})
+	return &e.probe, reps[0]
 }
 
 // runPasses executes the script against the clean DUT and reports a

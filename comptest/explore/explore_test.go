@@ -232,7 +232,10 @@ func TestExploreDeterminism(t *testing.T) {
 // (testdata/fingerprints.json, the same sums the benchmark's goldens
 // hold), at parallelism 1 and 2. Exploration observes every stand run,
 // so this is what holds the observed fast-forward to the corpora that
-// tick-by-tick execution produced.
+// tick-by-tick execution produced. The budget spans several batches,
+// so the corpora are also those of reused traces: every batch slot's
+// trace is reset and refilled by each later batch, and the probe trace
+// by every shrink attempt.
 func TestExploreFingerprintsPinned(t *testing.T) {
 	want := pinnedFingerprints(t)
 	suite := loadSuite(t, paper.Workbook)
@@ -240,6 +243,9 @@ func TestExploreFingerprintsPinned(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			opts := interiorOpts()
 			opts.Seed, opts.Parallelism = seed, par
+			if batch := max(4, 2*par); opts.Budget <= batch {
+				t.Fatalf("budget %d fits one batch of %d: no slot trace is reused", opts.Budget, batch)
+			}
 			ex, err := New(suite, opts)
 			if err != nil {
 				t.Fatal(err)

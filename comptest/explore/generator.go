@@ -33,8 +33,8 @@ type Generator struct {
 	rng *rand.Rand
 
 	inputs  []*sigdef.Signal
-	legal   map[string][]string // lower signal name -> legal stimulus statuses, table order
-	weights []int               // parallel to inputs
+	legal   [][]string // parallel to inputs: legal stimulus statuses, table order
+	weights []int      // parallel to inputs
 	total   int
 
 	durations []float64
@@ -43,6 +43,16 @@ type Generator struct {
 	maxAssign int
 
 	seq int
+
+	// Scratch reused by every Next, so a walk allocates only its own
+	// test case: the current status and whether the column was emitted
+	// (parallel to inputs), pick's candidate and result positions, and
+	// nextStatus' alternatives.
+	cur    []string
+	seen   []bool
+	idx    []int
+	picked []int
+	alts   []string
 }
 
 // gapWeight is the selection weight of a coverage-gap signal relative
@@ -55,7 +65,6 @@ const gapWeight = 4
 func newGenerator(suite *comptest.Suite, rng *rand.Rand, minSteps, maxSteps int, durations []float64) (*Generator, error) {
 	g := &Generator{
 		rng:       rng,
-		legal:     map[string][]string{},
 		durations: durations,
 		minSteps:  minSteps,
 		maxSteps:  maxSteps,
@@ -80,12 +89,16 @@ func newGenerator(suite *comptest.Suite, rng *rand.Rand, minSteps, maxSteps int,
 			continue // no legal stimulus: the walk cannot move this signal
 		}
 		g.inputs = append(g.inputs, sig)
-		g.legal[strings.ToLower(sig.Name)] = statuses
+		g.legal = append(g.legal, statuses)
 	}
 	if len(g.inputs) == 0 {
 		return nil, fmt.Errorf("explore: suite has no stimulable input signals")
 	}
 	g.maxAssign = min(3, len(g.inputs))
+	g.cur = make([]string, len(g.inputs))
+	g.seen = make([]bool, len(g.inputs))
+	g.idx = make([]int, 0, len(g.inputs))
+	g.picked = make([]int, 0, g.maxAssign)
 
 	gaps := lint.CoverageGaps(lint.Check(suite.Signals, suite.Statuses, suite.Tests))
 	g.weights = make([]int, len(g.inputs))
@@ -106,73 +119,87 @@ func newGenerator(suite *comptest.Suite, rng *rand.Rand, minSteps, maxSteps int,
 // case. Step indices run 0..n-1, every step carries at least one
 // assignment, and the set of signal columns is the set of signals the
 // walk actually touches (first-use order).
+//
+// The steps' assignments share one backing array, each step's capped
+// at its own length, so a walk costs the same few allocations however
+// many steps it has, and appending to one step never reaches the next.
 func (g *Generator) Next() *testdef.TestCase {
 	n := g.minSteps + g.rng.Intn(g.maxSteps-g.minSteps+1)
 
 	// current status per signal, seeded from the init column so the
 	// "pick a different status" rule measures change against the state
 	// the DUT actually starts in.
-	cur := map[string]string{}
-	for _, sig := range g.inputs {
-		cur[strings.ToLower(sig.Name)] = sig.Init
+	for i, sig := range g.inputs {
+		g.cur[i] = sig.Init
+		g.seen[i] = false
 	}
 
-	tc := &testdef.TestCase{Name: fmt.Sprintf("Explore%04d", g.seq)}
+	tc := &testdef.TestCase{
+		Name:    fmt.Sprintf("Explore%04d", g.seq),
+		Signals: make([]string, 0, len(g.inputs)),
+		Steps:   make([]testdef.Step, n),
+	}
 	g.seq++
-	seenCol := map[string]bool{}
-	for i := 0; i < n; i++ {
-		step := testdef.Step{
-			Index: i,
-			Dt:    g.durations[g.rng.Intn(len(g.durations))],
-		}
-		for _, sig := range g.pick(1 + g.rng.Intn(g.maxAssign)) {
-			key := strings.ToLower(sig.Name)
-			status := g.nextStatus(key, cur[key])
-			cur[key] = status
-			step.Assign = append(step.Assign, testdef.Assignment{Signal: sig.Name, Status: status})
-			if !seenCol[key] {
-				seenCol[key] = true
-				tc.Signals = append(tc.Signals, sig.Name)
+	// Every step assigns at most maxAssign signals, so the slab never
+	// grows and the sub-slices handed out stay on it.
+	slab := make([]testdef.Assignment, 0, n*g.maxAssign)
+	for i := range tc.Steps {
+		step := &tc.Steps[i]
+		step.Index = i
+		step.Dt = g.durations[g.rng.Intn(len(g.durations))]
+		from := len(slab)
+		for _, p := range g.pick(1 + g.rng.Intn(g.maxAssign)) {
+			status := g.nextStatus(p)
+			g.cur[p] = status
+			name := g.inputs[p].Name
+			slab = append(slab, testdef.Assignment{Signal: name, Status: status})
+			if !g.seen[p] {
+				g.seen[p] = true
+				tc.Signals = append(tc.Signals, name)
 			}
 		}
-		tc.Steps = append(tc.Steps, step)
+		step.Assign = slab[from:len(slab):len(slab)]
 	}
 	return tc
 }
 
-// pick draws k distinct inputs, weighted, without replacement.
-func (g *Generator) pick(k int) []*sigdef.Signal {
-	idx := make([]int, len(g.inputs))
-	for i := range idx {
-		idx[i] = i
+// pick draws k distinct inputs, weighted, without replacement, and
+// returns their positions. The result is scratch, valid until the next
+// call.
+func (g *Generator) pick(k int) []int {
+	idx := g.idx[:0]
+	for i := range g.inputs {
+		idx = append(idx, i)
 	}
 	total := g.total
-	var out []*sigdef.Signal
+	out := g.picked[:0]
 	for len(out) < k && len(idx) > 0 {
 		r := g.rng.Intn(total)
 		for j, i := range idx {
 			r -= g.weights[i]
 			if r < 0 {
-				out = append(out, g.inputs[i])
+				out = append(out, i)
 				total -= g.weights[i]
 				idx = append(idx[:j], idx[j+1:]...)
 				break
 			}
 		}
 	}
+	g.idx, g.picked = idx, out
 	return out
 }
 
-// nextStatus picks a legal status for the signal, different from the
+// nextStatus picks a legal status for input p, different from its
 // current one whenever an alternative exists.
-func (g *Generator) nextStatus(key, current string) string {
-	statuses := g.legal[key]
-	var alts []string
+func (g *Generator) nextStatus(p int) string {
+	statuses := g.legal[p]
+	alts := g.alts[:0]
 	for _, s := range statuses {
-		if !strings.EqualFold(s, current) {
+		if !strings.EqualFold(s, g.cur[p]) {
 			alts = append(alts, s)
 		}
 	}
+	g.alts = alts
 	if len(alts) == 0 {
 		return statuses[0]
 	}

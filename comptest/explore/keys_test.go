@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -145,7 +146,10 @@ func (c *sampleCopier) RunFinished(*report.Report) {}
 // TestPooledTraceEqualsFresh: a Trace recorded on a pooled stand equals
 // one recorded on a fresh stand, and both equal the outputs as they were
 // during each callback, also after the pooled stand ran another observed
-// script: no kept sample points into the stand's output buffer.
+// script: no kept sample points into the stand's output buffer. A Trace
+// reused for a second run, as the Explorer reuses one per batch slot
+// and one for shrink attempts, equals a fresh one too: nothing of the
+// longer first run is left in it.
 func TestPooledTraceEqualsFresh(t *testing.T) {
 	ctx := context.Background()
 	suite := loadSuite(t, paper.Workbook)
@@ -156,31 +160,47 @@ func TestPooledTraceEqualsFresh(t *testing.T) {
 		}
 		return ex
 	}
-	traced := func(ex *Explorer, sc *script.Script) (*Trace, *sampleCopier) {
-		tr, c := &Trace{}, &sampleCopier{}
+	tracedInto := func(ex *Explorer, sc *script.Script, tr *Trace) *sampleCopier {
+		c := &sampleCopier{}
 		ex.campaign(ctx, []comptest.Unit{ex.unit(sc, stand.MultiObserver(tr, c))})
-		return tr, c
+		return c
 	}
+	traced := func(ex *Explorer, sc *script.Script) (*Trace, *sampleCopier) {
+		tr := &Trace{}
+		return tr, tracedInto(ex, sc, tr)
+	}
+	// Two walks of different lengths, the longer one second.
 	pooled := newExplorer()
 	var walks [2]*script.Script
-	for i := range walks {
+	for walks[1] == nil {
 		sc, err := pooled.scripts.Generate(pooled.gen.Next())
 		if err != nil {
 			t.Fatal(err)
 		}
-		walks[i] = sc
+		switch {
+		case walks[0] == nil:
+			walks[0] = sc
+		case len(sc.Steps) > len(walks[0].Steps):
+			walks[1] = sc
+		case len(sc.Steps) < len(walks[0].Steps):
+			walks[0], walks[1] = sc, walks[0]
+		}
 	}
 
 	traced(pooled, walks[1]) // warm the one pooled stand on another walk
 	trA, copiedA := traced(pooled, walks[0])
 	trB, copiedB := traced(pooled, walks[1])
+	slot := &Trace{}
+	tracedInto(pooled, walks[1], slot)
+	copiedSlot := tracedInto(pooled, walks[0], slot)
 
 	for i, got := range []struct {
+		walk   int
 		tr     *Trace
 		copied *sampleCopier
-	}{{trA, copiedA}, {trB, copiedB}} {
-		want, _ := traced(newExplorer(), walks[i])
-		name := walks[i].Name
+	}{{0, trA, copiedA}, {1, trB, copiedB}, {0, slot, copiedSlot}} {
+		want, _ := traced(newExplorer(), walks[got.walk])
+		name := fmt.Sprintf("%s (trace %d)", walks[got.walk].Name, i)
 		if len(want.Samples) == 0 {
 			t.Fatalf("%s: fresh trace is empty", name)
 		}

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/comptest"
@@ -51,6 +52,9 @@ type pinner struct {
 	tbl     *status.Table
 	scripts *script.Generator // generates against tbl as it grows
 	added   []*status.Status
+	// measures names tbl's measurement statuses in table order;
+	// synthesise appends to it.
+	measures []string
 	// limits memoises each get_u status' limits, evaluated at one
 	// supply voltage.
 	limits map[limitKey]limitVal
@@ -70,8 +74,14 @@ func newPinner(suite *comptest.Suite) (*pinner, error) {
 			return nil, err
 		}
 	}
-	return &pinner{suite: suite, tbl: tbl, scripts: script.NewGenerator(suite.Signals, tbl),
-		limits: map[limitKey]limitVal{}, byLevel: map[string]string{}}, nil
+	p := &pinner{suite: suite, tbl: tbl, scripts: script.NewGenerator(suite.Signals, tbl),
+		limits: map[limitKey]limitVal{}, byLevel: map[string]string{}}
+	for _, name := range tbl.Names() {
+		if st, _ := tbl.Lookup(name); st.Desc.IsMeasure() {
+			p.measures = append(p.measures, name)
+		}
+	}
+	return p, nil
 }
 
 type limitKey struct {
@@ -91,16 +101,26 @@ type limitVal struct {
 // and fails on any mutant that behaves observably differently, which
 // is what makes promoted scenarios useful mutation killers.
 func (p *pinner) pin(tc *testdef.TestCase, tr *Trace) (*Promotion, error) {
-	clone := tc.Clone()
-	seenCol := map[string]bool{}
-	for _, name := range clone.Signals {
-		seenCol[strings.ToLower(name)] = true
+	// The promoted steps' assignments share one array: the walk's own,
+	// then at most one check per output observed at the step's end.
+	n, maxOuts := 0, 0
+	for _, step := range tc.Steps {
+		o := len(tr.StepEnd(step.Index))
+		n, maxOuts = n+len(step.Assign)+o, max(maxOuts, o)
 	}
-	for i := range clone.Steps {
-		outs := tr.StepEnd(clone.Steps[i].Index)
+	slab := make([]testdef.Assignment, 0, n)
+	clone := &testdef.TestCase{
+		Name:    tc.Name,
+		Signals: append(make([]string, 0, len(tc.Signals)+maxOuts), tc.Signals...),
+		Steps:   make([]testdef.Step, len(tc.Steps)),
+	}
+	for i, step := range tc.Steps {
+		outs := tr.StepEnd(step.Index)
 		if outs == nil {
-			return nil, fmt.Errorf("explore: no trace for step %d of %s", clone.Steps[i].Index, tc.Name)
+			return nil, fmt.Errorf("explore: no trace for step %d of %s", step.Index, tc.Name)
 		}
+		from := len(slab)
+		slab = append(slab, step.Assign...)
 		for _, o := range outs {
 			if !o.Valid {
 				continue
@@ -113,13 +133,16 @@ func (p *pinner) pin(tc *testdef.TestCase, tr *Trace) (*Promotion, error) {
 			if err != nil {
 				return nil, err
 			}
-			clone.Steps[i].Assign = append(clone.Steps[i].Assign,
-				testdef.Assignment{Signal: sig.Name, Status: name})
-			if key := strings.ToLower(sig.Name); !seenCol[key] {
-				seenCol[key] = true
+			slab = append(slab, testdef.Assignment{Signal: sig.Name, Status: name})
+			if !slices.ContainsFunc(clone.Signals, func(col string) bool { return strings.EqualFold(col, sig.Name) }) {
 				clone.Signals = append(clone.Signals, sig.Name)
 			}
 		}
+		step.Assign = nil
+		if len(slab) > from {
+			step.Assign = slab[from:len(slab):len(slab)]
+		}
+		clone.Steps[i] = step
 	}
 	sc, err := p.scripts.Generate(clone)
 	if err != nil {
@@ -132,11 +155,8 @@ func (p *pinner) pin(tc *testdef.TestCase, tr *Trace) (*Promotion, error) {
 // the first existing status (table order) whose limits contain it, or
 // a freshly synthesised row.
 func (p *pinner) statusFor(sig *sigdef.Signal, o stand.OutputState, ubatt float64) (string, error) {
-	for _, name := range p.tbl.Names() {
+	for _, name := range p.measures {
 		st, _ := p.tbl.Lookup(name)
-		if !st.Desc.IsMeasure() {
-			continue
-		}
 		if sigdef.CheckAssignment(sig, name, p.tbl) != nil {
 			continue
 		}
@@ -210,6 +230,7 @@ func (p *pinner) synthesise(sig *sigdef.Signal, o stand.OutputState, ubatt float
 		return "", fmt.Errorf("explore: synthesising status for %s: %v", sig.Name, err)
 	}
 	p.added = append(p.added, st)
+	p.measures = append(p.measures, st.Name)
 	p.byLevel[key] = st.Name
 	return st.Name, nil
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/testdef"
 )
@@ -108,7 +109,7 @@ func (e *Explorer) shrink(ctx context.Context, tc *testdef.TestCase, promo *Prom
 // dropStep clones the walk without step i, renumbering 0..n-1.
 func dropStep(tc *testdef.TestCase, i int) *testdef.TestCase {
 	c := tc.Clone()
-	c.Steps = append(c.Steps[:i:i], c.Steps[i+1:]...)
+	c.Steps = slices.Delete(c.Steps, i, i+1)
 	renumber(c)
 	return c
 }
@@ -124,27 +125,26 @@ func withDt(tc *testdef.TestCase, i int, dt float64) *testdef.TestCase {
 // end up with no assignments — they become pure holds.
 func dropAssign(tc *testdef.TestCase, i, j int) *testdef.TestCase {
 	c := tc.Clone()
-	a := c.Steps[i].Assign
-	c.Steps[i].Assign = append(a[:j:j], a[j+1:]...)
+	c.Steps[i].Assign = slices.Delete(c.Steps[i].Assign, j, j+1)
 	renumber(c)
 	return c
 }
 
 // renumber rewrites step indices 0..n-1 and prunes signal columns no
-// assignment references anymore.
+// assignment references anymore. It edits tc's own Steps and Signals,
+// so tc must be a clone.
 func renumber(tc *testdef.TestCase) {
-	used := map[string]bool{}
 	for i := range tc.Steps {
 		tc.Steps[i].Index = i
-		for _, a := range tc.Steps[i].Assign {
-			used[a.Signal] = true
-		}
 	}
-	var cols []string
-	for _, s := range tc.Signals {
-		if used[s] {
-			cols = append(cols, s)
+	tc.Signals = slices.DeleteFunc(tc.Signals, func(col string) bool {
+		for _, step := range tc.Steps {
+			for _, a := range step.Assign {
+				if a.Signal == col {
+					return false
+				}
+			}
 		}
-	}
-	tc.Signals = cols
+		return true
+	})
 }

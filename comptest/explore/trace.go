@@ -20,9 +20,11 @@ type Sample struct {
 
 // Trace records the behavioural trace of one execution through the
 // stand.Observer hook: every periodic output sample plus the settled
-// state at the end of each step. One Trace instance belongs to exactly
-// one campaign unit (stand callbacks are serialised per unit), and is
-// read only after the campaign delivered the unit's result.
+// state at the end of each step. One Trace instance serves one
+// campaign unit at a time (stand callbacks are serialised per unit),
+// and is read only after the campaign delivered the unit's result.
+// RunStarted resets it, so a Trace can record run after run: the
+// Explorer keeps one per batch slot and one for shrink attempts.
 //
 // The stand's outputs slice is valid only during a callback, so the
 // trace copies every sample into a slab it owns. A sample whose levels

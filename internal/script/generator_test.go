@@ -184,3 +184,61 @@ func TestGeneratorErrors(t *testing.T) {
 		t.Errorf("after the init status was added: %+v, %v", sc, err)
 	}
 }
+
+// stepsOf returns a test case of n steps cycling through tc's steps.
+func stepsOf(tc *testdef.TestCase, n int) *testdef.TestCase {
+	out := &testdef.TestCase{Name: tc.Name, Signals: tc.Signals, Steps: make([]testdef.Step, n)}
+	for i := range out.Steps {
+		out.Steps[i] = tc.Steps[i%len(tc.Steps)]
+		out.Steps[i].Index = i
+	}
+	return out
+}
+
+// TestGenerateStepsDoNotAlias: a script's steps share one array and
+// their statement lists another, yet appending to one step's
+// statements leaves every other step, and the next script generated
+// for the same test, as they were.
+func TestGenerateStepsDoNotAlias(t *testing.T) {
+	tc, sigs, tbl := paperParts(t)
+	g := NewGenerator(sigs, tbl)
+	generate := func() *Script {
+		sc, err := g.Generate(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	ref, want := generate(), encoded(t, g, tc)
+	for i := range ref.Steps {
+		sc := generate()
+		sc.Steps[i].Signals = append(sc.Steps[i].Signals, &SignalStmt{Name: "extra"})
+		for j, step := range sc.Steps {
+			if j != i && !slices.Equal(step.Signals, ref.Steps[j].Signals) {
+				t.Fatalf("append to step %d changed step %d", i, j)
+			}
+		}
+	}
+	if got := encoded(t, g, tc); got != want {
+		t.Errorf("append to one script's steps reached the next script:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestGenerateAllocsPerScript: a warmed Generator allocates per script,
+// not per step: a 24-step test costs what a 4-step test does.
+func TestGenerateAllocsPerScript(t *testing.T) {
+	tc, sigs, tbl := paperParts(t)
+	g := NewGenerator(sigs, tbl)
+	short, long := stepsOf(tc, 4), stepsOf(tc, 24)
+	for _, c := range []*testdef.TestCase{short, long} {
+		if _, err := g.Generate(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := testing.AllocsPerRun(50, func() { _, _ = g.Generate(short) })
+	b := testing.AllocsPerRun(50, func() { _, _ = g.Generate(long) })
+	if a != b {
+		t.Errorf("Generate allocates %v for 4 steps, %v for 24 steps", a, b)
+	}
+	t.Logf("Generate: %v allocations per script", a)
+}

@@ -158,8 +158,10 @@ type Header struct {
 // Script is a complete XML test script.
 //
 // A generated script is read-only: scripts from one Generator share
-// their declarations, init block and statements. Copy before editing
-// (Fold does).
+// their declarations, init block and statements, and one script's steps
+// share one backing array, as do their statement lists (each capped at
+// its own length, so an append never reaches the next step). Copy
+// before editing (Fold does).
 type Script struct {
 	XMLName xml.Name      `xml:"testscript"`
 	Name    string        `xml:"name,attr"`
@@ -271,7 +273,8 @@ func NewGenerator(sigs *sigdef.List, tbl *status.Table) *Generator {
 
 // Generate builds the XML script for one test case. Its declarations,
 // init block and statements are shared with the Generator's other
-// scripts (see Script).
+// scripts, and its steps and their statement lists each live in one
+// array of the script's own (see Script).
 func (g *Generator) Generate(tc *testdef.TestCase) (*Script, error) {
 	if err := tc.Validate(g.sigs, g.tbl); err != nil {
 		return nil, fmt.Errorf("script: %v", err)
@@ -281,19 +284,24 @@ func (g *Generator) Generate(tc *testdef.TestCase) (*Script, error) {
 			return nil, err
 		}
 	}
+	// One array holds the script's steps and one its step statements;
+	// each step's statements are capped at their own length.
+	n := 0
+	for _, step := range tc.Steps {
+		n += len(step.Assign)
+	}
+	steps := make([]Step, len(tc.Steps))
+	stmts := make([]*SignalStmt, 0, n)
 	sc := &Script{
 		Name:    tc.Name,
 		Version: Version,
 		Header:  Header{Generator: "comptest"},
 		Decls:   g.decls[:len(g.decls):len(g.decls)],
 		Init:    g.init[:len(g.init):len(g.init)],
-		Steps:   make([]*Step, 0, len(tc.Steps)),
+		Steps:   make([]*Step, len(tc.Steps)),
 	}
-	for _, step := range tc.Steps {
-		out := &Step{Nr: step.Index, Dt: step.Dt, Remark: step.Remark}
-		if len(step.Assign) > 0 {
-			out.Signals = make([]*SignalStmt, 0, len(step.Assign))
-		}
+	for i, step := range tc.Steps {
+		from := len(stmts)
 		for _, a := range step.Assign {
 			sig, _ := g.sigs.Lookup(a.Signal)
 			st, ok := g.tbl.Lookup(a.Status)
@@ -304,9 +312,14 @@ func (g *Generator) Generate(tc *testdef.TestCase) (*Script, error) {
 			if err != nil {
 				return nil, fmt.Errorf("script: step %d: %v", step.Index, err)
 			}
-			out.Signals = append(out.Signals, stmt)
+			stmts = append(stmts, stmt)
 		}
-		sc.Steps = append(sc.Steps, out)
+		out := &steps[i]
+		out.Nr, out.Dt, out.Remark = step.Index, step.Dt, step.Remark
+		if len(stmts) > from {
+			out.Signals = stmts[from:len(stmts):len(stmts)]
+		}
+		sc.Steps[i] = out
 	}
 	return sc, nil
 }
@@ -465,16 +478,24 @@ func Validate(sc *Script, reg *method.Registry) error {
 		}
 	}
 	runTime := 0.0 // step durations plus numeric waits, in seconds
-	check := func(where string, st *SignalStmt) error {
+	// check validates one statement of the init block (step nil) or of
+	// a step; the place is spelled out only in an error.
+	check := func(step *Step, st *SignalStmt) error {
+		where := func() string {
+			if step == nil {
+				return "init"
+			}
+			return "step " + strconv.Itoa(step.Nr)
+		}
 		if sc.Decl(st.Name) == nil {
-			return fmt.Errorf("script %q: %s: undeclared signal %q", sc.Name, where, st.Name)
+			return fmt.Errorf("script %q: %s: undeclared signal %q", sc.Name, where(), st.Name)
 		}
 		d, ok := reg.Lookup(st.Call.Method)
 		if !ok {
-			return fmt.Errorf("script %q: %s: unknown method %q", sc.Name, where, st.Call.Method)
+			return fmt.Errorf("script %q: %s: unknown method %q", sc.Name, where(), st.Call.Method)
 		}
 		if err := d.ValidateAttrs(st.Call.Attrs); err != nil {
-			return fmt.Errorf("script %q: %s: signal %q: %v", sc.Name, where, st.Name, err)
+			return fmt.Errorf("script %q: %s: signal %q: %v", sc.Name, where(), st.Name, err)
 		}
 		// Numeric attributes must at least parse as number or expression.
 		for _, a := range d.Attrs {
@@ -488,20 +509,20 @@ func Validate(sc *Script, reg *method.Registry) error {
 				if d.Kind == method.Control {
 					if !(f >= 0 && f <= math.MaxFloat64) {
 						return fmt.Errorf("script %q: %s: signal %q: attribute %s: %v is negative or not finite",
-							sc.Name, where, st.Name, a.Name, f)
+							sc.Name, where(), st.Name, a.Name, f)
 					}
 					runTime += f
 				}
 				continue
 			}
 			if _, err := expr.Compile(v); err != nil {
-				return fmt.Errorf("script %q: %s: signal %q: attribute %s: %v", sc.Name, where, st.Name, a.Name, err)
+				return fmt.Errorf("script %q: %s: signal %q: attribute %s: %v", sc.Name, where(), st.Name, a.Name, err)
 			}
 		}
 		return nil
 	}
 	for _, st := range sc.Init {
-		if err := check("init", st); err != nil {
+		if err := check(nil, st); err != nil {
 			return err
 		}
 	}
@@ -513,9 +534,8 @@ func Validate(sc *Script, reg *method.Registry) error {
 			return fmt.Errorf("script %q: step %d: non-finite dt %v", sc.Name, step.Nr, step.Dt)
 		}
 		runTime += step.Dt
-		where := "step " + strconv.Itoa(step.Nr)
 		for _, st := range step.Signals {
-			if err := check(where, st); err != nil {
+			if err := check(step, st); err != nil {
 				return err
 			}
 		}

@@ -91,17 +91,30 @@ func (tc *TestCase) ColumnOf(signal string) int {
 
 // Clone returns a copy of the test that shares no slice with it: Name,
 // Signals, and Steps with their own Assign slices, so editing the
-// copy's steps and assignments never reaches tc. The copy is a
+// copy's steps and assignments never reaches tc. The copy's assignments
+// share one backing array, each step's capped at its own length, so an
+// append to one step never reaches the next. The copy is a
 // programmatically built test: it carries no SheetName, HeaderLine or
 // signal columns.
 func (tc *TestCase) Clone() *TestCase {
+	n := 0
+	for _, s := range tc.Steps {
+		n += len(s.Assign)
+	}
+	slab := make([]Assignment, 0, n)
 	c := &TestCase{
 		Name:    tc.Name,
 		Signals: append([]string(nil), tc.Signals...),
 		Steps:   make([]Step, len(tc.Steps)),
 	}
 	for i, s := range tc.Steps {
-		s.Assign = append([]Assignment(nil), s.Assign...)
+		if len(s.Assign) > 0 {
+			from := len(slab)
+			slab = append(slab, s.Assign...)
+			s.Assign = slab[from:len(slab):len(slab)]
+		} else {
+			s.Assign = nil
+		}
 		c.Steps[i] = s
 	}
 	return c

@@ -3,6 +3,7 @@ package testdef
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,5 +276,43 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if c.SheetName != "" || c.HeaderLine != 0 || c.ColumnOf(tc.Signals[0]) != 0 {
 		t.Errorf("clone carries sheet position %q:%d or columns", c.SheetName, c.HeaderLine)
+	}
+}
+
+// TestCloneStepsDoNotAlias: a clone's assignments share one array, yet
+// appending to one step's assignments leaves the clone's other steps
+// and the original as they were.
+func TestCloneStepsDoNotAlias(t *testing.T) {
+	tc := paperCase(t)
+	want := fmt.Sprintf("%+v", *tc)
+	for i := range tc.Steps {
+		c := tc.Clone()
+		c.Steps[i].Assign = append(c.Steps[i].Assign, Assignment{Signal: "x", Status: "y"})
+		for j, step := range c.Steps {
+			if j != i && !slices.Equal(step.Assign, tc.Steps[j].Assign) {
+				t.Fatalf("append to step %d changed step %d: %v, want %v", i, j, step.Assign, tc.Steps[j].Assign)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%+v", *tc); got != want {
+		t.Errorf("appending to a clone changed the original:\nbefore: %s\nafter:  %s", want, got)
+	}
+}
+
+// TestCloneAllocsPerTest: Clone allocates per test, not per step.
+func TestCloneAllocsPerTest(t *testing.T) {
+	tc := paperCase(t)
+	steps := func(n int) *TestCase {
+		c := &TestCase{Name: tc.Name, Signals: tc.Signals, Steps: make([]Step, n)}
+		for i := range c.Steps {
+			c.Steps[i] = tc.Steps[i%len(tc.Steps)]
+		}
+		return c
+	}
+	short, long := steps(4), steps(24)
+	a := testing.AllocsPerRun(50, func() { short.Clone() })
+	b := testing.AllocsPerRun(50, func() { long.Clone() })
+	if a != b {
+		t.Errorf("Clone allocates %v for 4 steps, %v for 24 steps", a, b)
 	}
 }
