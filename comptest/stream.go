@@ -1,17 +1,10 @@
 package comptest
 
 import (
-	"encoding/json"
 	"io"
-	"sync"
 
 	"repro/internal/report"
 )
-
-// linePool recycles the per-result write buffers of every NDJSON sink:
-// campaigns emit one line per unit, and re-allocating line+newline for
-// each would double the encoding garbage of the hot path.
-var linePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // NDJSONSink streams campaign results as newline-delimited JSON: one
 // report.Report object per completed unit (report.EncodeJSON), or one
@@ -19,16 +12,18 @@ var linePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b
 // could not be built. Each result is written with exactly ONE Write
 // call, so an io.Writer that treats call boundaries as line boundaries
 // (e.g. the campaign service's per-job result log) receives whole
-// lines; a plain file or socket simply sees NDJSON. The Runner
-// serialises Emit calls, so the sink needs no locking; wrap it in
-// Ordered to stream in unit order under parallelism.
+// lines; a plain file or socket simply sees NDJSON. The sink holds one
+// report.JSONWriter, whose mirror scratch and encoder every line
+// reuses. The Runner serialises Emit calls, so the sink needs no
+// locking; wrap it in Ordered to stream in unit order under
+// parallelism.
 type NDJSONSink struct {
-	w   io.Writer
+	jw  *report.JSONWriter
 	err error
 }
 
 // NDJSON builds a streaming NDJSON sink over w.
-func NDJSON(w io.Writer) *NDJSONSink { return &NDJSONSink{w: w} }
+func NDJSON(w io.Writer) *NDJSONSink { return &NDJSONSink{jw: report.NewJSONWriter(w)} }
 
 // Emit implements Sink. The first write or encode failure latches into
 // Err; later results are dropped so a broken pipe does not spam. Units
@@ -37,23 +32,15 @@ func (s *NDJSONSink) Emit(r Result) {
 	if s.err != nil {
 		return
 	}
-	var line []byte
 	if r.Err != nil {
 		e := report.ErrorLine{Seq: r.Seq, Stand: r.Unit.Stand, Error: r.Err.Error()}
 		if r.Unit.Script != nil {
 			e.Script = r.Unit.Script.Name
 		}
-		line, s.err = json.Marshal(e)
-	} else {
-		line, s.err = report.EncodeJSON(r.Report)
-	}
-	if s.err != nil {
+		s.err = s.jw.WriteErrorLine(&e)
 		return
 	}
-	buf := linePool.Get().(*[]byte)
-	*buf = append(append((*buf)[:0], line...), '\n')
-	_, s.err = s.w.Write(*buf)
-	linePool.Put(buf)
+	s.err = s.jw.Write(r.Report)
 }
 
 // Err returns the first write or encode failure, or nil.

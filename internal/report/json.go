@@ -13,7 +13,10 @@ import (
 // (comptest serve): one compact object per report, newline-terminated,
 // so a stream of reports is NDJSON. Like the XML writer, mirror types
 // keep the exported structs free of encoding tags; verdicts travel as
-// their String() form so the stream is self-describing.
+// their String() form so the stream is self-describing. A stream
+// writer (JSONWriter, which comptest's NDJSON sink holds) reuses one
+// encoder and one mirror for every line and still makes one Write per
+// line.
 
 type jsonCheck struct {
 	Signal   string `json:"signal"`
@@ -81,29 +84,83 @@ func ParseVerdict(s string) (Verdict, error) {
 // newline). The "passed" field is derived from the verdicts on encode
 // and ignored on decode.
 func EncodeJSON(r *Report) ([]byte, error) {
-	x := jsonReport{Script: r.Script, Stand: r.Stand, DUT: r.DUT,
-		Fatal: r.FatalErr, Passed: r.Passed(), Steps: []jsonStep{}}
-	for _, s := range r.Steps {
-		js := jsonStep{Nr: s.Nr, Dt: s.Dt, Remark: s.Remark, Applied: s.Applied}
-		for _, c := range s.Checks {
-			js.Checks = append(js.Checks, jsonCheck{Signal: c.Signal, Method: c.Method,
-				Expected: c.Expected, Measured: c.Measured,
-				Verdict: c.Verdict.String(), Detail: c.Detail})
-		}
-		x.Steps = append(x.Steps, js)
-	}
-	return json.Marshal(x)
+	var m jsonMirror
+	return json.Marshal(m.fill(r))
 }
 
 // WriteJSON writes the report as one NDJSON line.
 func WriteJSON(w io.Writer, r *Report) error {
-	b, err := EncodeJSON(r)
-	if err != nil {
-		return err
+	return NewJSONWriter(w).Write(r)
+}
+
+// JSONWriter writes reports as NDJSON lines to one writer, reusing its
+// mirror of the report and its encoder from line to line, so a stream
+// of reports costs no per-step or per-check garbage. Each report is
+// written with exactly one Write call: EncodeJSON's bytes plus '\n'.
+// A JSONWriter is not safe for concurrent use.
+type JSONWriter struct {
+	enc *json.Encoder
+	m   jsonMirror
+}
+
+// NewJSONWriter returns a JSONWriter over w.
+func NewJSONWriter(w io.Writer) *JSONWriter {
+	return &JSONWriter{enc: json.NewEncoder(w)}
+}
+
+// Write writes r as one line. A report that cannot be encoded (a
+// non-finite Dt) fails as EncodeJSON does, and nothing is written.
+func (jw *JSONWriter) Write(r *Report) error {
+	return jw.enc.Encode(jw.m.fill(r))
+}
+
+// WriteErrorLine writes e as one line, as json.Marshal renders it.
+func (jw *JSONWriter) WriteErrorLine(e *ErrorLine) error {
+	return jw.enc.Encode(e)
+}
+
+// jsonMirror is the one mapping from a Report to its wire shape. Its
+// step slice and its check slab are reused by the next fill; each step
+// gets a capped window of the slab.
+type jsonMirror struct {
+	x      jsonReport
+	steps  []jsonStep
+	checks []jsonCheck
+}
+
+// fill mirrors r into m and returns the mirror, valid until the next
+// fill.
+func (m *jsonMirror) fill(r *Report) *jsonReport {
+	n := 0
+	for i := range r.Steps {
+		n += len(r.Steps[i].Checks)
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	if m.steps == nil || cap(m.steps) < len(r.Steps) {
+		m.steps = make([]jsonStep, 0, len(r.Steps))
+	}
+	if cap(m.checks) < n {
+		m.checks = make([]jsonCheck, n)
+	}
+	steps, checks := m.steps[:len(r.Steps)], m.checks[:n]
+	off := 0
+	for i := range r.Steps {
+		s := &r.Steps[i]
+		js := jsonStep{Nr: s.Nr, Dt: s.Dt, Remark: s.Remark, Applied: s.Applied}
+		if len(s.Checks) > 0 {
+			js.Checks = checks[off : off+len(s.Checks) : off+len(s.Checks)]
+			for j := range s.Checks {
+				c := &s.Checks[j]
+				js.Checks[j] = jsonCheck{Signal: c.Signal, Method: c.Method,
+					Expected: c.Expected, Measured: c.Measured,
+					Verdict: c.Verdict.String(), Detail: c.Detail}
+			}
+			off += len(s.Checks)
+		}
+		steps[i] = js
+	}
+	m.x = jsonReport{Script: r.Script, Stand: r.Stand, DUT: r.DUT,
+		Fatal: r.FatalErr, Passed: r.Passed(), Steps: steps}
+	return &m.x
 }
 
 // DecodeJSON parses one JSON report line produced by EncodeJSON.

@@ -56,7 +56,11 @@ type Check struct {
 	Detail   string
 }
 
-// StepResult groups the events of one test step.
+// StepResult groups the events of one test step. Checks and Applied
+// are read-only: a stand cuts every step's Checks from one slab per
+// report, and Applied is shared with the stand's routing memo and every
+// other report of the same step, each a capped slice, so an append
+// copies and never reaches another step or report.
 type StepResult struct {
 	Nr     int
 	Dt     float64

@@ -48,6 +48,17 @@ func (s *Sequencer[T]) Add(seq int, v T) (accepted bool, err error) {
 	if s.err != nil {
 		return false, s.err
 	}
+	if seq == s.next {
+		// In order: nothing is pending or skipped at the cursor (every
+		// call ends in a flush), so v goes out without entering pending,
+		// whose values a large T would make the map store indirectly.
+		s.next++
+		if err := s.release(v); err != nil {
+			s.err = err
+			return true, err
+		}
+		return true, s.flush()
+	}
 	if _, dup := s.pending[seq]; dup || seq < s.next {
 		return false, nil
 	}

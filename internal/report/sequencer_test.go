@@ -120,3 +120,26 @@ func FuzzSequencer(f *testing.F) {
 		}
 	})
 }
+
+// TestSequencerInOrderAllocsNothing: a value released in order never
+// enters the pending map, which stores values over 128 bytes — such as
+// comptest.Result — indirectly, one allocation per insert.
+func TestSequencerInOrderAllocsNothing(t *testing.T) {
+	type result [17]uint64 // 136 bytes, the size of comptest.Result
+	released := 0
+	s := NewSequencer(0, func(result) error {
+		released++
+		return nil
+	})
+	seq := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Add(seq, result{})
+		seq++
+	})
+	if allocs != 0 {
+		t.Errorf("in-order Add allocates %v objects per call, want 0", allocs)
+	}
+	if released != seq || s.Pending() != 0 {
+		t.Errorf("released %d of %d (pending %d)", released, seq, s.Pending())
+	}
+}

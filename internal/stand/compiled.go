@@ -40,10 +40,11 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 	if s.dut != nil {
 		rep.DUT = s.dut.Name()
 	}
+	slab := checkSlab(sc.Steps)
 	// Structural validation happened once, in script.Compile.
 	if err := ctx.Err(); err != nil {
 		rep.FatalErr = err.Error()
-		s.skipRemaining(rep, sc.Steps, err)
+		s.skipRemaining(rep, sc.Steps, err, slab)
 		return rep
 	}
 	s.resetRun()
@@ -69,17 +70,32 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 		cs := &c.Steps[i]
 		if err := ctx.Err(); err != nil {
 			rep.FatalErr = err.Error()
-			s.skipRemaining(rep, sc.Steps[i:], err)
+			s.skipRemaining(rep, sc.Steps[i:], err, slab)
 			return rep
 		}
-		res := s.runStep(sc, cs.Step, cs.Stimuli, cs.Measures, cs.ExtraWait)
+		n := len(cs.Step.Signals)
+		res := s.runStep(sc, cs.Step, cs.Stimuli, cs.Measures, cs.ExtraWait, slab[:0:n])
+		slab = slab[n:]
 		rep.Steps = append(rep.Steps, res)
 		if opts.StopOnFail && stepDeviates(&res) {
-			s.skipRemaining(rep, sc.Steps[i+1:], errEarlyStop)
+			s.skipRemaining(rep, sc.Steps[i+1:], errEarlyStop, slab)
 			return rep
 		}
 	}
 	return rep
+}
+
+// checkSlab allocates the checks of a whole run at once. A step reports
+// at most one check per statement — its measurements, or every
+// statement as ERROR when allocation fails, or as SKIP — so each step
+// takes a window of len(step.Signals), capped so that no step can
+// append into the next.
+func checkSlab(steps []*script.Step) []report.Check {
+	n := 0
+	for _, step := range steps {
+		n += len(step.Signals)
+	}
+	return make([]report.Check, n)
 }
 
 // stepDeviates reports whether a step result decides a run as failed.

@@ -165,8 +165,8 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt, plan *alloc.Pl
 		if err != nil {
 			return fail("%v", err)
 		}
-		check.Measured = unit.FormatBits(got, width)
-		check.Expected = unit.FormatBits(want, width)
+		check.Measured = s.bitsText(got, width)
+		check.Expected = s.bitsText(want, width)
 		if got == want {
 			check.Verdict = report.Pass
 		} else {
@@ -238,10 +238,12 @@ func (s *Stand) judgeRange(check report.Check, v float64, st *script.SignalStmt,
 }
 
 // measuredKey identifies one rendered measurement: the value's bits and
-// its unit symbol.
+// its unit symbol for a number, or the payload and its width for a
+// binary literal. Numbers have width 0, so the two never collide.
 type measuredKey struct {
-	bits uint64
-	unit string
+	bits  uint64
+	unit  string
+	width int
 }
 
 // maxMeasured bounds the measured-text intern of one stand; a full
@@ -252,16 +254,30 @@ const maxMeasured = 1 << 10
 // interned per stand: most measurements repeat a few values (0 V, the
 // supply), so each rendering is built once.
 func (s *Stand) measuredText(v float64, unitSym string) string {
-	k := measuredKey{math.Float64bits(v), unitSym}
+	k := measuredKey{bits: math.Float64bits(v), unit: unitSym}
 	if text, ok := s.measured[k]; ok {
 		return text
 	}
+	return s.intern(k, unit.FormatNumber(round6(v))+" "+unitSym)
+}
+
+// bitsText renders a CAN payload of width bits as a binary literal,
+// "0001B", interned with the measured text.
+func (s *Stand) bitsText(v uint64, width int) string {
+	k := measuredKey{bits: v, width: width}
+	if text, ok := s.measured[k]; ok {
+		return text
+	}
+	return s.intern(k, unit.FormatBits(v, width))
+}
+
+// intern stores a rendering in the measured-text intern.
+func (s *Stand) intern(k measuredKey, text string) string {
 	if s.measured == nil {
 		s.measured = make(map[measuredKey]string)
 	} else if len(s.measured) >= maxMeasured {
 		clear(s.measured)
 	}
-	text := unit.FormatNumber(round6(v)) + " " + unitSym
 	s.measured[k] = text
 	return text
 }

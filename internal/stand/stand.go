@@ -92,7 +92,7 @@ type Stand struct {
 	// samplers lists the timing samplers armed for the current step
 	// (see measure.go); each instrument keeps its own across steps.
 	samplers []*sampler
-	// measured interns rendered measurement text (see judgeRange).
+	// measured interns rendered measurement text (see measuredText).
 	measured map[measuredKey]string
 	// runStart is when the current run started: observer times are
 	// relative to it, so a pooled stand reports what a fresh one does.
@@ -360,11 +360,12 @@ func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Repor
 }
 
 // skipRemaining records the unexecuted steps of an aborted run as SKIP
-// verdicts.
-func (s *Stand) skipRemaining(rep *report.Report, steps []*script.Step, cause error) {
+// verdicts, in the run's check slab from the window of steps[0] on.
+func (s *Stand) skipRemaining(rep *report.Report, steps []*script.Step, cause error, slab []report.Check) {
 	for _, step := range steps {
-		res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark,
-			Checks: make([]report.Check, 0, len(step.Signals))}
+		n := len(step.Signals)
+		res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark, Checks: slab[:0:n]}
+		slab = slab[n:]
 		for _, st := range step.Signals {
 			res.Checks = append(res.Checks, report.Check{
 				Signal: st.Name, Method: st.Call.Method,
@@ -417,11 +418,11 @@ func (s *Stand) resetRun() {
 }
 
 // runStep executes one classified step: apply stimuli, advance dt plus
-// the control statements' extra wait, measure.
+// the control statements' extra wait, measure. The step's checks go
+// into checks, its window of the run's slab (see checkSlab).
 func (s *Stand) runStep(sc *script.Script, step *script.Step,
-	stimuli, measures []*script.SignalStmt, extraWait float64) report.StepResult {
-	res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark,
-		Checks: make([]report.Check, 0, len(step.Signals))}
+	stimuli, measures []*script.SignalStmt, extraWait float64, checks []report.Check) report.StepResult {
+	res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark, Checks: checks}
 
 	plan, allocErr := s.applyStep(sc, stimuli, measures, &res, step)
 
@@ -458,19 +459,23 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 }
 
 // stepPlan is the routing outcome of one step's allocator input on a
-// profile: the plan, the switch closures and the report's Applied line
-// per assignment ("" = none), or the allocation failure. It is a pure
-// function of that input — the profile's catalog, matrix and variables
+// profile: the plan, the switch closures and the report's Applied
+// lines, or the allocation failure. It is a pure function of that
+// input — the profile's catalog, matrix and variables
 // are fixed — so every script reaching the same input, on any instance,
 // shares one entry. Immutable once stored in Profile.plans, where it
 // lives as long as the process: it holds slices, not maps, so the memo
 // stays small for the garbage collector to scan.
 type stepPlan struct {
-	err     *allocError // non-nil: the allocator failed, and nothing else is set
-	plan    *alloc.Plan
-	want    []string // element names of the switches to close
-	applied []string
-	lines   int // non-empty entries of applied
+	err  *allocError // non-nil: the allocator failed, and nothing else is set
+	plan *alloc.Plan
+	want []string // element names of the switches to close
+	// lines holds the Applied line of every assignment that has one
+	// (viaOf, read before the stored plan drops its requests), in
+	// assignment order; hasLine marks those assignments. Every report of
+	// the step shares lines, each holding a capped prefix.
+	lines   []string
+	hasLine []bool
 }
 
 // routedStep binds a shared stepPlan to one script's statements: for
@@ -493,7 +498,10 @@ type routedAsg struct {
 }
 
 // replayStep programs a routed step: switches, instruments, Applied
-// lines and held-state updates, in assignment order.
+// lines and held-state updates, in assignment order. res.Applied is a
+// capped prefix of the plan's lines, those of the assignments
+// programmed, so it costs no allocation and no report can append into
+// another's.
 func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, error) {
 	sp := rs.plan
 	if sp.err != nil {
@@ -509,21 +517,26 @@ func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, 
 			inst.pwm.Stop()
 		}
 	}
+	k := 0 // lines of the assignments programmed so far
+	var err error
 	for i := range rs.asg {
 		ra := &rs.asg[i]
 		a := &sp.plan.Assignments[i]
-		if err := s.programState(a, ra.st, ra.decl); err != nil {
-			return nil, err
+		if err = s.programState(a, ra.st, ra.decl); err != nil {
+			break
 		}
-		if line := sp.applied[i]; line != "" && res != nil {
-			if res.Applied == nil {
-				res.Applied = make([]string, 0, sp.lines)
-			}
-			res.Applied = append(res.Applied, line)
+		if sp.hasLine[i] {
+			k++
 		}
 		if ra.stimulus {
 			s.held[ra.key] = heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(a.Resource)}
 		}
+	}
+	if res != nil && k > 0 {
+		res.Applied = sp.lines[:k:k]
+	}
+	if err != nil {
+		return nil, err
 	}
 	return sp.plan, nil
 }
@@ -647,19 +660,23 @@ func (s *Stand) allocate(order []string, decls []*script.SignalDecl) *stepPlan {
 	if err != nil {
 		return &stepPlan{err: &allocError{err: err, text: err.Error()}}
 	}
-	n := 0
+	n, lines := 0, 0
 	for i := range plan.Assignments {
 		n += len(plan.Assignments[i].Entries)
+		if viaOf(&plan.Assignments[i]) != "" {
+			lines++
+		}
 	}
-	sp := &stepPlan{plan: plan, want: make([]string, 0, n), applied: make([]string, len(plan.Assignments))}
+	sp := &stepPlan{plan: plan, want: make([]string, 0, n), lines: make([]string, 0, lines),
+		hasLine: make([]bool, len(plan.Assignments))}
 	for i := range plan.Assignments {
 		a := &plan.Assignments[i]
 		for _, e := range a.Entries {
 			sp.want = append(sp.want, e.Elem.Name)
 		}
 		if via := viaOf(a); via != "" {
-			sp.applied[i] = appliedLine(s.merged[order[i]], via)
-			sp.lines++
+			sp.lines = append(sp.lines, appliedLine(s.merged[order[i]], via))
+			sp.hasLine[i] = true
 		}
 		// Replay and measurement read only the signal of a request, so
 		// the stored plan drops its attributes and pins: the entry then

@@ -279,19 +279,19 @@ func ParseBits(s string) (value uint64, width int, err error) {
 }
 
 // FormatBits renders a value as the paper's binary literal notation with
-// the given width (e.g. FormatBits(1, 4) == "0001B").
+// the given width (e.g. FormatBits(1, 4) == "0001B"). Up to 64 bits it
+// renders in a stack buffer: the string is the only allocation.
 func FormatBits(value uint64, width int) string {
 	if width <= 0 {
 		width = 1
 	}
-	var b strings.Builder
-	for i := width - 1; i >= 0; i-- {
-		if value>>(uint(i))&1 == 1 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+	var buf [65]byte
+	b := buf[:0]
+	if width >= len(buf) {
+		b = make([]byte, 0, width+1)
 	}
-	b.WriteByte('B')
-	return b.String()
+	for i := width - 1; i >= 0; i-- {
+		b = append(b, '0'+byte(value>>uint(i)&1))
+	}
+	return string(append(b, 'B'))
 }

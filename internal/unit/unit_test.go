@@ -279,6 +279,8 @@ func TestParseBitsRejects(t *testing.T) {
 	}
 }
 
+var bitsSink string
+
 func TestFormatBits(t *testing.T) {
 	if got := FormatBits(1, 4); got != "0001B" {
 		t.Errorf("FormatBits(1,4) = %q", got)
@@ -288,6 +290,16 @@ func TestFormatBits(t *testing.T) {
 	}
 	if got := FormatBits(0, 0); got != "0B" {
 		t.Errorf("FormatBits(0,0) = %q", got)
+	}
+	// 64 bits fill the stack buffer; wider literals pad with zeros.
+	if got, want := FormatBits(^uint64(0), 64), strings.Repeat("1", 64)+"B"; got != want {
+		t.Errorf("FormatBits(max,64) = %q", got)
+	}
+	if got, want := FormatBits(^uint64(0), 70), "000000"+strings.Repeat("1", 64)+"B"; got != want {
+		t.Errorf("FormatBits(max,70) = %q", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { bitsSink = FormatBits(5, 8) }); got != 1 {
+		t.Errorf("FormatBits allocates %v times, want 1 (the string)", got)
 	}
 }
 
