@@ -55,8 +55,8 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 		defer func() { s.obs.RunFinished(rep) }()
 	}
 
-	if len(sc.Init) > 0 {
-		if _, err := s.applyStep(sc, sc.Init, nil, nil, sc); err != nil {
+	if len(c.Init) > 0 {
+		if _, err := s.applyStep(c.Init, nil, nil); err != nil {
 			rep.FatalErr = fmt.Sprintf("init: %v", err)
 			return rep
 		}
@@ -74,7 +74,7 @@ func (s *Stand) RunCompiled(ctx context.Context, c *script.Compiled, opts RunOpt
 			return rep
 		}
 		n := len(cs.Step.Signals)
-		res := s.runStep(sc, cs.Step, cs.Stimuli, cs.Measures, cs.ExtraWait, slab[:0:n])
+		res := s.runStep(cs, slab[:0:n])
 		slab = slab[n:]
 		rep.Steps = append(rep.Steps, res)
 		if opts.StopOnFail && stepDeviates(&res) {

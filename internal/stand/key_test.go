@@ -8,7 +8,7 @@ import (
 	"repro/internal/script"
 )
 
-// keyTuple is one allocation request as appendReqKey sees it.
+// keyTuple is one allocation request as a plan key encodes it.
 type keyTuple struct {
 	name, method       string
 	attrs              map[string]string
@@ -20,7 +20,8 @@ type keyTuple struct {
 func (k keyTuple) encode() []byte {
 	st := &script.SignalStmt{Name: k.name, Call: script.MethodCall{Method: k.method, Attrs: k.attrs}}
 	decl := &script.SignalDecl{Name: k.name, Class: k.class, Pin: k.pin, PinRet: k.pinRet}
-	return appendReqKey(nil, st, decl, k.prefer, k.preferred)
+	stmt := script.Stmt{SignalStmt: st, Decl: decl, Content: script.AppendContent(nil, st, decl)}
+	return stmt.AppendKey(nil, k.prefer, k.preferred)
 }
 
 // equal is field equality; an absent preference carries no resource.
@@ -30,9 +31,11 @@ func (k keyTuple) equal(o keyTuple) bool {
 		k.preferred == o.preferred && (!k.preferred || k.prefer == o.prefer)
 }
 
-// FuzzStepKey checks that two requests encode equal exactly when their
-// fields are equal, and that a request encodes the same whatever order
-// its attribute map was built in. Each tuple is name, method, two
+// FuzzStepKey checks, on the request a stand appends to a plan key (a
+// statement's Content and its preference), that two requests encode
+// equal exactly when their fields are equal, and that a request encodes
+// the same whatever order its attribute map was built in. Each tuple is
+// name, method, two
 // attribute pairs (a repeated name keeps the second value), class, pin,
 // return pin, preference and whether there is one. The seed corpus in
 // testdata/fuzz/FuzzStepKey holds near-collisions: a byte moved across a

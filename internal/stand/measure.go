@@ -62,12 +62,13 @@ func (sm *sampler) sample() {
 // now, and lists them in s.samplers, replacing the previous step's
 // list. Most steps have none. A nil plan (the step did not allocate)
 // arms nothing.
-func (s *Stand) startSamplers(measures []*script.SignalStmt, plan *alloc.Plan) {
+func (s *Stand) startSamplers(measures []script.Stmt, plan *alloc.Plan) {
 	s.samplers = s.samplers[:0]
 	if plan == nil {
 		return
 	}
-	for _, st := range measures {
+	for i := range measures {
+		st := &measures[i]
 		if st.Call.Method != "get_t" && st.Call.Method != "get_f" {
 			continue
 		}
@@ -110,11 +111,11 @@ func (s *Stand) armedSampler(a *alloc.Assignment) *sampler {
 }
 
 // measure evaluates one measurement statement at the end of a step.
-func (s *Stand) measure(sc *script.Script, st *script.SignalStmt, plan *alloc.Plan) report.Check {
+func (s *Stand) measure(st *script.Stmt, plan *alloc.Plan) report.Check {
 	check := report.Check{
 		Signal:   st.Name,
 		Method:   st.Call.Method,
-		Expected: s.expectation(st),
+		Expected: s.expectation(st.SignalStmt),
 		Measured: "-",
 	}
 	fail := func(format string, args ...any) report.Check {
@@ -149,15 +150,11 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt, plan *alloc.Pl
 		return s.judgeRange(check, r, st, "r", unit.Ohm.String())
 
 	case "get_can":
-		decl := sc.Decl(st.Name)
-		if decl == nil {
-			return fail("undeclared signal")
-		}
-		order, err := canbus.ParseByteOrder(decl.ByteOrder)
+		order, err := canbus.ParseByteOrder(st.Decl.ByteOrder)
 		if err != nil {
 			return fail("%v", err)
 		}
-		got, err := s.monitor.SignalOrder(order, s.db, decl.Message, decl.StartBit, decl.Length)
+		got, err := s.monitor.SignalOrder(order, s.db, st.Decl.Message, st.Decl.StartBit, st.Decl.Length)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -210,14 +207,14 @@ func (s *Stand) measure(sc *script.Script, st *script.SignalStmt, plan *alloc.Pl
 }
 
 // judgeRange compares a measured value against <attr>_min/<attr>_max.
-func (s *Stand) judgeRange(check report.Check, v float64, st *script.SignalStmt, attr, unitSym string) report.Check {
-	lo, err := s.evalAttr(st.Call.Attrs[attr+"_min"])
+func (s *Stand) judgeRange(check report.Check, v float64, st *script.Stmt, attr, unitSym string) report.Check {
+	lo, err := s.prof.evalAttr(st.Call.Attrs[attr+"_min"])
 	if err != nil {
 		check.Verdict = report.Error
 		check.Detail = fmt.Sprintf("%s_min: %v", attr, err)
 		return check
 	}
-	hi, err := s.evalAttr(st.Call.Attrs[attr+"_max"])
+	hi, err := s.prof.evalAttr(st.Call.Attrs[attr+"_max"])
 	if err != nil {
 		check.Verdict = report.Error
 		check.Detail = fmt.Sprintf("%s_max: %v", attr, err)

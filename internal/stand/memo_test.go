@@ -219,14 +219,18 @@ func TestProfileSharedAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestRepeatedStepAllocs: replaying a routed step — switches,
-// instruments and the held state — allocates nothing.
+// TestRepeatedStepAllocs: repeating a routed step — the merge, the
+// plan key and its lookup, switches, instruments and the held state —
+// allocates nothing.
 func TestRepeatedStepAllocs(t *testing.T) {
 	s := paperStand(t)
-	sc := paperScript(t)
+	c, err := script.Compile(paperScript(t), s.prof.reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.resetRun()
 	step := func() {
-		if _, err := s.applyStep(sc, sc.Init, nil, nil, sc); err != nil {
+		if _, err := s.applyStep(c.Init, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Deliver the CAN frames the step transmitted, as a running step

@@ -33,12 +33,13 @@ type Profile struct {
 	attrErrs map[string]error
 
 	// expect maps a statement's method and sorted attributes (see
-	// appendAttrs) to its rendered expected value.
+	// script.AppendCallKey) to its rendered expected value.
 	expectMu sync.RWMutex
 	expect   map[string]string
 
 	// plans maps the encoded allocator input of a step (see
-	// appendReqKey) to its immutable routing outcome, failures included.
+	// script.Stmt.AppendKey) to its immutable routing outcome, failures
+	// included.
 	// planMu is never held across Allocate: the allocator's Eval takes
 	// attrMu.
 	planMu sync.RWMutex

@@ -80,6 +80,36 @@ func TestReportChecksDoNotAlias(t *testing.T) {
 	}
 }
 
+// storedLines routes c's steps on s in order, as a run does but without
+// running them, and returns a copy of each step's Applied lines as
+// stored in the profile's plan memo. Every step must already be there.
+func storedLines(t *testing.T, s *Stand, c *script.Compiled) [][]string {
+	t.Helper()
+	before := s.prof.Allocations()
+	s.resetRun()
+	if len(c.Init) > 0 {
+		if _, err := s.applyStep(c.Init, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lines [][]string
+	for i := range c.Steps {
+		sp, err := s.route(c.Steps[i].Stimuli, c.Steps[i].Measures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored := s.prof.plan(s.stepKey); stored != sp {
+			t.Fatalf("%s step %d: routed plan %p is not the stored %p", c.Script.Name, i, sp, stored)
+		}
+		lines = append(lines, slices.Clone(sp.lines))
+		s.replayStep(sp, nil) // a failing step holds what a run holds
+	}
+	if got := s.prof.Allocations(); got != before {
+		t.Fatalf("%s: %d steps were not in the plan memo", c.Script.Name, got-before)
+	}
+	return lines
+}
+
 // TestAppliedCapped: a report's Applied is a capped prefix of its
 // routed plan's lines, shared by every run, so appending to one report's
 // lines changes neither another run's report nor the plan. The script
@@ -102,10 +132,11 @@ func TestAppliedCapped(t *testing.T) {
 		second := s.RunContext(context.Background(), sc)
 		s.AlignForReuse()
 		want := encode(t, second)
-		var memo [][]string
-		for _, step := range sc.Steps {
-			memo = append(memo, slices.Clone(s.routes[step].plan.lines))
+		c, err := script.Compile(sc, reg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		memo := storedLines(t, s, c)
 		applied := 0
 		for i := range first.Steps {
 			if len(first.Steps[i].Applied) == 0 {
@@ -127,8 +158,8 @@ func TestAppliedCapped(t *testing.T) {
 		if got := encode(t, second); !bytes.Equal(got, want) {
 			t.Errorf("%s: appending to the first run's Applied changed the second's:\n got %s\nwant %s", sc.Name, got, want)
 		}
-		for i, step := range sc.Steps {
-			if got := s.routes[step].plan.lines; !slices.Equal(got, memo[i]) {
+		for i, got := range storedLines(t, s, c) {
+			if !slices.Equal(got, memo[i]) {
 				t.Errorf("%s step %d: appending to Applied changed the plan's lines to %q, want %q", sc.Name, i, got, memo[i])
 			}
 		}

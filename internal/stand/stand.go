@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -98,24 +97,18 @@ type Stand struct {
 	// relative to it, so a pooled stand reports what a fresh one does.
 	runStart time.Duration
 
-	// held maps lower signal name → persistent stimulus state.
-	held map[string]heldStimulus
+	// held lists the persistent stimuli, sorted by key, each with the
+	// resource serving it ("" for disconnect/CAN).
+	held []demand
 
-	// Per-call scratch of route, allocate and expectation, cleared on
-	// entry; nothing derived from it outlives the call.
-	merged       map[string]*script.SignalStmt
-	order        []string
-	stimulusKeys map[string]bool
-	prefer       map[string]string
-	decls        []*script.SignalDecl
-	reqs         []alloc.Request
-	stepKey      []byte
-	expectKey    []byte
-
-	// routes binds a step (its *script.Step, or the *script.Script for
-	// the init block) to its profile's plan and its own statements, so a
-	// pooled stand re-running a script skips the merge and the key.
-	routes map[any]routedStep
+	// Scratch of one applyStep and of expectation, overwritten by the
+	// next call: asg is the step's demand in request order, which
+	// replayStep programs.
+	asg       []demand
+	prefer    map[string]string
+	reqs      []alloc.Request
+	stepKey   []byte
+	expectKey []byte
 
 	// ff enables the quiescence fast-forward (see advanceTo); tests
 	// disable it to compare against ground-truth tick-by-tick execution.
@@ -123,12 +116,6 @@ type Stand struct {
 
 	// Solves counts network solves (benchmarking/EXPERIMENTS).
 	Solves uint64
-}
-
-type heldStimulus struct {
-	stmt *script.SignalStmt
-	decl *script.SignalDecl
-	res  string // resource id currently serving it ("" for disconnect/CAN)
 }
 
 // instrument is the electrical realisation of a catalog resource.
@@ -218,18 +205,14 @@ func New(cfg Config, reg *method.Registry) (*Stand, error) {
 func (p *Profile) New() *Stand {
 	cfg := p.cfg
 	s := &Stand{
-		prof:         p,
-		sched:        &event.Scheduler{},
-		net:          analog.NewNetwork(),
-		db:           canbus.NewDB(),
-		instruments:  map[*resource.Resource]*instrument{},
-		switches:     map[string]*analog.Switch{},
-		held:         map[string]heldStimulus{},
-		merged:       map[string]*script.SignalStmt{},
-		stimulusKeys: map[string]bool{},
-		prefer:       map[string]string{},
-		routes:       map[any]routedStep{},
-		ff:           true,
+		prof:        p,
+		sched:       &event.Scheduler{},
+		net:         analog.NewNetwork(),
+		db:          canbus.NewDB(),
+		instruments: map[*resource.Resource]*instrument{},
+		switches:    map[string]*analog.Switch{},
+		prefer:      map[string]string{},
+		ff:          true,
 	}
 	s.bus = canbus.NewBus(s.sched)
 	s.monitor = canbus.NewMonitor()
@@ -364,17 +347,23 @@ func (s *Stand) RunContext(ctx context.Context, sc *script.Script) *report.Repor
 func (s *Stand) skipRemaining(rep *report.Report, steps []*script.Step, cause error, slab []report.Check) {
 	for _, step := range steps {
 		n := len(step.Signals)
-		res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark, Checks: slab[:0:n]}
+		rep.Steps = append(rep.Steps, report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark,
+			Checks: s.unmeasured(slab[:0:n], step, report.Skip, cause)})
 		slab = slab[n:]
-		for _, st := range step.Signals {
-			res.Checks = append(res.Checks, report.Check{
-				Signal: st.Name, Method: st.Call.Method,
-				Expected: s.expectation(st), Measured: "-",
-				Verdict: report.Skip, Detail: cause.Error(),
-			})
-		}
-		rep.Steps = append(rep.Steps, res)
 	}
+}
+
+// unmeasured appends a check of verdict v for every statement of step,
+// none of them measured, with the cause as detail.
+func (s *Stand) unmeasured(checks []report.Check, step *script.Step, v report.Verdict, cause error) []report.Check {
+	for _, st := range step.Signals {
+		checks = append(checks, report.Check{
+			Signal: st.Name, Method: st.Call.Method,
+			Expected: s.expectation(st), Measured: "-",
+			Verdict: v, Detail: cause.Error(),
+		})
+	}
+	return checks
 }
 
 // resetRun restores power-on state between script executions.
@@ -400,6 +389,7 @@ func (s *Stand) resetRun() {
 		}
 	}
 	clear(s.held)
+	s.held = s.held[:0]
 	// Reset the DUT BEFORE silencing the bus: a model's Reset may
 	// announce state changes (a locked DUT resetting to unlocked
 	// transmits the new status), and those frames belong to the old
@@ -417,20 +407,20 @@ func (s *Stand) resetRun() {
 	s.bus.Purge()
 }
 
-// runStep executes one classified step: apply stimuli, advance dt plus
+// runStep executes one compiled step: apply stimuli, advance dt plus
 // the control statements' extra wait, measure. The step's checks go
 // into checks, its window of the run's slab (see checkSlab).
-func (s *Stand) runStep(sc *script.Script, step *script.Step,
-	stimuli, measures []*script.SignalStmt, extraWait float64, checks []report.Check) report.StepResult {
+func (s *Stand) runStep(cs *script.CompiledStep, checks []report.Check) report.StepResult {
+	step := cs.Step
 	res := report.StepResult{Nr: step.Nr, Dt: step.Dt, Remark: step.Remark, Checks: checks}
 
-	plan, allocErr := s.applyStep(sc, stimuli, measures, &res, step)
+	plan, allocErr := s.applyStep(cs.Stimuli, cs.Measures, &res)
 
 	// Timing measurements sample during the step.
-	s.startSamplers(measures, plan)
+	s.startSamplers(cs.Measures, plan)
 
 	s.startTrace(step)
-	dt := step.Dt + extraWait
+	dt := step.Dt + cs.ExtraWait
 	s.advanceTo(s.sched.Now()+time.Duration(dt*float64(time.Second)), len(s.samplers) == 0)
 	s.stopTrace()
 
@@ -442,18 +432,12 @@ func (s *Stand) runStep(sc *script.Script, step *script.Step,
 	if allocErr != nil {
 		// The paper's error path: every statement of the step becomes an
 		// ERROR verdict, execution continues.
-		for _, st := range step.Signals {
-			res.Checks = append(res.Checks, report.Check{
-				Signal: st.Name, Method: st.Call.Method,
-				Expected: s.expectation(st), Measured: "-",
-				Verdict: report.Error, Detail: allocErr.Error(),
-			})
-		}
+		res.Checks = s.unmeasured(res.Checks, step, report.Error, allocErr)
 		return res
 	}
 
-	for _, st := range measures {
-		res.Checks = append(res.Checks, s.measure(sc, st, plan))
+	for i := range cs.Measures {
+		res.Checks = append(res.Checks, s.measure(&cs.Measures[i], plan))
 	}
 	return res
 }
@@ -478,32 +462,82 @@ type stepPlan struct {
 	hasLine []bool
 }
 
-// routedStep binds a shared stepPlan to one script's statements: for
-// assignment i, the statement and declaration that program the
-// instrument, the signal's held-state key and whether it is a stimulus.
-// Valid because a run always starts from resetRun and executes its steps
-// in order, so the held state — and with it the allocator's input — at
-// any given step is identical on every run of the same script on the
-// same stand.
-type routedStep struct {
-	plan *stepPlan
-	asg  []routedAsg
-}
-
-type routedAsg struct {
-	st       *script.SignalStmt
-	decl     *script.SignalDecl
-	key      string // lower signal name
+// demand is one request of a step: the statement that programs its
+// instrument, the resource a held stimulus is served by (which the
+// allocator prefers) and whether it is a stimulus, held after the step.
+type demand struct {
+	st       *script.Stmt
+	res      string
 	stimulus bool
 }
 
+// applyStep allocates the step's complete demand — the held persistent
+// stimuli, the step's new stimuli and its measurements — and programs
+// the instruments. Preferences keep held signals on their resources;
+// measurement assignments are transient, stimulus assignments are held.
+func (s *Stand) applyStep(stimuli, measures []script.Stmt, res *report.StepResult) (*alloc.Plan, error) {
+	sp, err := s.route(stimuli, measures)
+	if err != nil {
+		return nil, err
+	}
+	return s.replayStep(sp, res)
+}
+
+// route merges the step's demand into s.asg in request order (held by
+// key, new stimuli, measures) and returns the stepPlan of its allocator
+// input, calling the allocator only on the profile's first sight of it.
+// A new stimulus replaces a held or earlier one of its signal in place;
+// a signal measured twice is requested twice, as its last statement.
+func (s *Stand) route(stimuli, measures []script.Stmt) (*stepPlan, error) {
+	asg := append(s.asg[:0], s.held...)
+stimuli:
+	for i := range stimuli {
+		st := &stimuli[i]
+		for j := range asg {
+			if asg[j].st.Key == st.Key {
+				asg[j].st = st
+				continue stimuli
+			}
+		}
+		asg = append(asg, demand{st: st, stimulus: true})
+	}
+	for i := range measures {
+		st := &measures[i]
+		for j := range asg {
+			if asg[j].st.Key != st.Key {
+				continue
+			}
+			if asg[j].stimulus {
+				return nil, fmt.Errorf("signal %q is both stimulated and measured in one step", st.Name)
+			}
+			asg[j].st = st
+		}
+		asg = append(asg, demand{st: st})
+	}
+	s.asg = asg
+
+	// Encode the allocator's whole input in request order.
+	k := s.stepKey[:0]
+	for i := range asg {
+		k = asg[i].st.AppendKey(k, asg[i].res, asg[i].res != "")
+	}
+	s.stepKey = k
+
+	sp := s.prof.plan(k)
+	if sp == nil {
+		sp = s.prof.storePlan(k, s.allocate())
+	}
+	return sp, nil
+}
+
 // replayStep programs a routed step: switches, instruments, Applied
-// lines and held-state updates, in assignment order. res.Applied is a
-// capped prefix of the plan's lines, those of the assignments
-// programmed, so it costs no allocation and no report can append into
-// another's.
-func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, error) {
-	sp := rs.plan
+// lines and held-state updates, in assignment order. The allocator
+// answers in request order (alloc's order contract), so assignment i
+// belongs to s.asg[i], whose first len(s.held) requests are the held
+// stimuli in held order. res.Applied is a capped prefix of the plan's
+// lines, those of the assignments programmed, so it costs no allocation
+// and no report can append into another's.
+func (s *Stand) replayStep(sp *stepPlan, res *report.StepResult) (*alloc.Plan, error) {
 	if sp.err != nil {
 		return nil, sp.err
 	}
@@ -518,19 +552,29 @@ func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, 
 		}
 	}
 	k := 0 // lines of the assignments programmed so far
+	held := len(s.held)
 	var err error
-	for i := range rs.asg {
-		ra := &rs.asg[i]
+	for i := range s.asg {
+		ra := &s.asg[i]
 		a := &sp.plan.Assignments[i]
-		if err = s.programState(a, ra.st, ra.decl); err != nil {
+		if err = s.programState(a, ra.st); err != nil {
 			break
 		}
 		if sp.hasLine[i] {
 			k++
 		}
-		if ra.stimulus {
-			s.held[ra.key] = heldStimulus{stmt: ra.st, decl: ra.decl, res: resID(a.Resource)}
+		if !ra.stimulus {
+			continue
 		}
+		h := demand{st: ra.st, res: resID(a.Resource), stimulus: true}
+		if i < held {
+			s.held[i] = h
+			continue
+		}
+		j, _ := slices.BinarySearchFunc(s.held, h.st.Key, func(h demand, key string) int {
+			return strings.Compare(h.st.Key, key)
+		})
+		s.held = slices.Insert(s.held, j, h)
 	}
 	if res != nil && k > 0 {
 		res.Applied = sp.lines[:k:k]
@@ -541,117 +585,18 @@ func (s *Stand) replayStep(rs routedStep, res *report.StepResult) (*alloc.Plan, 
 	return sp.plan, nil
 }
 
-// applyStep allocates the step's complete demand — the held persistent
-// stimuli, the step's new stimuli and the step's measurements — and
-// programs the instruments. Preferences keep unchanged signals on their
-// previous resources. Measurement assignments are transient; stimulus
-// assignments update the held state.
-//
-// ckey, when non-nil, identifies the step (its *script.Step, or the
-// *script.Script for the init block) for the routes binding: the first
-// execution routes and binds, repeats replay. A step whose routing
-// fails validation is never bound; one the allocator cannot serve is,
-// and replays its failure.
-func (s *Stand) applyStep(sc *script.Script, stimuli, measures []*script.SignalStmt, res *report.StepResult, ckey any) (*alloc.Plan, error) {
-	rs, bound := s.routes[ckey]
-	if !bound {
-		var err error
-		if rs, err = s.route(sc, stimuli, measures); err != nil {
-			return nil, err
-		}
-	}
-	plan, err := s.replayStep(rs, res)
-	if !bound && ckey != nil {
-		// Pointer-keyed, so every binding retains its script: a
-		// workbook binds a few dozen steps, and one-shot scripts
-		// (script mutants, explore's walks) must not pile up.
-		if len(s.routes) >= 1<<8 {
-			clear(s.routes)
-		}
-		s.routes[ckey] = rs
-	}
-	return plan, err
-}
-
-// route merges the step's demand, validates it and binds it to the
-// stepPlan for its allocator input, calling the allocator only when no
-// instance of the profile has routed that input before. New stimuli
-// override held ones per signal.
-func (s *Stand) route(sc *script.Script, stimuli, measures []*script.SignalStmt) (routedStep, error) {
-	merged, stimulusKeys, prefer := s.merged, s.stimulusKeys, s.prefer
-	clear(merged)
-	clear(stimulusKeys)
-	clear(prefer)
-	order := s.order[:0]
-	for key, h := range s.held {
-		merged[key] = h.stmt
-		order = append(order, key)
-	}
-	sort.Strings(order) // deterministic carryover order
-	for _, st := range stimuli {
-		key := strings.ToLower(st.Name)
-		if _, seen := merged[key]; !seen {
-			order = append(order, key)
-		}
-		merged[key] = st
-	}
-	for _, key := range order {
-		stimulusKeys[key] = true
-	}
-	for _, st := range measures {
-		key := strings.ToLower(st.Name)
-		if stimulusKeys[key] {
-			return routedStep{}, fmt.Errorf("signal %q is both stimulated and measured in one step", st.Name)
-		}
-		merged[key] = st
-		order = append(order, key)
-	}
-	s.order = order
-
-	// Validate, and encode the allocator's whole input in request order.
-	decls, k := s.decls[:0], s.stepKey[:0]
-	for _, key := range order {
-		st := merged[key]
-		decl := sc.Decl(st.Name)
-		if decl == nil {
-			return routedStep{}, fmt.Errorf("undeclared signal %q", st.Name)
-		}
-		if _, ok := s.prof.reg.Lookup(st.Call.Method); !ok {
-			return routedStep{}, fmt.Errorf("unknown method %q", st.Call.Method)
-		}
-		h, held := s.held[key]
-		held = held && h.res != ""
-		if held {
-			prefer[key] = h.res
-		}
-		k = appendReqKey(k, st, decl, h.res, held)
-		decls = append(decls, decl)
-	}
-	s.decls, s.stepKey = decls, k
-
-	sp := s.prof.plan(k)
-	if sp == nil {
-		sp = s.prof.storePlan(k, s.allocate(order, decls))
-	}
-	// The allocator answers in request order (alloc's order contract), so
-	// assignment i belongs to order[i].
-	rs := routedStep{plan: sp, asg: make([]routedAsg, len(order))}
-	for i, key := range order {
-		rs.asg[i] = routedAsg{st: merged[key], decl: decls[i], key: key, stimulus: stimulusKeys[key]}
-	}
-	return rs, nil
-}
-
 // allocate calls the allocator on the merged demand and renders its
 // stepPlan, or its failure.
-func (s *Stand) allocate(order []string, decls []*script.SignalDecl) *stepPlan {
+func (s *Stand) allocate() *stepPlan {
 	reqs := s.reqs[:0]
-	for i, key := range order {
-		st := s.merged[key]
-		d, _ := s.prof.reg.Lookup(st.Call.Method)
+	clear(s.prefer)
+	for _, d := range s.asg {
 		reqs = append(reqs, alloc.Request{
-			Signal: st.Name, Method: d, Attrs: st.Call.Attrs, Pins: declPins(decls[i]),
+			Signal: d.st.Name, Method: d.st.Method, Attrs: d.st.Call.Attrs, Pins: declPins(d.st.Decl),
 		})
+		if d.res != "" {
+			s.prefer[d.st.Key] = d.res
+		}
 	}
 	s.reqs = reqs
 
@@ -675,7 +620,7 @@ func (s *Stand) allocate(order []string, decls []*script.SignalDecl) *stepPlan {
 			sp.want = append(sp.want, e.Elem.Name)
 		}
 		if via := viaOf(a); via != "" {
-			sp.lines = append(sp.lines, appliedLine(s.merged[order[i]], via))
+			sp.lines = append(sp.lines, appliedLine(s.asg[i].st.SignalStmt, via))
 			sp.hasLine[i] = true
 		}
 		// Replay and measurement read only the signal of a request, so
@@ -717,56 +662,53 @@ func viaOf(a *alloc.Assignment) string {
 }
 
 // programState sets one instrument according to an assignment.
-func (s *Stand) programState(a *alloc.Assignment, st *script.SignalStmt, decl *script.SignalDecl) error {
+func (s *Stand) programState(a *alloc.Assignment, st *script.Stmt) error {
 	if a.Resource == nil {
 		return nil
 	}
 	inst := s.instruments[a.Resource]
 	switch a.Resource.Kind {
 	case resource.ResistorDecade:
-		f, err := s.evalAttr(st.Call.Attrs["r"])
+		f, err := s.prof.evalAttr(st.Call.Attrs["r"])
 		if err != nil {
 			return err
 		}
 		inst.decade.SetOhms(f)
 	case resource.PowerSupply:
-		f, err := s.evalAttr(st.Call.Attrs["u"])
+		f, err := s.prof.evalAttr(st.Call.Attrs["u"])
 		if err != nil {
 			return err
 		}
 		inst.source.SetVolts(f)
 		inst.source.SetEnabled(true)
 	case resource.ELoad:
-		f, err := s.evalAttr(st.Call.Attrs["i"])
+		f, err := s.prof.evalAttr(st.Call.Attrs["i"])
 		if err != nil {
 			return err
 		}
 		inst.eload.SetAmps(f)
 		inst.eload.SetEnabled(true)
 	case resource.PWMGenerator:
-		freq, err := s.evalAttr(st.Call.Attrs["f"])
+		freq, err := s.prof.evalAttr(st.Call.Attrs["f"])
 		if err != nil {
 			return err
 		}
-		duty, err := s.evalAttr(st.Call.Attrs["duty"])
+		duty, err := s.prof.evalAttr(st.Call.Attrs["duty"])
 		if err != nil {
 			return err
 		}
 		return inst.pwm.Start(s.prof.cfg.UbattVolts, freq, duty)
 	case resource.CANAdapter:
 		if st.Call.Method == "put_can" {
-			if decl == nil {
-				return fmt.Errorf("no declaration for CAN signal %q", st.Name)
-			}
 			v, _, err := unit.ParseBits(st.Call.Attrs["data"])
 			if err != nil {
 				return err
 			}
-			order, err := canbus.ParseByteOrder(decl.ByteOrder)
+			order, err := canbus.ParseByteOrder(st.Decl.ByteOrder)
 			if err != nil {
 				return err
 			}
-			return s.tx.SetSignalOrder(order, decl.Message, decl.StartBit, decl.Length, v)
+			return s.tx.SetSignalOrder(order, st.Decl.Message, st.Decl.StartBit, st.Decl.Length, v)
 		}
 	case resource.DVM, resource.Counter:
 		// Measurement instruments: single-ended use ties lo to ground.
@@ -825,15 +767,11 @@ func parseClass(c string) (classKind, error) {
 	return classElectrical, fmt.Errorf("unknown class %q", c)
 }
 
-// evalAttr evaluates a numeric attribute value through the profile's
-// memo (Profile.evalAttr).
-func (s *Stand) evalAttr(v string) (float64, error) { return s.prof.evalAttr(v) }
-
 // expectation renders the expected value of a statement for reports,
 // memoised by content: the rendering reads only the method and the
 // attributes, so every statement spelling them alike shares one string.
 func (s *Stand) expectation(st *script.SignalStmt) string {
-	k := appendAttrs(appendField(s.expectKey[:0], st.Call.Method), st.Call.Attrs)
+	k := script.AppendCallKey(s.expectKey[:0], &st.Call)
 	s.expectKey = k
 	return s.prof.expectation(k, st)
 }
