@@ -119,8 +119,8 @@ type ShardStatus struct {
 	Requeued  int `json:"requeued"`  // dispatch attempts retried on another worker
 	Local     int `json:"local"`     // shards executed by the coordinator's local fallback
 	// Stolen counts shards the coordinator's work-stealing executed
-	// locally because every eligible worker was saturated (a subset of
-	// Local).
+	// locally because every eligible worker was saturated. They are
+	// counted apart from Local; both are within Completed.
 	Stolen int `json:"stolen,omitempty"`
 	// Readopted counts shards whose results were re-adopted from
 	// worker-retained jobs after a coordinator restart, instead of

@@ -381,87 +381,61 @@ func chunkShards(names []string, size int) []shardSpec {
 	return shards
 }
 
-// progress tracks ShardStatus and publishes every change.
-type progress struct {
-	mu      sync.Mutex
-	st      serve.ShardStatus
-	workers map[string]bool
-	publish func(serve.ShardStatus)
-}
+// outcome is how one shard attempt ended, as settle books it.
+type outcome int
 
-func newProgress(total int, publish func(serve.ShardStatus)) *progress {
-	p := &progress{st: serve.ShardStatus{Total: total}, workers: map[string]bool{}, publish: publish}
-	p.push()
-	return p
-}
+const (
+	shardMerged    outcome = iota // dispatched and merged: Completed, +worker
+	shardReadopted                // re-attached after a restart: Readopted, Completed, +worker
+	shardLocal                    // run by the local fallback: Local, Completed
+	shardStolen                   // claimed from a saturated fleet (Options.StealLocal): Stolen, Completed
+	shardRequeued                 // worker or retained job lost: Requeued, journaled
+	shardRecovered                // every unit already in the journal: Completed, +worker
+)
 
-func (p *progress) push() {
-	if p.publish == nil {
+// settle books one shard outcome: the job's ShardStatus, published
+// through the status seam; the outcome's dist_* counters; the requeue
+// journal record; and, unless msg is empty, the job-log line msg with
+// the shard, the worker (when known) and attrs.
+func (c *Coordinator) settle(j *dispatchJob, sh shardSpec, o outcome, worker, msg string, attrs ...any) {
+	lg := execLogger(j.ex)
+	log := lg.Info
+	j.shardMu.Lock()
+	switch o {
+	case shardMerged:
+		c.mShardsCompleted.Inc()
+	case shardReadopted:
+		j.shards.Readopted++
+		c.mShardsReadopted.Inc()
+		c.mShardsCompleted.Inc()
+	case shardLocal:
+		j.shards.Local++
+		c.mShardsLocal.Inc()
+	case shardStolen:
+		j.shards.Stolen++
+		c.mShardsStolen.Inc()
+	case shardRequeued:
+		j.shards.Requeued++
+		c.mRequeues.Inc()
+		c.journal.append(journalRec{T: "requeue", Job: j.ex.ID, Shard: sh.base})
+		log = lg.Warn
+	}
+	if o != shardRequeued {
+		j.shards.Completed++
+		if worker != "" {
+			j.workers[worker] = true
+		}
+	}
+	j.publishShardsLocked()
+	j.shardMu.Unlock()
+	if msg == "" {
 		return
 	}
-	st := p.st
-	st.Workers = st.Workers[:0:0]
-	for id := range p.workers {
-		st.Workers = append(st.Workers, id)
+	args := []any{"shard", sh.base}
+	if worker != "" {
+		args = append(args, "worker", worker)
 	}
-	sort.Strings(st.Workers)
-	p.publish(st)
-}
-
-func (p *progress) completed(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Completed++
-	p.workers[workerID] = true
-	p.push()
-}
-
-func (p *progress) requeued() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Requeued++
-	p.push()
-}
-
-func (p *progress) local() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Local++
-	p.st.Completed++
-	p.push()
-}
-
-// stolen: the local executor claimed a shard that waited too long for
-// a saturated fleet (Options.StealLocal).
-func (p *progress) stolen() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Stolen++
-	p.st.Completed++
-	p.push()
-}
-
-// readopted: a recovered shard was re-attached to the worker that
-// retained it across the coordinator outage.
-func (p *progress) readopted(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Readopted++
-	p.st.Completed++
-	p.workers[workerID] = true
-	p.push()
-}
-
-// recoveredComplete: the journal proves every unit of the shard
-// reached the merged stream before the crash — nothing to run.
-func (p *progress) recoveredComplete(workerID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.st.Completed++
-	if workerID != "" {
-		p.workers[workerID] = true
-	}
-	p.push()
+	log(msg, append(args, attrs...)...)
 }
 
 // tally accumulates per-unit verdicts as campaign lines merge; only
@@ -481,13 +455,29 @@ type dispatchJob struct {
 	lines *report.Sequencer[[]byte] // result lines, released to ex.Log
 	tl    *tally
 	tm    *report.TraceMerger // nil unless the job is traced
-	prog  *progress
+	// shards is the job's ShardStatus and workers the distinct workers
+	// that completed its shards, as settle books them.
+	shardMu sync.Mutex
+	shards  serve.ShardStatus // guarded by shardMu
+	workers map[string]bool   // guarded by shardMu
 	// verdict is the open-ended shard's verdict, written by the one
 	// goroutine that completes it and read after execute's Wait.
 	verdict string
 }
 
 func (j *dispatchJob) campaign() bool { return j.ex.Spec.Kind == serve.KindCampaign }
+
+// publishShardsLocked publishes a fresh copy of the job's ShardStatus,
+// with its worker list sorted. Caller holds shardMu, so publishes land
+// in booking order and the job's status ends on the last one.
+func (j *dispatchJob) publishShardsLocked() {
+	sh := j.shards
+	for id := range j.workers {
+		sh.Workers = append(sh.Workers, id)
+	}
+	sort.Strings(sh.Workers)
+	j.ex.Publish(func(st *serve.JobStatus) { st.Shards = &sh })
+}
 
 // execute is the serve.Executor of the coordinator. Every job kind runs
 // as shards merged exactly-once, in global line order, into the job's
@@ -516,9 +506,13 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 			_, err := ex.Log.Write(l)
 			return err
 		}),
-		tl:   &tally{},
-		prog: newProgress(len(shards), ex.OnShards),
+		tl:      &tally{},
+		shards:  serve.ShardStatus{Total: len(shards)},
+		workers: map[string]bool{},
 	}
+	j.shardMu.Lock()
+	j.publishShardsLocked()
+	j.shardMu.Unlock()
 	defer c.trackMerger(j.lines)()
 	if rec != nil && j.campaign() {
 		seedTally(j.tl, rec.lines)
@@ -554,7 +548,7 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 				// jobs skip this skip — spans are not journaled, so every
 				// shard re-attaches to rebuild the span tree. An open-ended
 				// shard never knows it is complete.)
-				j.prog.recoveredComplete(rec.dispatches[sh.base].worker)
+				c.settle(j, sh, shardRecovered, rec.dispatches[sh.base].worker, "")
 				continue
 			}
 			if d, ok := rec.dispatches[sh.base]; ok {
@@ -593,9 +587,7 @@ func (c *Coordinator) execute(ctx context.Context, ex serve.Execution) (string, 
 		// (not from the released lines) keeps the four buckets summing to
 		// Units even on partial failures.
 		st.Skipped = st.Units - st.Passed - st.Failed - st.Errored
-		if ex.OnCampaign != nil {
-			ex.OnCampaign(st)
-		}
+		ex.Publish(func(js *serve.JobStatus) { js.Campaign = &st })
 		verdict = "red"
 		if st.Passed == st.Units {
 			verdict = "green"
@@ -650,14 +642,10 @@ func (c *Coordinator) planShards(ex serve.Execution, rec *recoveredJob) ([]shard
 func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec, adopt *dispatchRec) error {
 	ex := j.ex
 	n := need{kind: ex.Spec.Kind, dut: ex.Spec.DUT, stand: ex.Spec.Stand}
-	lg := execLogger(ex)
 	if adopt != nil {
 		aerr := c.adoptShard(ctx, *adopt, j, sh)
 		if aerr == nil {
-			j.prog.readopted(adopt.worker)
-			c.mShardsReadopted.Inc()
-			c.mShardsCompleted.Inc()
-			lg.Info("shard re-adopted", "shard", sh.base, "worker", adopt.worker, "units", len(sh.names))
+			c.settle(j, sh, shardReadopted, adopt.worker, "shard re-adopted", "units", len(sh.names))
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -671,49 +659,43 @@ func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec
 		// retention evicted it, …): erase the stale address and fall
 		// through to a normal dispatch. Lines it already delivered sit
 		// below the line merge's floor and stay exactly-once.
-		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		j.prog.requeued()
-		c.mRequeues.Inc()
-		lg.Warn("shard re-adoption failed; redispatching",
-			"shard", sh.base, "worker", adopt.worker, "error", aerr.Error())
+		c.settle(j, sh, shardRequeued, adopt.worker, "shard re-adoption failed; redispatching",
+			"error", aerr.Error())
 	}
 	exclude := map[string]bool{}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if attempt >= maxAttempts {
-			j.prog.local()
-			c.mShardsLocal.Inc()
-			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
-			return c.runShardLocal(ctx, j, sh)
+		// A shard that maxAttempts workers failed runs locally, as it
+		// does when no worker is live.
+		var (
+			ls    lease
+			stole bool
+			err   = ErrNoWorkers
+		)
+		if attempt < maxAttempts {
+			ls, stole, err = c.reg.acquire(ctx, n, exclude, c.stealDeadline())
 		}
-		ls, stole, err := c.reg.acquire(ctx, n, exclude, c.stealDeadline())
 		if stole {
-			j.prog.stolen()
-			c.mShardsStolen.Inc()
-			lg.Info("shard stolen by local executor", "shard", sh.base, "units", len(sh.names))
+			c.settle(j, sh, shardStolen, "", "shard stolen by local executor", "units", len(sh.names))
 			return c.runShardLocal(ctx, j, sh)
 		}
 		if errors.Is(err, ErrNoWorkers) {
-			j.prog.local()
-			c.mShardsLocal.Inc()
-			lg.Info("shard local", "shard", sh.base, "units", len(sh.names))
+			c.settle(j, sh, shardLocal, "", "shard local", "units", len(sh.names))
 			return c.runShardLocal(ctx, j, sh)
 		}
 		if err != nil {
 			return err
 		}
-		lg.Info("shard dispatched", "shard", sh.base, "worker", ls.id, "units", len(sh.names))
+		execLogger(ex).Info("shard dispatched", "shard", sh.base, "worker", ls.id, "units", len(sh.names))
 		t0 := c.clock()
 		derr := c.dispatchShard(ctx, ls, j, sh)
 		c.reg.release(ls.id)
 		if derr == nil {
 			secs := c.clock().Sub(t0).Seconds()
 			c.mShardRoundtrip.Observe(secs)
-			j.prog.completed(ls.id)
-			c.mShardsCompleted.Inc()
-			lg.Info("shard merged", "shard", sh.base, "worker", ls.id, "seconds", secs)
+			c.settle(j, sh, shardMerged, ls.id, "shard merged", "seconds", secs)
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -740,10 +722,7 @@ func (c *Coordinator) runShard(ctx context.Context, j *dispatchJob, sh shardSpec
 		// it — its next heartbeat must not win the shard back.
 		c.reg.MarkLost(ls.id)
 		exclude[ls.id] = true
-		c.journal.append(journalRec{T: "requeue", Job: ex.ID, Shard: sh.base})
-		j.prog.requeued()
-		c.mRequeues.Inc()
-		lg.Warn("shard requeued", "shard", sh.base, "worker", ls.id, "error", derr.Error())
+		c.settle(j, sh, shardRequeued, ls.id, "shard requeued", "error", derr.Error())
 	}
 }
 
@@ -966,15 +945,9 @@ func (c *Coordinator) streamShard(sctx context.Context, ls lease, jobID string, 
 		return fmt.Errorf("dist: worker %s delivered %d lines and ended the shard %s", ls.id, idx, st.State)
 	}
 	j.verdict = st.Verdict
-	if st.Mutation != nil && j.ex.OnMutation != nil {
-		j.ex.OnMutation(*st.Mutation)
-	}
-	if st.Exploration != nil && j.ex.OnExploration != nil {
-		j.ex.OnExploration(*st.Exploration)
-	}
-	if st.Vet != nil && j.ex.OnVet != nil {
-		j.ex.OnVet(*st.Vet)
-	}
+	j.ex.Publish(func(js *serve.JobStatus) {
+		js.Mutation, js.Exploration, js.Vet = st.Mutation, st.Exploration, st.Vet
+	})
 	return nil
 }
 
@@ -1097,15 +1070,19 @@ func (f *lineForwarder) Write(p []byte) (int, error) {
 // a coordinator with no (surviving) workers behaving exactly like a
 // single-node server. It runs exactly what a worker runs for the shard:
 // the server's own engine, on the shard's unit list, streaming through
-// the forwarder. The job-level campaign status stays the coordinator's
-// tally, and a traced shard's spans feed the same TraceMerger re-base
-// as a worker's fetched trace.
+// the forwarder. An open-ended shard publishes its engine's summary
+// through the job's seam; a campaign shard publishes nothing, since the
+// job-level campaign status is the coordinator's tally. A traced
+// shard's spans feed the same TraceMerger re-base as a worker's
+// fetched trace.
 func (c *Coordinator) runShardLocal(ctx context.Context, j *dispatchJob, sh shardSpec) error {
 	fw := &lineForwarder{base: sh.base, j: j}
 	lex := j.ex
 	lex.Spec.Scripts = sh.names
 	lex.Log = fw
-	lex.OnCampaign = nil
+	if j.campaign() {
+		lex.Publish = nil
+	}
 	if obsv := j.ex.Observer; obsv != nil {
 		lex.Observer = func(unit int) stand.Observer { return obsv(sh.base + unit) }
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -563,8 +564,10 @@ func TestLocalFallbackWithoutWorkers(t *testing.T) {
 }
 
 // TestLocalShardsLeaveCampaignStatusToTally: a local campaign shard runs
-// serve's engine, which reports its own shard-local CampaignStatus; the
-// job must only ever see the coordinator's tally over all its units.
+// serve's engine, which publishes its own shard-local CampaignStatus;
+// the job's status seam must only ever see the coordinator's tally
+// over all its units. Every ShardStatus the coordinator publishes is a
+// block of its own, which later shards never write.
 func TestLocalShardsLeaveCampaignStatusToTally(t *testing.T) {
 	c := New(Options{ShardUnits: 1})
 	defer c.Close()
@@ -577,17 +580,25 @@ func TestLocalShardsLeaveCampaignStatusToTally(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		mu    sync.Mutex
-		calls []serve.CampaignStatus
+		mu     sync.Mutex
+		calls  []serve.CampaignStatus
+		shards []*serve.ShardStatus
 	)
 	verdict, err := c.execute(t.Context(), serve.Execution{
 		Spec: serve.JobSpec{Kind: serve.KindCampaign, DUT: "central_locking",
 			Stand: "full_lab", Parallelism: 1},
 		Art: art,
 		Log: io.Discard,
-		OnCampaign: func(st serve.CampaignStatus) {
+		Publish: func(update func(*serve.JobStatus)) {
+			var st serve.JobStatus
+			update(&st)
 			mu.Lock()
-			calls = append(calls, st)
+			if st.Campaign != nil {
+				calls = append(calls, *st.Campaign)
+			}
+			if st.Shards != nil {
+				shards = append(shards, st.Shards)
+			}
 			mu.Unlock()
 		},
 	})
@@ -596,7 +607,15 @@ func TestLocalShardsLeaveCampaignStatusToTally(t *testing.T) {
 	}
 	want := serve.CampaignStatus{Units: 4, Passed: 4}
 	if len(calls) != 1 || calls[0] != want {
-		t.Errorf("OnCampaign calls = %+v, want exactly [%+v]", calls, want)
+		t.Errorf("published campaign summaries = %+v, want exactly [%+v]", calls, want)
+	}
+	if len(shards) != 5 {
+		t.Fatalf("published %d shard summaries, want the initial one and one per shard", len(shards))
+	}
+	for i, sh := range shards {
+		if want := (serve.ShardStatus{Total: 4, Completed: i, Local: i}); !reflect.DeepEqual(*sh, want) {
+			t.Errorf("shard summary %d reads %+v, want %+v", i, *sh, want)
+		}
 	}
 }
 

@@ -37,17 +37,9 @@ func (c *Coordinator) adoptReplayed(st *replayed) {
 			Spec:     rj.spec,
 			Workbook: rj.workbook,
 			Lines:    rj.lines,
+			Status:   rj.done,
 		}
-		if rj.done != nil {
-			restored.State = rj.done.State
-			restored.Verdict = rj.done.Verdict
-			restored.Error = rj.done.Error
-			restored.Campaign = rj.done.Campaign
-			restored.Mutation = rj.done.Mutation
-			restored.Exploration = rj.done.Exploration
-			restored.Vet = rj.done.Vet
-			restored.Shards = rj.done.Shards
-		} else {
+		if rj.done == nil {
 			// The executor consults this by job ID; populate BEFORE the
 			// Restore enqueue makes the job runnable.
 			c.recoveredMu.Lock()

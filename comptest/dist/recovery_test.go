@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -435,5 +436,71 @@ func TestJournalCompactionIdempotent(t *testing.T) {
 	}
 	if len(st2.jobs) != 1 || len(st2.workers) != 1 {
 		t.Errorf("second replay folded %d jobs / %d workers, want 1/1", len(st2.jobs), len(st2.workers))
+	}
+}
+
+// statusBody returns GET /v1/jobs/{id} byte for byte.
+func statusBody(t *testing.T, base, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status of %s: %d: %s", id, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestRestoredStatusIdentical: a terminal job comes back from the
+// journal with its status whole. For each job kind — a campaign in two
+// shards over a worker, and the one open-ended shard of mutate, explore
+// (both on the worker) and vet (on the coordinator) — the status body
+// served after a restart is the body served before it, byte for byte,
+// but for "recovered": true.
+func TestRestoredStatusIdentical(t *testing.T) {
+	stateDir := t.TempDir()
+	a := newHarness(t, Options{ShardUnits: 2, StateDir: stateDir})
+	a.startWorker(t, WorkerOptions{Name: "keeper"})
+	specs := []string{
+		campaignSpec,
+		`{"kind":"mutate","workbook_name":"central_locking","dut":"central_locking","parallelism":2}`,
+		`{"kind":"explore","budget":4,"seed":1,"parallelism":2}`,
+		`{"kind":"vet"}`,
+	}
+	ids := make([]string, len(specs))
+	before := make([][]byte, len(specs))
+	for i, spec := range specs {
+		ids[i] = a.submit(t, spec).ID
+		a.streamRaw(t, ids[i]) // ends once the job is terminal
+		before[i] = statusBody(t, a.url, ids[i])
+	}
+	// Close drains the server's workers, so every job's terminal status
+	// is in the journal before the restart.
+	a.ts.Close()
+	a.c.Close()
+
+	b := newHarness(t, Options{StateDir: stateDir})
+	recovered := []byte(",\n  \"recovered\": true\n}")
+	for i, spec := range specs {
+		var st serve.JobStatus
+		if err := json.Unmarshal(before[i], &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone || st.Shards == nil || st.Shards.Completed != st.Shards.Total {
+			t.Errorf("%s: finished as %s", spec, before[i])
+			continue
+		}
+		after := statusBody(t, b.url, ids[i])
+		want := append(bytes.TrimSuffix(before[i], []byte("\n}\n")), recovered...)
+		want = append(want, '\n')
+		if !bytes.Equal(after, want) {
+			t.Errorf("%s: restored status differs\n got: %s\nwant: %s", spec, after, want)
+		}
 	}
 }

@@ -131,6 +131,10 @@ func TestStealLocalUnderSaturatedFleet(t *testing.T) {
 			if cur.Shards.Stolen != 3 {
 				t.Errorf("final Stolen = %d, want 3: %+v", cur.Shards.Stolen, cur.Shards)
 			}
+			// Stolen shards are counted apart from Local.
+			if cur.Shards.Local != 0 {
+				t.Errorf("final Local = %d, want 0: %+v", cur.Shards.Local, cur.Shards)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

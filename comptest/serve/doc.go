@@ -40,6 +40,10 @@
 // stream API intact — the seam comptest/dist uses to shard campaign
 // jobs across remote workers (a JobSpec's Scripts field selects the
 // shard's script subset; ShardStatus reports distribution progress).
+// Whatever runs a job reports its summary through one status seam,
+// Execution.Publish: the update sets summary blocks on the job's
+// status under the job's lock, and a published block is never written
+// again, so status snapshots share blocks rather than copy them.
 //
 // The server is observable in production terms: GET /metrics exposes
 // an internal/obs registry (queue depth, jobs by state, worker-pool

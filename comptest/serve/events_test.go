@@ -47,21 +47,6 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// eventually polls cond until it holds or the deadline passes. The
-// terminal "job done" event is written just AFTER the result log closes
-// (stream end is not a happens-before for it), so event assertions poll.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // jobEvents fetches and decodes a job's event NDJSON, asserting every
 // record carries the job correlation attr.
 func jobEvents(t *testing.T, base, id string) (msgs []string, dropped string) {
@@ -103,13 +88,12 @@ func TestJobEventsEndpoint(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 	st := ts.submit(t, `{}`)
 	ts.wait(t, st.ID)
+	// The terminal "job done" event is logged just after the result log
+	// closes, so the stream's end does not order it; Close does, by
+	// draining the workers, and the Handler keeps answering reads.
+	ts.s.Close()
 
-	var msgs []string
-	var dropped string
-	eventually(t, "the terminal job event", func() bool {
-		msgs, dropped = jobEvents(t, ts.url, st.ID)
-		return strings.Contains(strings.Join(msgs, ","), "job done")
-	})
+	msgs, dropped := jobEvents(t, ts.url, st.ID)
 	if dropped != "0" {
 		t.Errorf("X-Events-Dropped = %q, want 0", dropped)
 	}
@@ -160,12 +144,12 @@ func TestProcessLoggerTee(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1, Logger: logger})
 	st := ts.submit(t, `{}`)
 	ts.wait(t, st.ID)
+	ts.s.Close() // drains the workers: "job done" is logged
 
-	eventually(t, "the process-log job events", func() bool {
-		text := buf.String()
-		return strings.Contains(text, `"msg":"job done"`) &&
-			strings.Contains(text, `"job":"`+st.ID+`"`)
-	})
+	text := buf.String()
+	if !strings.Contains(text, `"msg":"job done"`) || !strings.Contains(text, `"job":"`+st.ID+`"`) {
+		t.Errorf("process log lacks the job's terminal event:\n%s", text)
+	}
 }
 
 // TestSLOEndpoint evaluates /slo after a real job against the

@@ -134,15 +134,22 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu          sync.Mutex
-	state       State              // guarded by mu
-	verdict     string             // guarded by mu
-	errmsg      string             // guarded by mu
-	campaign    *CampaignStatus    // guarded by mu
-	mutation    *MutationStatus    // guarded by mu
-	exploration *ExplorationStatus // guarded by mu
-	vet         *VetStatus         // guarded by mu
-	shards      *ShardStatus       // guarded by mu
+	mu      sync.Mutex
+	state   State  // guarded by mu
+	verdict string // guarded by mu
+	errmsg  string // guarded by mu
+	// summary holds the blocks published through Execution.Publish;
+	// Status reads only its summary blocks.
+	summary JobStatus // guarded by mu
+}
+
+// publish is the job's Execution.Publish: update runs under mu on the
+// summary. Published blocks are never written again, so Status
+// snapshots share them.
+func (j *Job) publish(update func(*JobStatus)) {
+	j.mu.Lock()
+	update(&j.summary)
+	j.mu.Unlock()
 }
 
 // currentState reads the state without the full Status snapshot —
@@ -185,45 +192,30 @@ func (j *Job) finish(s State, verdict, errmsg string) {
 	}
 }
 
-// Status snapshots the job for the API.
+// Status snapshots the job for the API. The summary blocks are
+// shared with the job, not copied: a published block is never written
+// again (Execution.Publish).
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:        j.id,
-		Kind:      j.spec.Kind,
-		State:     j.state,
-		Verdict:   j.verdict,
-		Error:     j.errmsg,
-		Reports:   j.log.len(),
-		Workbook:  j.art.Key,
-		Stand:     j.spec.Stand,
-		DUT:       j.spec.DUT,
-		Tenant:    j.spec.Tenant,
-		Recovered: j.recovered,
+	return JobStatus{
+		ID:          j.id,
+		Kind:        j.spec.Kind,
+		State:       j.state,
+		Verdict:     j.verdict,
+		Error:       j.errmsg,
+		Reports:     j.log.len(),
+		Workbook:    j.art.Key,
+		Stand:       j.spec.Stand,
+		DUT:         j.spec.DUT,
+		Tenant:      j.spec.Tenant,
+		Campaign:    j.summary.Campaign,
+		Mutation:    j.summary.Mutation,
+		Exploration: j.summary.Exploration,
+		Vet:         j.summary.Vet,
+		Shards:      j.summary.Shards,
+		Recovered:   j.recovered,
 	}
-	if j.campaign != nil {
-		c := *j.campaign
-		st.Campaign = &c
-	}
-	if j.mutation != nil {
-		m := *j.mutation
-		st.Mutation = &m
-	}
-	if j.exploration != nil {
-		e := *j.exploration
-		st.Exploration = &e
-	}
-	if j.vet != nil {
-		v := *j.vet
-		st.Vet = &v
-	}
-	if j.shards != nil {
-		sh := *j.shards
-		sh.Workers = append([]string(nil), j.shards.Workers...)
-		st.Shards = &sh
-	}
-	return st
 }
 
 // --------------------------------------------------------------- results --

@@ -25,9 +25,14 @@ func TestTenantQuota(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	release := make(chan struct{})
+	// Finished fires after the job's quota slot is released; the state
+	// already reads done a moment before that. Buffered for more jobs
+	// than the test submits, so the hook never blocks a worker.
+	finished := make(chan string, 8)
 	s := New(Options{
 		Now:   clock,
 		Quota: QuotaOptions{MaxActive: 2, RatePerSec: 1, Burst: 1},
+		Hooks: Hooks{Finished: func(st JobStatus) { finished <- st.ID }},
 		Executor: func(ctx context.Context, ex Execution) (string, error) {
 			select {
 			case <-release:
@@ -100,25 +105,13 @@ func TestTenantQuota(t *testing.T) {
 
 	// Finished jobs hand their slots back.
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for _, id := range []string{first.ID, second.ID} {
-		for {
-			resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st JobStatus
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if st.State == StateDone {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s never finished: %s", id, st.State)
-			}
-			time.Sleep(10 * time.Millisecond)
+	timeout := time.After(5 * time.Second)
+	for pending := map[string]bool{first.ID: true, second.ID: true}; len(pending) > 0; {
+		select {
+		case id := <-finished:
+			delete(pending, id)
+		case <-timeout:
+			t.Fatalf("acme jobs never finished: %v", pending)
 		}
 	}
 	advance(2 * time.Second)

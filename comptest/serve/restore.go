@@ -33,19 +33,13 @@ type RestoredJob struct {
 	// full stream; for a resumed job it is the contiguous merged
 	// prefix, and the Executor continues from len(Lines).
 	Lines [][]byte
-	// State is the journaled terminal state, or "" for a job that was
-	// still in flight — such a job is re-enqueued and runs through the
-	// server's Executor again (which is where journal-aware resumption
-	// happens).
-	State   State
-	Verdict string
-	Error   string
-	// Final summaries of a terminal job, as journaled.
-	Campaign    *CampaignStatus
-	Mutation    *MutationStatus
-	Exploration *ExplorationStatus
-	Vet         *VetStatus
-	Shards      *ShardStatus
+	// Status is the journaled terminal status, or nil for a job that
+	// was still in flight — such a job is re-enqueued and runs through
+	// the server's Executor again (which is where journal-aware
+	// resumption happens). A terminal job keeps its state, verdict,
+	// error and summary blocks as journaled; the blocks are shared, and
+	// never written again.
+	Status *JobStatus
 }
 
 // Restore installs a recovered job. Terminal jobs become immediately
@@ -62,35 +56,32 @@ func (s *Server) Restore(rj RestoredJob) error {
 	if rj.ID == "" {
 		return fmt.Errorf("serve: restore: job lacks an id")
 	}
-	if rj.State != "" && !api.Terminal(rj.State) {
-		return fmt.Errorf("serve: restore %s: non-terminal journaled state %q", rj.ID, rj.State)
+	terminal := rj.Status != nil
+	if terminal && !api.Terminal(rj.Status.State) {
+		return fmt.Errorf("serve: restore %s: non-terminal journaled state %q", rj.ID, rj.Status.State)
 	}
 	art, err := s.cache.Load([]byte(rj.Workbook))
 	if err != nil {
 		return fmt.Errorf("serve: restore %s: workbook: %v", rj.ID, err)
 	}
-	state := StateQueued
-	if rj.State != "" {
-		state = rj.State
+	state, journaled := StateQueued, JobStatus{}
+	if terminal {
+		state, journaled = rj.Status.State, *rj.Status
 	}
 	jobCtx, jobCancel := context.WithCancel(s.ctx)
 	job := &Job{
-		id:          rj.ID,
-		spec:        rj.Spec,
-		art:         art,
-		log:         newResultLog(),
-		events:      newEventRing(eventBuffer),
-		ctx:         jobCtx,
-		cancel:      jobCancel,
-		state:       state,
-		verdict:     rj.Verdict,
-		errmsg:      rj.Error,
-		recovered:   true,
-		campaign:    rj.Campaign,
-		mutation:    rj.Mutation,
-		exploration: rj.Exploration,
-		vet:         rj.Vet,
-		shards:      rj.Shards,
+		id:        rj.ID,
+		spec:      rj.Spec,
+		art:       art,
+		log:       newResultLog(),
+		events:    newEventRing(eventBuffer),
+		ctx:       jobCtx,
+		cancel:    jobCancel,
+		state:     state,
+		verdict:   journaled.Verdict,
+		errmsg:    journaled.Error,
+		summary:   journaled,
+		recovered: true,
 	}
 	job.submitted = rj.Submitted
 	if job.submitted.IsZero() {
@@ -129,14 +120,14 @@ func (s *Server) Restore(rj RestoredJob) error {
 		jobCancel()
 		return fmt.Errorf("serve: restore %s: job already present", rj.ID)
 	}
-	if rj.State == "" && len(s.queue) == cap(s.queue) {
+	if !terminal && len(s.queue) == cap(s.queue) {
 		jobCancel()
 		return fmt.Errorf("serve: restore %s: job queue full", rj.ID)
 	}
 	if n, ok := jobSeq(rj.ID); ok && n > s.seq {
 		s.seq = n
 	}
-	if rj.State != "" {
+	if terminal {
 		job.log.close()
 		if job.trace != nil {
 			job.trace.close()
@@ -145,7 +136,7 @@ func (s *Server) Restore(rj RestoredJob) error {
 	}
 	s.jobs[job.id] = job
 	s.order = append(s.order, job.id)
-	if rj.State == "" {
+	if !terminal {
 		s.queue <- job
 	}
 	// The enqueue above may already have handed the job to a worker;

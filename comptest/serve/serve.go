@@ -92,16 +92,14 @@ type Hooks struct {
 }
 
 // Executor runs one job to completion, streaming NDJSON result lines
-// to ex.Log and reporting summaries through the ex callbacks. The
-// returned verdict ("green"/"red") applies when err is nil; ctx
-// cancellation must stop the work (the server maps it to the
-// cancelled state).
+// to ex.Log and reporting summaries through ex.Publish. The returned
+// verdict ("green"/"red") applies when err is nil; ctx cancellation
+// must stop the work (the server maps it to the cancelled state).
 type Executor func(ctx context.Context, ex Execution) (verdict string, err error)
 
 // Execution is everything an Executor needs to run one job. Log
 // receives exactly one Write per NDJSON line (the comptest.NDJSON
-// contract); the On* callbacks publish summaries into the job status
-// and may each be called multiple times (last call wins).
+// contract); Publish is the job's one status seam.
 type Execution struct {
 	// ID is the job's server-assigned identifier ("job-000042"). A
 	// persistent Executor (the durable dist coordinator) keys its
@@ -111,11 +109,16 @@ type Execution struct {
 	Art  *Artifact
 	Log  io.Writer
 
-	OnCampaign    func(CampaignStatus)
-	OnMutation    func(MutationStatus)
-	OnExploration func(ExplorationStatus)
-	OnVet         func(VetStatus)
-	OnShards      func(ShardStatus)
+	// Publish applies update to the job's summary under the job's
+	// lock. update sets summary blocks (Campaign, Mutation,
+	// Exploration, Vet, Shards) and nothing else: the job's state,
+	// verdict and identity are the server's. It may be called any
+	// number of times; the last block set of each kind wins. A
+	// published block is never written again — each publish sets a
+	// freshly built one — so status snapshots share blocks instead of
+	// copying them. The server always sets it; ExecuteLocal reads nil
+	// as publishing nothing.
+	Publish func(update func(*JobStatus))
 
 	// Observer, when non-nil, supplies a per-unit trace observer for
 	// campaign executions (the server's test hook, threaded through so
@@ -646,35 +649,11 @@ func (s *Server) runJob(job *Job) {
 	job.logger.Info("job started", "wait_s", wait)
 
 	ex := Execution{
-		ID:   job.id,
-		Spec: job.spec,
-		Art:  job.art,
-		Log:  job.log,
-		OnCampaign: func(c CampaignStatus) {
-			job.mu.Lock()
-			job.campaign = &c
-			job.mu.Unlock()
-		},
-		OnMutation: func(m MutationStatus) {
-			job.mu.Lock()
-			job.mutation = &m
-			job.mu.Unlock()
-		},
-		OnExploration: func(e ExplorationStatus) {
-			job.mu.Lock()
-			job.exploration = &e
-			job.mu.Unlock()
-		},
-		OnVet: func(v VetStatus) {
-			job.mu.Lock()
-			job.vet = &v
-			job.mu.Unlock()
-		},
-		OnShards: func(sh ShardStatus) {
-			job.mu.Lock()
-			job.shards = &sh
-			job.mu.Unlock()
-		},
+		ID:      job.id,
+		Spec:    job.spec,
+		Art:     job.art,
+		Log:     job.log,
+		Publish: job.publish,
 	}
 	if s.observe != nil {
 		ex.Observer = func(unit int) stand.Observer { return s.observe(job, unit) }
@@ -721,6 +700,9 @@ func (s *Server) runJob(job *Job) {
 // the default Executor, and the fallback a distributing Executor uses
 // when no remote workers are available.
 func (s *Server) ExecuteLocal(ctx context.Context, ex Execution) (string, error) {
+	if ex.Publish == nil {
+		ex.Publish = func(func(*JobStatus)) {}
+	}
 	switch ex.Spec.Kind {
 	case KindCampaign:
 		return s.runCampaign(ctx, ex)
@@ -805,10 +787,10 @@ func (s *Server) runCampaign(ctx context.Context, ex Execution) (string, error) 
 	if tracer != nil {
 		tracer.Flush()
 	}
-	if ex.OnCampaign != nil {
-		ex.OnCampaign(CampaignStatus{Units: sum.Units, Passed: sum.Passed,
-			Failed: sum.Failed, Errored: sum.Errored, Skipped: sum.Skipped})
-	}
+	ex.Publish(func(js *JobStatus) {
+		js.Campaign = &CampaignStatus{Units: sum.Units, Passed: sum.Passed,
+			Failed: sum.Failed, Errored: sum.Errored, Skipped: sum.Skipped}
+	})
 	if err != nil {
 		return "", err
 	}
@@ -864,9 +846,7 @@ func (s *Server) runMutate(ctx context.Context, ex Execution) (string, error) {
 			st.Survived++
 		}
 	}
-	if ex.OnMutation != nil {
-		ex.OnMutation(st)
-	}
+	ex.Publish(func(js *JobStatus) { js.Mutation = &st })
 	if st.Errored > 0 {
 		return "red", nil
 	}
@@ -909,9 +889,7 @@ func (s *Server) runVet(ctx context.Context, ex Execution) (string, error) {
 			st.Infos++
 		}
 	}
-	if ex.OnVet != nil {
-		ex.OnVet(st)
-	}
+	ex.Publish(func(js *JobStatus) { js.Vet = &st })
 	if st.Errors > 0 {
 		return "red", nil
 	}
@@ -934,12 +912,14 @@ func (s *Server) runExplore(ctx context.Context, ex Execution) (string, error) {
 		return "", err
 	}
 	res, err := eng.Run(ctx)
-	if res != nil && ex.OnExploration != nil {
-		ex.OnExploration(ExplorationStatus{
-			Candidates:   res.Candidates,
-			Executions:   res.Executions,
-			Scenarios:    res.Corpus.Len(),
-			CoverageKeys: res.Coverage.Len(),
+	if res != nil {
+		ex.Publish(func(js *JobStatus) {
+			js.Exploration = &ExplorationStatus{
+				Candidates:   res.Candidates,
+				Executions:   res.Executions,
+				Scenarios:    res.Corpus.Len(),
+				CoverageKeys: res.Coverage.Len(),
+			}
 		})
 	}
 	if err != nil {

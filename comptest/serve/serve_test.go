@@ -834,3 +834,44 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 		t.Errorf("oversized spec: status %d, want 413", code)
 	}
 }
+
+// TestStatusSnapshotIsolated: Status shares the published summary
+// blocks instead of copying them, which is sound only because a block
+// is never written after it is published. A snapshot taken between two
+// publishes — its shard worker list included — still reads the first
+// publish after the second.
+func TestStatusSnapshotIsolated(t *testing.T) {
+	published, resume := make(chan struct{}), make(chan struct{})
+	ts := newTestServer(t, Options{Workers: 1, Executor: func(ctx context.Context, ex Execution) (string, error) {
+		ex.Publish(func(st *JobStatus) {
+			st.Campaign = &CampaignStatus{Units: 2, Passed: 1}
+			st.Shards = &ShardStatus{Total: 2, Completed: 1, Workers: []string{"w-0001"}}
+		})
+		published <- struct{}{}
+		<-resume
+		ex.Publish(func(st *JobStatus) {
+			st.Campaign = &CampaignStatus{Units: 2, Passed: 2}
+			st.Shards = &ShardStatus{Total: 2, Completed: 2, Workers: []string{"w-0001", "w-0002"}}
+		})
+		return "green", nil
+	}})
+	id := ts.submit(t, `{}`).ID
+	<-published
+	snap := ts.s.job(id).Status()
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	final := ts.wait(t, id)
+	if c, sh := final.Campaign, final.Shards; c == nil || c.Passed != 2 || sh == nil || len(sh.Workers) != 2 {
+		t.Fatalf("second publish not shown: %+v %+v", c, sh)
+	}
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("snapshot changed under a later publish:\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -26,16 +26,17 @@ type Sequencer[T any] struct {
 	mu      sync.Mutex
 	release func(T) error
 	next    int         // next sequence to release
-	pending map[int]T   // early arrivals
-	skipped map[int]int // first seq of a run never added → one past its last
+	pending map[int]T   // early arrivals; nil until the first one
+	skipped map[int]int // first seq of a run never added → one past its last; nil until the first
 	err     error       // first release error, latched
 }
 
 // NewSequencer returns a Sequencer whose first released sequence is
 // floor; sequences below floor count as already released (a resumed
-// stream holds them) and drop as duplicates.
+// stream holds them) and drop as duplicates. It makes no map: a stream
+// that arrives in order never needs one.
 func NewSequencer[T any](floor int, release func(T) error) *Sequencer[T] {
-	return &Sequencer[T]{release: release, next: floor, pending: map[int]T{}, skipped: map[int]int{}}
+	return &Sequencer[T]{release: release, next: floor}
 }
 
 // Add offers v as sequence seq and releases every value whose turn has
@@ -62,6 +63,9 @@ func (s *Sequencer[T]) Add(seq int, v T) (accepted bool, err error) {
 	if _, dup := s.pending[seq]; dup || seq < s.next {
 		return false, nil
 	}
+	if s.pending == nil {
+		s.pending = map[int]T{}
+	}
 	s.pending[seq] = v
 	return true, s.flush()
 }
@@ -78,6 +82,9 @@ func (s *Sequencer[T]) Skip(from, to int) error {
 	from = max(from, s.next)
 	if from >= to {
 		return nil
+	}
+	if s.skipped == nil {
+		s.skipped = map[int]int{}
 	}
 	s.skipped[from] = to
 	return s.flush()
